@@ -32,6 +32,7 @@ from .lattice import (
 )
 from .surface import MaterialParams, surface_budget
 from .traps import (
+    BiasField,
     TuneObjective,
     TuneUnreachableError,
     characterize_trap,
@@ -168,8 +169,10 @@ def parse_config(path) -> RunConfig:
     _reject_unknown(film, "film.")
 
     bias = _vec(_pop(doc, "bias_mT", None, "", required=True), 3, "bias_mT") * 1e-3
-    if np.linalg.norm(bias) >= 0.1:
-        raise ConfigError("'bias_mT' magnitude must be below 100 mT")
+    try:
+        BiasField(bias)
+    except ValueError as exc:
+        raise ConfigError(f"'bias_mT': {exc}") from exc
 
     base = default_rb87()
     at = _pop(doc, "atom", {}, "")

@@ -1,10 +1,4 @@
-"""Physical constants (CODATA 2018) shared by all modules.
-
-Everything internal is SI; the unit multipliers at the bottom exist only
-for readability at I/O boundaries.
-"""
-
-from dataclasses import dataclass
+"""Physical constants (CODATA 2018) shared by all modules, in SI units."""
 
 h = 6.62607015e-34  # J s (exact, SI definition)
 hbar = h / 6.283185307179586476925287  # J s (= h / 2 pi, 1.054571817e-34)
@@ -13,26 +7,3 @@ muB = 9.2740100783e-24  # J/T
 mu0 = 1.25663706212e-6  # T m/A
 c = 299792458.0  # m/s
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable bundle of the constants above, for report provenance."""
-
-    hbar: float = hbar
-    kB: float = kB
-    muB: float = muB
-    mu0: float = mu0
-    c: float = c
-
-
-CODATA = PhysicalConstants()
-
-# unit multipliers (value * NM gives meters, etc.)
-NM = 1e-9
-UM = 1e-6
-MT = 1e-3  # millitesla
-GAUSS = 1e-4
-KHZ = 1e3
-MHZ = 1e6
-NK = 1e-9
-UK = 1e-6

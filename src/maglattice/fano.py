@@ -99,8 +99,14 @@ def fano_from_samples(samples, seed: int = 0, n_boot: int = 200):
         raise ValueError("mean must be positive")
     if n_boot < 200:
         raise ValueError("need at least 200 bootstrap resamples")
-    F = samples.var(ddof=1) / mean
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B0075)))
+    return _fano_bootstrap(samples, (seed, 0x0B0075), n_boot)
+
+
+def _fano_bootstrap(samples, key, n_boot):
+    """Var/Mean of 1-D samples and its standard error over n_boot bootstrap
+    resamples drawn from SeedSequence(key). Works in the samples' own dtype."""
+    F = samples.var(ddof=1) / samples.mean()
+    rng = np.random.default_rng(np.random.SeedSequence(key))
     idx = rng.integers(0, samples.size, size=(n_boot, samples.size))
     draws = samples[idx]
     F_b = draws.var(axis=1, ddof=1) / draws.mean(axis=1)
@@ -186,20 +192,14 @@ def simulate_three_body(
         counts = (times <= t_star).sum(axis=1)
         samples = N0s - 3 * counts
         mean = samples.mean()
-        F = samples.var(ddof=1) / mean
-        rng = np.random.default_rng(
-            np.random.SeedSequence((ensemble.seed, 0xB00C, j))
-        )
-        idx = rng.integers(0, n, size=(200, n))
-        draws = samples[idx]
-        F_b = draws.var(axis=1, ddof=1) / draws.mean(axis=1)
+        F, stderr = _fano_bootstrap(samples, (ensemble.seed, 0xB00C, j), 200)
         points.append(
             FanoPoint(
                 eta=eta,
                 eta_actual=float(mean / ensemble.N0),
                 mean_N=float(mean),
-                F=float(F),
-                stderr_F=float(F_b.std(ddof=1)),
+                F=F,
+                stderr_F=stderr,
                 exhausted=False,
                 samples=samples.copy(),
             )

@@ -163,21 +163,3 @@ def onsite_U_gaussian(freqs, atom: AtomState) -> float:
     g3d = 4 * np.pi * const.hbar**2 * atom.a_s / atom.mass
     return float(g3d * (2 * np.pi) ** (-1.5) / np.prod(lengths))
 
-
-def tunneling_J_wkb(omega_axis: float, z_profile, V_profile, atom: AtomState) -> float:
-    """Rough inter-site tunneling estimate for a non-sinusoidal trap landscape.
-
-    J ~ (hbar omega / pi) exp(-integral kappa dz) through the barrier sampled
-    by (z_profile, V_profile) at energy E = V_min + hbar omega / 2. This is a
-    WKB splitting estimate, not the band-structure J used elsewhere; the two
-    definitions differ and results should be treated as order of magnitude.
-    """
-    from .surface import PotentialProfile1D, wkb_log_transmission
-
-    z = np.asarray(z_profile, dtype=float)
-    V = np.asarray(V_profile, dtype=float)
-    E = V.min() + 0.5 * const.hbar * omega_axis
-    prof = PotentialProfile1D(z=z, V=V, E=E)
-    log10_T, _ = wkb_log_transmission(prof, atom)
-    # amplitude decays as sqrt(T) for a splitting, hence the factor 1/2
-    return float(const.hbar * omega_axis / np.pi * 10 ** (0.5 * log10_T))

@@ -273,6 +273,45 @@ def eval_potential(f: FourierExpansion, r) -> float:
     return f.prefactor * float(np.sum(env * (f.C * np.cos(u) + f.S * np.sin(u))))
 
 
+# The 19 distinct derivatives of phi, first to third order, as sorted
+# multi-indices over (x, y, z) = (0, 1, 2), padded with 3 (a factor of one).
+_DERIVS = np.array(
+    [(i, 3, 3) for i in range(3)]
+    + [(i, j, 3) for i in range(3) for j in range(i, 3)]
+    + [(i, j, l) for i in range(3) for j in range(i, 3) for l in range(j, 3)]
+)
+# Each in-plane derivative maps (Ac, As) to (k As, -k Ac) and each z
+# derivative multiplies by -k, so a derivative with p in-plane and r z
+# factors is (-1)^(p//2 + r) prod(k) times Ac for even p, As for odd p.
+_N_INPLANE = np.sum(_DERIVS < 2, axis=1)
+_SIGN = (-1.0) ** (_N_INPLANE // 2 + np.sum(_DERIVS == 2, axis=1))
+_EVEN = _N_INPLANE % 2 == 0
+_COLUMN = {tuple(d): c for c, d in enumerate(_DERIVS.tolist())}
+_HESS_IDX = np.array(
+    [[_COLUMN[tuple(sorted((i, j))) + (3,)] for j in range(3)] for i in range(3)]
+)
+_THIRD_IDX = np.array(
+    [[[_COLUMN[tuple(sorted((i, j, l)))] for l in range(3)] for j in range(3)] for i in range(3)]
+)
+
+
+def _phi_derivatives(f: FourierExpansion, pts: np.ndarray):
+    """Derivatives of phi at pts (N, 3) as (N, 19) columns in _DERIVS order,
+    plus the lattice part of the local field scale, P sum env k |C + iS|.
+
+    The (N, M) mode arrays live only inside this call.
+    """
+    k = np.column_stack([f.k_vec, f.k_mag, np.ones(f.nmodes)])
+    table = f.prefactor * _SIGN * k[:, _DERIVS[:, 0]] * k[:, _DERIVS[:, 1]] * k[:, _DERIVS[:, 2]]
+    u = pts[:, :2] @ f.k_vec.T  # (N, M)
+    env = np.exp(-np.outer(pts[:, 2], f.k_mag))  # (N, M)
+    cos, sin = np.cos(u), np.sin(u)
+    D = np.empty((len(pts), len(_DERIVS)))
+    D[:, _EVEN] = (env * (f.C * cos + f.S * sin)) @ table[:, _EVEN]
+    D[:, ~_EVEN] = (env * (f.S * cos - f.C * sin)) @ table[:, ~_EVEN]
+    return D, f.prefactor * (env @ (f.k_mag * np.hypot(f.C, f.S)))
+
+
 def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray):
     """Vectorized field evaluation at points (N, 3).
 
@@ -283,62 +322,12 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _check_z(pts[:, 2])
     bias = np.asarray(bias, dtype=float)
-    N = pts.shape[0]
 
-    field_scale = np.full(N, np.linalg.norm(bias))
-    if f.nmodes == 0:
-        B = np.broadcast_to(bias, (N, 3)).copy()
-        grad = np.zeros((N, 3, 3))
-        third = np.zeros((N, 3, 3, 3))
-    else:
-        kx = f.k_vec[:, 0]
-        ky = f.k_vec[:, 1]
-        kk = f.k_mag
-        u = pts[:, :2] @ f.k_vec.T  # (N, M)
-        env = np.exp(-np.outer(pts[:, 2], kk))  # (N, M)
-        Ac = env * (f.C * np.cos(u) + f.S * np.sin(u))
-        As = env * (-f.C * np.sin(u) + f.S * np.cos(u))
-        field_scale = field_scale + f.prefactor * (env @ (kk * np.hypot(f.C, f.S)))
-
-        P = f.prefactor
-        # first derivatives of phi
-        dphi = np.empty((N, 3))
-        dphi[:, 0] = P * (As @ kx)
-        dphi[:, 1] = P * (As @ ky)
-        dphi[:, 2] = -P * (Ac @ kk)
-        B = bias - dphi
-
-        # second derivatives (Hessian of phi); grad of B is its negative
-        kxx, kxy, kyy = kx * kx, kx * ky, ky * ky
-        kxz, kyz, kzz = kx * kk, ky * kk, kk * kk
-        H = np.empty((N, 3, 3))
-        H[:, 0, 0] = -P * (Ac @ kxx)
-        H[:, 0, 1] = H[:, 1, 0] = -P * (Ac @ kxy)
-        H[:, 1, 1] = -P * (Ac @ kyy)
-        H[:, 0, 2] = H[:, 2, 0] = -P * (As @ kxz)
-        H[:, 1, 2] = H[:, 2, 1] = -P * (As @ kyz)
-        H[:, 2, 2] = P * (Ac @ kzz)
-        grad = -H
-
-        # third derivatives of phi: T[i, j, l] = d^3 phi / dr_i dr_j dr_l
-        third = np.empty((N, 3, 3, 3))
-
-        def sym_set(i, j, l, val):
-            for a, b, cdx in ((i, j, l), (i, l, j), (j, i, l), (j, l, i), (l, i, j), (l, j, i)):
-                third[:, a, b, cdx] = val
-
-        sym_set(0, 0, 0, -P * (As @ (kx * kxx)))
-        sym_set(0, 0, 1, -P * (As @ (kxx * ky)))
-        sym_set(0, 1, 1, -P * (As @ (kx * kyy)))
-        sym_set(1, 1, 1, -P * (As @ (ky * kyy)))
-        sym_set(0, 0, 2, P * (Ac @ (kxx * kk)))
-        sym_set(0, 1, 2, P * (Ac @ (kxy * kk)))
-        sym_set(1, 1, 2, P * (Ac @ (kyy * kk)))
-        sym_set(0, 2, 2, P * (As @ (kx * kzz)))
-        sym_set(1, 2, 2, P * (As @ (ky * kzz)))
-        sym_set(2, 2, 2, -P * (Ac @ (kk * kzz)))
-
-        third = -third  # dB_i/dr_j dr_l = -d^3 phi
+    D, lattice_scale = _phi_derivatives(f, pts)
+    field_scale = np.linalg.norm(bias) + lattice_scale
+    B = bias - D[:, :3]
+    grad = -D[:, _HESS_IDX]  # dB_i/dr_j = -d^2 phi
+    third = -D[:, _THIRD_IDX]  # dB_i/dr_j dr_l = -d^3 phi
 
     B_mag = np.linalg.norm(B, axis=1)
     # a zero of |B| (Majorana point) leaves rounding residue; flag anything

@@ -106,15 +106,16 @@ def vdw_trap_shift(omega: float, z0: float, C3: float, atom: AtomState):
     1 - (z_t/z0)^4 ~ 4 |shift|/z0: 10% at |shift|/z0 ~ 0.023. No minimum
     exists above |shift|/z0 = 256/3125 ~ 0.082.
 
-    Returns (shift, linear_ok); linear_ok is a coarse 20% flag, False only
-    when |shift|/z0 > 0.2. It stays True where the error already exceeds
-    10%, and also between 0.082 and 0.2, where no minimum exists.
+    Returns (shift, linear_ok); linear_ok is False when |shift|/z0 >=
+    256/3125, where the attraction has destroyed the minimum. It is a
+    coarse flag: below that bound it stays True where the error already
+    exceeds 10%.
     """
     if omega <= 0 or z0 <= 0:
         raise ValueError("omega and z0 must be positive")
     _warn_retardation(z0, atom)
     shift = -3.0 * C3 / (atom.mass * omega**2 * z0**4)
-    return shift, bool(abs(shift) / z0 <= 0.2)
+    return shift, bool(abs(shift) / z0 < 256.0 / 3125.0)
 
 
 def numeric_min_oracle(omega: float, z0: float, C3: float, atom: AtomState) -> float:

@@ -44,22 +44,18 @@ class BiasField:
     B_ext: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "B_ext", np.asarray(self.B_ext, dtype=float))
-        if self.B_ext.shape != (3,):
+        b = np.asarray(self.B_ext, dtype=float)
+        if b.shape != (3,):
             raise ValueError("bias must be a 3-vector")
-        if np.linalg.norm(self.B_ext) >= 0.1:
+        if not np.all(np.isfinite(b)):
+            raise ValueError("bias components must be finite")
+        if np.linalg.norm(b) >= 0.1:
             raise ValueError("bias magnitude must be < 0.1 T")
+        object.__setattr__(self, "B_ext", b)
 
 
 def _bias_vec(bias) -> np.ndarray:
-    if isinstance(bias, BiasField):
-        return bias.B_ext
-    b = np.asarray(bias, dtype=float)
-    if b.shape != (3,):
-        raise ValueError("bias must be a 3-vector")
-    if np.linalg.norm(b) >= 0.1:
-        raise ValueError("bias magnitude must be < 0.1 T")
-    return b
+    return (bias if isinstance(bias, BiasField) else BiasField(bias)).B_ext
 
 
 @dataclass(frozen=True)
@@ -133,43 +129,49 @@ def _sample_one(f, bias, r):
     return B_mag[0], grad_mag[0], hess[0], bool(valid[0])
 
 
-def _newton_polish(f, bias, x0, z_bounds, gtol, max_iter=25):
-    """Drive |grad|B|| below gtol with Newton steps on the analytic Hessian.
+def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, gtol=1e-8):
+    """Newton-converge x0 onto a stationary point of |B| with `index`
+    negative Hessian eigenvalues (0: minimum, 1: saddle).
 
-    Near-singular (channel) directions are projected out via eigenvalue
-    truncation, so flat directions simply stay put.
+    Eigendirections with |lambda| below 1e-9 max|lambda| are projected out of
+    every step, and for a minimum so are all negative ones, so flat (channel)
+    directions stay put. Steps are capped at `cap`; z is clipped into
+    z_bounds when given. Returns (x, |B|(x)), or None when the iteration
+    leaves the field domain, moves farther than `guard` from x0, does not
+    reach |grad|B|| <= gtol within 30 steps, or ends on a point without
+    exactly `index` negative curvatures.
     """
-    x = np.array(x0, dtype=float)
-    _, g, H, valid = _sample_one(f, bias, x)
-    if not valid:
-        return x, np.inf
-    for _ in range(max_iter):
-        gn = np.linalg.norm(g)
-        if gn < gtol:
+    x0 = np.asarray(x0, dtype=float)
+    x = x0.copy()
+    val, g, H, valid = _sample_one(f, bias, x)
+    for _ in range(30):
+        if not valid or np.linalg.norm(g) < gtol:
             break
-        H = 0.5 * (H + H.T)
-        lam, V = np.linalg.eigh(H)
-        lmax = np.max(np.abs(lam))
-        if lmax <= 0:
-            break
-        inv = np.where(lam > 1e-10 * lmax, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-        step = -V @ (inv * (V.T @ g))
-        # trust region: never step more than a small fraction of the cell
-        cap = 0.05 * f.geometry.period
+        lam, V = np.linalg.eigh(0.5 * (H + H.T))
+        cut = 1e-9 * np.max(np.abs(lam))
+        use = lam > cut if index == 0 else np.abs(lam) > cut
+        if not np.any(use):
+            return None
+        step = -V @ np.where(use, (V.T @ g) / np.where(use, lam, 1.0), 0.0)
         sn = np.linalg.norm(step)
         if sn > cap:
             step *= cap / sn
-        xn = x + step
-        xn[2] = np.clip(xn[2], z_bounds[0], z_bounds[1])
-        _, gn_new, Hn, validn = _sample_one(f, bias, xn)
-        if not validn:
-            break
-        x, g, H = xn, gn_new, Hn
-    return x, np.linalg.norm(g)
+        x = x + step
+        if z_bounds is not None:
+            x[2] = np.clip(x[2], z_bounds[0], z_bounds[1])
+        if x[2] <= 0 or np.linalg.norm(x - x0) > guard:
+            return None
+        val, g, H, valid = _sample_one(f, bias, x)
+    if not valid or np.linalg.norm(g) > gtol:
+        return None
+    lam = np.linalg.eigvalsh(0.5 * (H + H.T))
+    if np.sum(lam < -1e-7 * max(np.max(np.abs(lam)), 1e-300)) != index:
+        return None
+    return x, val
 
 
 def _descend(f, bias, x0, z_bounds, gtol=1e-8, xy_box=None):
-    """One local minimization of |B| from x0. Returns (x, gnorm) or None.
+    """One local minimization of |B| from x0. Returns the minimum or None.
 
     xy_box, when given, is a half-width bounding the in-plane search around
     x0; it keeps branch-tracking descents (transport) from hopping to a
@@ -200,21 +202,16 @@ def _descend(f, bias, x0, z_bounds, gtol=1e-8, xy_box=None):
         bounds=bounds,
         options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14},
     )
-    x, gnorm = _newton_polish(f, bias, res.x, z_bounds, gtol)
-    if gnorm > gtol:
+    out = _newton(f, bias, res.x, 0, 0.05 * f.geometry.period, z_bounds=z_bounds, gtol=gtol)
+    if out is None:
         return None
-    # reject saddles and bound artifacts
-    _, _, H, valid = _sample_one(f, bias, x)
-    if not valid:
-        return None
-    lam = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if lam[0] < -1e-7 * max(np.max(np.abs(lam)), 1e-300):
-        return None
+    x = out[0]
+    # reject bound artifacts
     if x[2] <= z_bounds[0] * (1 + 1e-9) or x[2] >= z_bounds[1] * (1 - 1e-9):
         return None
     if xy_box is not None and np.max(np.abs(x[:2] - x0[:2])) >= xy_box * (1 - 1e-9):
         return None
-    return x, gnorm
+    return x
 
 
 def _to_cell(geometry, r):
@@ -267,11 +264,11 @@ def find_trap_minima(
         for fy in fr:
             xy = fx * geom.a1 + fy * geom.a2
             for z in zs:
-                out = _descend(f, b, [xy[0], xy[1], z], (z_min, z_max), gtol)
-                if out is None:
+                x = _descend(f, b, [xy[0], xy[1], z], (z_min, z_max), gtol)
+                if x is None:
                     discarded += 1
                     continue
-                found.append(_to_cell(geom, out[0]))
+                found.append(_to_cell(geom, x))
     if discarded:
         logger.debug(
             "find_trap_minima: %d of %d seeds discarded (non-convergence, "
@@ -378,42 +375,6 @@ def characterize_trap(
 
 # ----------------------------------------------------------------------
 # barriers: climbing-image relaxed string
-
-
-def _polish_saddle(f, bias, x0, guard_dist):
-    """Newton-converge a near-saddle point; None if it wanders or is no saddle."""
-    x = np.array(x0, dtype=float)
-    for _ in range(30):
-        val, g, H, valid = _sample_one(f, bias, x)
-        if not valid:
-            return None
-        gn = np.linalg.norm(g)
-        if gn < 1e-10:
-            break
-        H = 0.5 * (H + H.T)
-        lam, V = np.linalg.eigh(H)
-        lmax = np.max(np.abs(lam))
-        if lmax == 0:
-            return None
-        inv = np.where(np.abs(lam) > 1e-9 * lmax, 1.0 / lam, 0.0)
-        step = -V @ (inv * (V.T @ g))
-        sn = np.linalg.norm(step)
-        cap = 0.25 * guard_dist
-        if sn > cap:
-            step *= cap / sn
-        x = x + step
-        if x[2] <= 0:
-            return None
-        if np.linalg.norm(x - x0) > guard_dist:
-            return None
-    val, g, H, valid = _sample_one(f, bias, x)
-    if not valid or np.linalg.norm(g) > 1e-8:
-        return None
-    lam = np.linalg.eigvalsh(0.5 * (H + H.T))
-    neg = np.sum(lam < -1e-7 * max(np.max(np.abs(lam)), 1e-300))
-    if neg != 1:
-        return None
-    return x, val
 
 
 def barrier_heights(
@@ -527,7 +488,7 @@ def barrier_heights(
     height = float(vals[top] - B_IP)
     saddle = path[top]
     if 0 < top < n_nodes - 1 and height > 0:
-        polished = _polish_saddle(f, b, path[top], guard_dist=0.5 * chord)
+        polished = _newton(f, b, path[top], 1, 0.125 * chord, guard=0.5 * chord)
         if polished is not None:
             x, val = polished
             if abs(val - vals[top]) < 0.25 * max(height, 1e-300):
@@ -592,9 +553,9 @@ def tune_bias(
         for r in (state["r_prev"], state["r_anchor"]):
             if r is None:
                 continue
-            out = _descend(f, bvec, r, (z_lo, z_hi))
-            if out is not None:
-                return out[0]
+            x = _descend(f, bvec, r, (z_lo, z_hi))
+            if x is not None:
+                return x
         return None
 
     def line_scan_barrier(bvec, r0, shift):
@@ -613,7 +574,8 @@ def tune_bias(
             return line_scan_barrier(bvec, r0, shift)
         B_IP, *_ = _sample_one(f, bvec, r0)
         if cached is not None:
-            pol = _polish_saddle(f, bvec, cached, guard_dist=0.6 * np.linalg.norm(shift))
+            reach = 0.6 * np.linalg.norm(shift)
+            pol = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
             if pol is not None:
                 x, val = pol
                 state["saddles"][label] = x
@@ -690,7 +652,8 @@ def tune_bias(
     r_best = locate(best.x)
     if r_best is None:
         raise TuneUnreachableError(
-            "objective unreachable: no trap at best-found bias", best=(best.x, None)
+            "objective unreachable: no trap at best-found bias",
+            best=(BiasField(best.x), None),
         )
     report = characterize_trap(f, best.x, r_best, atom)
     if best.fun >= cost_threshold:
@@ -756,11 +719,11 @@ def transport_trajectory(
         new_pos = np.empty_like(positions)
         ok = True
         for i, r in enumerate(positions):
-            out = _descend(f, vecs[step], r, z_range, xy_box=guard)
-            if out is None or np.linalg.norm(out[0] - r) > guard:
+            x = _descend(f, vecs[step], r, z_range, xy_box=guard)
+            if x is None or np.linalg.norm(x - r) > guard:
                 ok = False
                 break
-            new_pos[i] = out[0]
+            new_pos[i] = x
         if not ok:
             lost_at = step
             break

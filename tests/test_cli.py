@@ -96,6 +96,13 @@ def test_out_of_range_values_rejected(tmp_path):
         parse_config(tmp_path / "c.json")
 
 
+def test_nan_bias_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "c.json").write_text('{"bias_mT": [NaN, 0.0, 0.0]}')
+    rc = main(["--config", str(tmp_path / "c.json"), "--out", str(tmp_path), "traps"])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_atom_override(tmp_path):
     doc = {"bias_mT": [-1.0, 0.0, 0.0], "atom": {"a_s_nm": 2.75, "mF": 1}}
     (tmp_path / "c.json").write_text(json.dumps(doc))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maglattice import constants as const
 from maglattice.lattice import (
@@ -151,10 +153,9 @@ def test_below_film_rejected(stripe_expansion):
 # field evaluation: trivial limits and the finite-difference oracle
 
 
-def test_zero_mode_field_is_bias():
-    geom = square_geometry(1e-6)
-    f = FourierExpansion(
-        geometry=geom,
+def zero_mode_expansion():
+    return FourierExpansion(
+        geometry=square_geometry(1e-6),
         n=np.empty(0, dtype=int),
         m=np.empty(0, dtype=int),
         k_vec=np.empty((0, 2)),
@@ -164,7 +165,10 @@ def test_zero_mode_field_is_bias():
         prefactor=1e-8,
         truncation_threshold=0.0,
     )
-    s = eval_field(f, BIAS, [0.1e-6, 0.2e-6, 0.5e-6])
+
+
+def test_zero_mode_field_is_bias():
+    s = eval_field(zero_mode_expansion(), BIAS, [0.1e-6, 0.2e-6, 0.5e-6])
     assert np.allclose(s.B, BIAS)
     assert np.allclose(s.grad, 0.0)
     assert s.B_mag == pytest.approx(np.linalg.norm(BIAS), rel=1e-12)
@@ -373,3 +377,62 @@ def test_dipole_sum_converges_with_window_size():
         for n in (10, 20, 40)
     ]
     assert errs[2] < errs[1] < errs[0]
+
+
+# ----------------------------------------------------------------------
+# property tests of the field kernel over random points
+
+PROPERTY_EXPANSIONS = {
+    "stripes": fourier_from_pattern(stripes(1e-6, nx=64, ny=8), max_order=8),
+    "checkerboard": fourier_from_pattern(checkerboard(1e-6, n=32), max_order=8),
+    "z_edge": fourier_from_pattern(z_edge_band(1e-6, n=32), max_order=8),
+}
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+cell_points = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 2.0)
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda rows: np.array(rows) * 1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(sorted(PROPERTY_EXPANSIONS)), pts=cell_points)
+def test_jacobian_is_curl_and_divergence_free(name, pts):
+    _, grad, *_ = eval_field_arrays(PROPERTY_EXPANSIONS[name], BIAS, pts)
+    scale = np.abs(grad).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(grad - np.transpose(grad, (0, 2, 1))) <= 1e-9 * scale)
+    assert np.all(np.abs(np.trace(grad, axis1=1, axis2=2)) <= 1e-9 * scale[:, 0, 0])
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(sorted(PROPERTY_EXPANSIONS)), pts=cell_points)
+def test_batch_matches_single_point_calls(name, pts):
+    f = PROPERTY_EXPANSIONS[name]
+    B, grad, B_mag, grad_mag, hess, valid = eval_field_arrays(f, BIAS, pts)
+    for i, r in enumerate(pts):
+        s = eval_field(f, BIAS, r)
+        assert s.hessian_valid == valid[i]
+        j_scale = np.abs(grad[i]).max()
+        h_scale = np.abs(hess[i]).max() + j_scale**2 / B_mag[i]
+        np.testing.assert_allclose(s.B, B[i], rtol=0, atol=1e-12 * np.abs(B[i]).max())
+        np.testing.assert_allclose(s.B_mag, B_mag[i], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s.grad, grad[i], rtol=0, atol=1e-12 * j_scale)
+        np.testing.assert_allclose(s.grad_mag, grad_mag[i], rtol=0, atol=1e-12 * j_scale)
+        np.testing.assert_allclose(s.hessian_mag, hess[i], rtol=0, atol=1e-12 * h_scale)
+
+
+@PROPERTY_SETTINGS
+@given(
+    pts=cell_points,
+    bias=st.tuples(*[st.floats(-1e-2, 1e-2)] * 3).filter(lambda b: np.linalg.norm(b) > 1e-6),
+)
+def test_zero_mode_expansion_returns_bias(pts, bias):
+    B, grad, B_mag, grad_mag, hess, valid = eval_field_arrays(
+        zero_mode_expansion(), np.array(bias), pts
+    )
+    assert np.array_equal(B, np.broadcast_to(bias, B.shape))
+    assert valid.all()
+    assert not np.any(grad) and not np.any(grad_mag) and not np.any(hess)

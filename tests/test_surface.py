@@ -69,6 +69,14 @@ def test_vdw_shift_linearization_flag(rb87):
     # a soft trap close to the surface shifts by more than 20% of z0
     _, ok = vdw_trap_shift(2 * np.pi * 3e5, 80e-9, C3_SI, rb87)
     assert not ok
+    # |shift|/z0 = 0.140 is below 20% but above 256/3125, where the
+    # attraction leaves no minimum at all
+    omega, z0 = 2 * np.pi * 7e5, 100e-9
+    shift, ok = vdw_trap_shift(omega, z0, C3_SI, rb87)
+    assert abs(shift) / z0 == pytest.approx(0.140, abs=1e-3)
+    assert not ok
+    with pytest.raises(TrapDestroyedError):
+        numeric_min_oracle(omega, z0, C3_SI, rb87)
 
 
 def test_vdw_retardation_regime_rejected(rb87):

@@ -32,6 +32,9 @@ def test_bias_field_validation():
         BiasField(np.array([0.2, 0.0, 0.0]))
     with pytest.raises(ValueError):
         BiasField(np.array([1e-3, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BiasField(np.array([bad, 0.0, 0.0]))
     b = BiasField(np.array([1e-3, 0.0, 0.0]))
     assert np.allclose(b.B_ext, [1e-3, 0, 0])
 
@@ -318,3 +321,23 @@ def test_tune_target_beyond_decay_unreachable(stripe_expansion, rb87):
     objective = TuneObjective(target_z=50 / stripe_expansion.k_min)
     with pytest.raises(TuneUnreachableError, match="objective unreachable"):
         tune_bias(stripe_expansion, objective, rb87, stripe_bias(), seed=0)
+
+
+def test_tune_unreachable_best_is_bias_field(stripe_expansion, rb87, monkeypatch):
+    # the final re-search at the best bias finds nothing: the error must
+    # still carry the best bias as a BiasField, like every other exit
+    from maglattice import traps
+
+    calls = []
+    real = traps.find_trap_minima
+
+    def second_call_empty(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs) if len(calls) == 1 else []
+
+    monkeypatch.setattr(traps, "find_trap_minima", second_call_empty)
+    objective = TuneObjective(target_z=stripe_zstar(stripe_expansion, -2e-3))
+    with pytest.raises(traps.TuneUnreachableError, match="best-found bias") as exc:
+        traps.tune_bias(stripe_expansion, objective, rb87, stripe_bias(), restarts=1, maxiter=5)
+    assert len(calls) == 2
+    assert isinstance(exc.value.best[0], BiasField)
