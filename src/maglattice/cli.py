@@ -266,6 +266,7 @@ def _trap_payload(report) -> dict:
         "axes": [list(row) for row in report.axes],
         "depth_mT": report.depth * 1e3,
         "barriers_mT": {label: h * 1e3 for label, h in report.barriers},
+        "barriers_coarse": list(report.barriers_coarse),
         "omega_over_larmor": report.omega_over_larmor,
         "larmor_healthy": report.larmor_healthy,
     }
@@ -461,13 +462,18 @@ def _cmd_surface(args, cfg: RunConfig):
 
 
 def _cmd_fano(args, cfg: RunConfig):
-    etas = [float(v) for v in args.eta.split(",") if v.strip()]
     seed = args.seed if args.seed is not None else cfg.seed
-    model = LossModel(rate_constant=args.gamma3)
-    ensemble = TrajectoryEnsemble(
-        n_traj=args.ntraj, N0=args.n0, distribution=args.dist, seed=seed
-    )
-    curve = simulate_three_body(model, ensemble, etas)
+    # every ValueError raised here rejects an option value: the eta list,
+    # the model, the ensemble or the checkpoints
+    try:
+        etas = [float(v) for v in args.eta.split(",") if v.strip()]
+        model = LossModel(rate_constant=args.gamma3)
+        ensemble = TrajectoryEnsemble(
+            n_traj=args.ntraj, N0=args.n0, distribution=args.dist, seed=seed
+        )
+        curve = simulate_three_body(model, ensemble, etas)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_fano_csv(out / "fano.csv", curve)

@@ -12,6 +12,13 @@ so memory of the initial fluctuations F0 is erased as the fifth power.
 F is implemented as variance over mean. (The inline definition
 <N^2>/<N> sometimes seen in print is not 1 for a Poisson distribution and
 is treated as shorthand for the variance-based Fano factor.)
+
+Trajectories are simulated in blocks of about 2**20 events, each drawn
+from its own counter-based Philox stream keyed on (seed, block index)
+(Salmon et al., SC'11), so results do not depend on execution order. The
+event times are kept ragged, one running sum per trajectory; each
+checkpoint time comes from one selection over all of them, and the
+bootstrap resamples counts over the distinct sample values.
 """
 
 from dataclasses import dataclass
@@ -30,8 +37,8 @@ class LossModel:
     event_loss: int = 3
 
     def __post_init__(self):
-        if self.rate_constant <= 0:
-            raise ValueError("rate_constant must be positive")
+        if not (np.isfinite(self.rate_constant) and self.rate_constant > 0):
+            raise ValueError("rate_constant must be positive and finite")
         if self.event_loss != 3:
             raise ValueError("only three-body events are modeled")
 
@@ -41,9 +48,10 @@ class TrajectoryEnsemble:
     """Simulation configuration: trajectory count, initial distribution, seed.
 
     distribution is 'fixed' (every trajectory starts at exactly N0, F0 = 0)
-    or 'poisson' (Poisson with mean N0, F0 = 1). Each trajectory draws from
-    its own counter-based stream keyed on (seed, trajectory index), so
-    results do not depend on execution order.
+    or 'poisson' (Poisson with mean N0, F0 = 1). Trajectories are grouped
+    into blocks of max(1, 2**20 // (N0 // 3 + 1)) rows, about 2**20 events;
+    each block draws from its own counter-based stream keyed on
+    (seed, block index), so results do not depend on execution order.
     """
 
     n_traj: int
@@ -104,43 +112,77 @@ def fano_from_samples(samples, seed: int = 0, n_boot: int = 200):
 
 def _fano_bootstrap(samples, key, n_boot):
     """Var/Mean of 1-D samples and its standard error over n_boot bootstrap
-    resamples drawn from SeedSequence(key). Works in the samples' own dtype."""
-    F = samples.var(ddof=1) / samples.mean()
+    resamples drawn from SeedSequence(key).
+
+    A resample is drawn as multinomial counts over the distinct sample
+    values, which has the same distribution as resampling indices with
+    replacement at O(n_boot x distinct values) cost; its Var/Mean comes
+    from weighted sums over the values centred on the sample mean.
+    """
+    n = samples.size
+    mean = samples.mean()
+    F = samples.var(ddof=1) / mean
+    values, counts = np.unique(samples, return_counts=True)
     rng = np.random.default_rng(np.random.SeedSequence(key))
-    idx = rng.integers(0, samples.size, size=(n_boot, samples.size))
-    draws = samples[idx]
-    F_b = draws.var(axis=1, ddof=1) / draws.mean(axis=1)
+    weights = rng.multinomial(n, counts / n, size=n_boot)
+    centred = values - mean
+    s1 = weights @ centred
+    s2 = weights @ centred**2
+    F_b = (s2 - s1**2 / n) / (n - 1) / (mean + s1 / n)
     return float(F), float(F_b.std(ddof=1))
 
 
 def _event_times(model: LossModel, ensemble: TrajectoryEnsemble):
-    """Per-trajectory initial counts and cumulative event times (padded inf)."""
-    n = ensemble.n_traj
-    N0s = np.empty(n, dtype=np.int64)
-    waits = []
-    kmax_all = 0
-    for i in range(n):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((ensemble.seed, i)))
-        )
-        if ensemble.distribution == "poisson":
-            N0i = int(rng.poisson(ensemble.N0))
-        else:
-            N0i = ensemble.N0
-        N0s[i] = N0i
-        kmax = N0i // 3  # events until N drops below 3
-        kmax_all = max(kmax_all, kmax)
-        if kmax == 0:
-            waits.append(np.empty(0))
-            continue
-        Ns = N0i - 3 * np.arange(kmax)
-        rates = model.rate_constant * Ns * (Ns - 1.0) * (Ns - 2.0)
-        waits.append(rng.standard_exponential(kmax) / rates)
-    times = np.full((n, kmax_all), np.inf)
-    for i, w in enumerate(waits):
-        if len(w):
-            times[i, : len(w)] = np.cumsum(w)
-    return N0s, times
+    """Initial counts, ragged cumulative event times and per-row offsets.
+
+    Trajectories go in blocks of about 2**20 events. Block b draws from
+    Generator(Philox(SeedSequence((seed, b)))): first its Poisson initial
+    counts, then one exponential wait per slot of a (rows, longest row)
+    array. Row i's event times flat[offsets[i]:offsets[i + 1]] are the
+    running sum of its own waits; slots past a row's last event have
+    occupancy below 3, an infinite wait, and are dropped.
+    """
+    n, N0 = ensemble.n_traj, ensemble.N0
+    rows = max(1, 2**20 // (N0 // 3 + 1))
+    blocks = []
+    for b, lo in enumerate(range(0, n, rows)):
+        key = np.random.SeedSequence((ensemble.seed, b))
+        blocks.append((np.random.Generator(np.random.Philox(key)), lo, min(n, lo + rows)))
+    if ensemble.distribution == "poisson":
+        N0s = np.concatenate([rng.poisson(N0, size=hi - lo) for rng, lo, hi in blocks])
+    else:
+        N0s = np.full(n, N0, dtype=np.int64)
+    kmax = N0s // 3  # events until N drops below 3
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(kmax, out=offsets[1:])
+
+    # mean wait 1/(gamma3 N (N-1) (N-2)) at occupancy N, infinite below 3
+    top = int(N0s.max())
+    Ns = np.arange(3, top + 1, dtype=float)
+    inv_rate = np.full(top + 1, np.inf)
+    inv_rate[3:] = 1.0 / (model.rate_constant * Ns * (Ns - 1.0) * (Ns - 2.0))
+
+    flat = np.empty(offsets[-1])
+    for rng, lo, hi in blocks:
+        k = kmax[lo:hi]
+        j = np.arange(k.max())
+        waits = rng.standard_exponential((hi - lo, j.size))
+        waits *= inv_rate[np.maximum(N0s[lo:hi, None] - 3 * j, 0)]
+        np.cumsum(waits, axis=1, out=waits)
+        flat[offsets[lo] : offsets[hi]] = waits[j < k[:, None]]
+    return N0s, flat, offsets
+
+
+def _counts_at(flat, offsets, t):
+    """Events at or below t in each row, by a binary search that runs on
+    every row at once (each row's times ascend)."""
+    lo, hi = offsets[:-1], offsets[1:]
+    for _ in range(int(np.max(hi - lo)).bit_length()):
+        mid = (lo + hi) // 2
+        right = (lo < hi) & (np.take(flat, mid, mode="clip") <= t)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo - offsets[:-1]
 
 
 def simulate_three_body(
@@ -162,19 +204,24 @@ def simulate_three_body(
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("checkpoints must be sorted descending")
 
-    N0s, times = _event_times(model, ensemble)
+    N0s, flat, offsets = _event_times(model, ensemble)
     n = ensemble.n_traj
     S0 = int(N0s.sum())
-    finite = times[np.isfinite(times)]
-    order = np.sort(finite)
-    total_events = len(order)
+    total_events = flat.size
+
+    # events needed so that mean N = (S0 - 3 m)/n first drops to eta*N0
+    ms = [
+        max(int(np.ceil((S0 - n * eta * ensemble.N0) / 3.0 - 1e-12)), 0) for eta in etas
+    ]
+    kths = sorted({m - 1 for m in ms if 0 < m <= total_events})
+    t_star = {}
+    if kths:
+        part = np.partition(flat, kths)
+        t_star = {k + 1: float(part[k]) for k in kths}
+        del part
 
     points = []
-    for j, eta in enumerate(etas):
-        # events needed so that mean N = (S0 - 3 m)/n first drops to eta*N0
-        target = eta * ensemble.N0
-        m = int(np.ceil((S0 - n * target) / 3.0 - 1e-12))
-        m = max(m, 0)
+    for j, (eta, m) in enumerate(zip(etas, ms)):
         if m > total_events:
             points.append(
                 FanoPoint(
@@ -188,8 +235,7 @@ def simulate_three_body(
                 )
             )
             continue
-        t_star = 0.0 if m == 0 else float(order[m - 1])
-        counts = (times <= t_star).sum(axis=1)
+        counts = _counts_at(flat, offsets, t_star[m]) if m else 0
         samples = N0s - 3 * counts
         mean = samples.mean()
         F, stderr = _fano_bootstrap(samples, (ensemble.seed, 0xB00C, j), 200)
@@ -201,7 +247,7 @@ def simulate_three_body(
                 F=F,
                 stderr_F=stderr,
                 exhausted=False,
-                samples=samples.copy(),
+                samples=samples,
             )
         )
     return FanoCurve(

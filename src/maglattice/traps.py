@@ -68,6 +68,7 @@ class TrapReport:
     axes: np.ndarray  # columns are principal axes, matching freqs
     depth: float  # T, |B_ext| - B_IP (escape to z -> infinity)
     barriers: tuple  # ((label, height T), ...)
+    barriers_coarse: tuple  # labels whose barrier is a straight-line scan
     omega_over_larmor: float
     larmor_healthy: bool
     bias: np.ndarray  # T, for provenance
@@ -346,7 +347,7 @@ def characterize_trap(
     omega_larmor = atom.mu * B_mag / const.hbar
     ratio = omega_max / omega_larmor
 
-    barriers = ()
+    barriers, coarse = (), ()
     if with_barriers:
         geom = f.geometry
         out = []
@@ -358,6 +359,8 @@ def characterize_trap(
         ):
             res = barrier_heights(f, b, r0, r0 + shift)
             out.append((label, res.height))
+            if res.coarse:
+                coarse += (label,)
         barriers = tuple(out)
 
     return TrapReport(
@@ -367,6 +370,7 @@ def characterize_trap(
         axes=axes,
         depth=float(np.linalg.norm(b) - B_mag),
         barriers=barriers,
+        barriers_coarse=coarse,
         omega_over_larmor=float(ratio),
         larmor_healthy=bool(ratio < 0.1),
         bias=b,
@@ -616,6 +620,12 @@ def tune_bias(
     best = None
     for attempt in range(restarts):
         x0 = b0 if attempt == 0 else b0 * (1 + 0.15 * rng.standard_normal(3))
+        if np.linalg.norm(x0) >= 0.1:
+            # the normals are drawn anyway, so later restarts keep their starts
+            logger.debug(
+                "tune_bias restart %d skipped: jittered start |B| >= 0.1 T", attempt
+            )
+            continue
         state["r_prev"] = None
         state["r_anchor"] = full_search(x0)
         state["saddles"] = {}

@@ -159,6 +159,24 @@ def test_traps_cli_no_minima_exit_2(workdir, capsys):
     assert "no minima" in capsys.readouterr().err
 
 
+def test_traps_cli_flags_coarse_barriers(workdir, monkeypatch):
+    from maglattice import traps
+
+    def coarse_along_minus_a1(f, bias, r_a, r_b, **kwargs):
+        return traps.BarrierResult(height=2e-4, coarse=bool(r_b[0] < r_a[0]), saddle=None)
+
+    monkeypatch.setattr(traps, "barrier_heights", coarse_along_minus_a1)
+    rc = run_cli(workdir, "traps", "--z-min-nm", "50", "--z-max-nm", "1200", "--seeds", "5")
+    assert rc == 0
+    report = json.loads((workdir / "report.json").read_text())
+    t = report["payload"]["traps"][0]
+    assert t["barriers_coarse"] == ["-a1"]
+    assert t["barriers_mT"] == {
+        label: pytest.approx(0.2) for label in ("+a1", "-a1", "+a2", "-a2")
+    }
+    assert report["warnings"] == []
+
+
 def test_hubbard_cli(workdir):
     rc = run_cli(workdir, "hubbard", "--d", "425,100")
     assert rc == 0
@@ -285,3 +303,24 @@ def test_field_map_threads_agree(workdir):
     ])
     assert rc == 0
     assert (workdir / "field_map.csv").read_bytes() == a
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("--ntraj", "10"),
+        ("--n0", "2"),
+        ("--eta", "abc"),
+        ("--eta", "0.5,0.9"),
+        ("--eta", "1.5"),
+        ("--gamma3", "-1"),
+        ("--gamma3", "nan"),
+        ("--gamma3", "inf"),
+    ],
+)
+def test_fano_input_errors_exit_1(workdir, capsys, bad):
+    rc = run_cli(workdir, "fano", "--ntraj", "200", "--n0", "30", "--eta", "0.9,0.5", *bad)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert not (workdir / "report.json").exists()

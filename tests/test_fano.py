@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from maglattice.fano import (
     LossModel,
     TrajectoryEnsemble,
+    _fano_bootstrap,
     fano_from_samples,
     fano_theory,
     simulate_three_body,
@@ -28,6 +31,9 @@ def test_fano_theory_validation():
 def test_loss_model_validation():
     with pytest.raises(ValueError):
         LossModel(rate_constant=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            LossModel(rate_constant=bad)
     with pytest.raises(ValueError):
         LossModel(rate_constant=1.0, event_loss=2)
 
@@ -135,3 +141,62 @@ def test_exhausted_checkpoint():
     assert last.exhausted
     assert np.isnan(last.F)
     assert not curve.points[0].exhausted
+
+
+def test_multi_block_run_is_reproducible():
+    # 400 x N0=30000 spans four blocks of 104 trajectories (~2**20 events each)
+    a = _run(n_traj=400, N0=30000, dist="fixed", seed=5)
+    b = _run(n_traj=400, N0=30000, dist="fixed", seed=5)
+    c = _run(n_traj=400, N0=30000, dist="fixed", seed=6)
+    for pa, pb in zip(a.points, b.points):
+        assert (pa.F, pa.stderr_F) == (pb.F, pb.stderr_F)
+        assert pa.samples.tobytes() == pb.samples.tobytes()
+        assert np.all((30000 - pa.samples) % 3 == 0)
+    assert any(pa.F != pc.F for pa, pc in zip(a.points, c.points))
+
+
+def test_block_stream_layout_and_empty_rows():
+    # block 0 draws its Poisson initial counts first from Philox keyed on
+    # (seed, 0); with N0 = 3 many rows start below 3 atoms and have no events
+    block0 = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 0))))
+    N0s = block0.poisson(3, size=1000)
+    assert np.any(N0s < 3)
+    curve = _run(n_traj=1000, N0=3, seed=8, etas=(0.8, 0.6))
+    for p in curve.points:
+        assert not p.exhausted
+        assert np.all((N0s - p.samples) % 3 == 0)
+        assert np.all((p.samples >= 0) & (p.samples <= N0s))
+        assert np.array_equal(p.samples[N0s < 3], N0s[N0s < 3])
+
+
+def _index_bootstrap_stderr(samples, key, n_boot=200):
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    draws = samples[rng.integers(0, samples.size, size=(n_boot, samples.size))]
+    return (draws.var(axis=1, ddof=1) / draws.mean(axis=1)).std(ddof=1)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "binomial"])
+def test_count_bootstrap_matches_index_bootstrap(kind):
+    rng = np.random.default_rng(21)
+    if kind == "poisson":
+        samples = rng.poisson(300, size=2000)
+    else:
+        samples = 3 * rng.binomial(100, 0.4, size=2000)
+    counted = [_fano_bootstrap(samples, (k, 1), 200) for k in range(20)]
+    indexed = [_index_bootstrap_stderr(samples, (k, 2)) for k in range(20)]
+    assert all(F == samples.var(ddof=1) / samples.mean() for F, _ in counted)
+    mean_counted = np.mean([err for _, err in counted])
+    assert mean_counted == pytest.approx(np.mean(indexed), rel=0.10)
+
+
+def test_event_time_memory_bound():
+    # 500 x N0=30000 fixed: 5e6 event times of 8 bytes; the engine holds the
+    # ragged times, one partitioned copy and block-sized temporaries
+    total_events = 500 * (30000 // 3)
+    tracemalloc.start()
+    try:
+        _run(n_traj=500, N0=30000, dist="fixed", seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * total_events

@@ -341,3 +341,45 @@ def test_tune_unreachable_best_is_bias_field(stripe_expansion, rb87, monkeypatch
         traps.tune_bias(stripe_expansion, objective, rb87, stripe_bias(), restarts=1, maxiter=5)
     assert len(calls) == 2
     assert isinstance(exc.value.best[0], BiasField)
+
+
+def test_tune_skips_restart_outside_bias_bound(stripe_expansion, rb87, monkeypatch):
+    # near |B| = 0.1 T a 15 % jitter can leave the valid range; such a start
+    # is skipped, and the later restarts keep their own start points
+    from maglattice import traps
+
+    b0 = np.array([-95e-3, 10e-3, 0.0])
+    rng = np.random.default_rng(0)
+    starts = [b0] + [b0 * (1 + 0.15 * rng.standard_normal(3)) for _ in range(4)]
+    valid = [x for x in starts if np.linalg.norm(x) < 0.1]
+    assert 0 < len(valid) < len(starts) and np.linalg.norm(starts[-1]) < 0.1
+
+    searched = []
+
+    def no_minima(f, bias, *args, **kwargs):
+        searched.append(BiasField(bias).B_ext)  # the search's own bias check
+        return []
+
+    monkeypatch.setattr(traps, "find_trap_minima", no_minima)
+    objective = TuneObjective(target_z=0.3e-6)
+    with pytest.raises(traps.TuneUnreachableError, match="any restart point"):
+        traps.tune_bias(
+            stripe_expansion, objective, rb87, b0, restarts=5, seed=0, maxiter=5
+        )
+    assert np.array_equal(np.array(searched), np.array(valid))
+
+
+def test_characterize_records_coarse_barriers(stripe_expansion, rb87, monkeypatch):
+    from maglattice import traps
+
+    def coarse_along_plus_a2(f, bias, r_a, r_b, **kwargs):
+        return traps.BarrierResult(height=1e-4, coarse=bool(r_b[1] > r_a[1]), saddle=None)
+
+    monkeypatch.setattr(traps, "barrier_heights", coarse_along_plus_a2)
+    bias = stripe_bias()
+    minima = find_trap_minima(stripe_expansion, bias, (0.05e-6, 1.2e-6), grid_seed_n=5)
+    rep = characterize_trap(stripe_expansion, bias, minima[0], rb87)
+    assert [label for label, _ in rep.barriers] == ["+a1", "-a1", "+a2", "-a2"]
+    assert rep.barriers_coarse == ("+a2",)
+    rep = characterize_trap(stripe_expansion, bias, minima[0], rb87, with_barriers=False)
+    assert rep.barriers == () and rep.barriers_coarse == ()
