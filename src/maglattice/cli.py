@@ -296,6 +296,10 @@ def _emit(args, subcommand, config_echo, payload, warnings):
 
 
 def _cmd_field_map(args, cfg: RunConfig):
+    if not (np.isfinite(args.z_nm) and args.z_nm > 0):
+        raise ConfigError(f"--z-nm must be a finite height above the film (got {args.z_nm})")
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1 (got {args.n})")
     f, _ = cfg.expansion()
     n = args.n
     z = args.z_nm * 1e-9
@@ -336,12 +340,24 @@ def _cmd_field_map(args, cfg: RunConfig):
     return 0
 
 
-def _cmd_traps(args, cfg: RunConfig):
+def _search_minima(args, cfg: RunConfig):
+    """The expansion and the minima for traps and surface, with the search
+    options (--z-min-nm, --z-max-nm, --seeds) checked as input."""
+    if args.seeds < 4:
+        raise ConfigError(f"--seeds must be >= 4 (got {args.seeds})")
     f, _ = cfg.expansion()
     period = f.geometry.period
-    z_lo = (args.z_min_nm * 1e-9) if args.z_min_nm else period / 50
-    z_hi = (args.z_max_nm * 1e-9) if args.z_max_nm else 2 * period
-    minima = find_trap_minima(f, cfg.bias, (z_lo, z_hi), grid_seed_n=args.seeds)
+    z_lo = args.z_min_nm * 1e-9 if args.z_min_nm is not None else period / 50
+    z_hi = args.z_max_nm * 1e-9 if args.z_max_nm is not None else 2 * period
+    if not (0 < z_lo < z_hi < np.inf):
+        raise ConfigError(
+            f"need 0 < --z-min-nm < --z-max-nm (got {z_lo * 1e9:g} and {z_hi * 1e9:g} nm)"
+        )
+    return f, find_trap_minima(f, cfg.bias, (z_lo, z_hi), grid_seed_n=args.seeds)
+
+
+def _cmd_traps(args, cfg: RunConfig):
+    f, minima = _search_minima(args, cfg)
     if not minima:
         _emit(args, "traps", cfg.echo(), {"traps": []}, ["no minima found"])
         print("no minima found in the search range", file=sys.stderr)
@@ -420,11 +436,7 @@ def _cmd_hubbard(args, cfg: RunConfig):
 
 
 def _cmd_surface(args, cfg: RunConfig):
-    f, _ = cfg.expansion()
-    period = f.geometry.period
-    z_lo = (args.z_min_nm * 1e-9) if args.z_min_nm else period / 50
-    z_hi = (args.z_max_nm * 1e-9) if args.z_max_nm else 2 * period
-    minima = find_trap_minima(f, cfg.bias, (z_lo, z_hi), grid_seed_n=args.seeds)
+    f, minima = _search_minima(args, cfg)
     if not minima:
         print("no minima found in the search range", file=sys.stderr)
         return 2
@@ -503,8 +515,13 @@ def _cmd_fano(args, cfg: RunConfig):
 def _cmd_transport(args, cfg: RunConfig):
     f, _ = cfg.expansion()
     if args.schedule_json:
-        sched_doc = json.loads(Path(args.schedule_json).read_text())
-        schedule = [np.asarray(row, dtype=float) * 1e-3 for row in sched_doc]
+        try:
+            rows = json.loads(Path(args.schedule_json).read_text())
+            if not isinstance(rows, list):
+                raise ValueError("expected a JSON list of bias mT vectors")
+            schedule = [BiasField(np.asarray(row, dtype=float) * 1e-3).B_ext for row in rows]
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"--schedule-json {args.schedule_json}: {exc}") from exc
     else:
         angles = np.linspace(0.0, np.radians(args.degrees), args.steps)
         b0 = cfg.bias
@@ -541,8 +558,17 @@ def _cmd_transport(args, cfg: RunConfig):
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 (argparse itself exits 2,
+    the code of a physics failure). Subparsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="maglattice",
         description="Magnetic-lattice atom chip design and analysis",
     )

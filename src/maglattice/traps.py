@@ -1,11 +1,12 @@
 """Trap finding and characterization on a lattice field.
 
-Minima of |B| are located by multi-start quasi-Newton descent (analytic
-gradient) followed by a Newton polish on the analytic Hessian, which pushes
-|grad|B|| down to ~1e-12 T/m, far below the 1e-8 T/m acceptance tolerance.
-Barriers between minima use a climbing-image relaxed string; the bias tuner
-wraps everything in a restarted Nelder-Mead search over the three bias
-components.
+Minima of |B| are located by one lockstep Newton descent over a grid of
+seeds: every iteration evaluates all active seeds in one batched kernel call
+and takes a saddle-free Newton step on the analytic Hessian inside a
+per-seed trust region, down to |grad|B|| <= 1e-8 T/m. Barriers between
+minima use a climbing-image relaxed string whose top node the same Newton
+routine refines onto the saddle; the bias tuner wraps everything in a
+restarted Nelder-Mead search over the three bias components.
 """
 
 import logging
@@ -130,89 +131,109 @@ def _sample_one(f, bias, r):
     return B_mag[0], grad_mag[0], hess[0], bool(valid[0])
 
 
-def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, gtol=1e-8):
-    """Newton-converge x0 onto a stationary point of |B| with `index`
-    negative Hessian eigenvalues (0: minimum, 1: saddle).
+# fates of a Newton row, named in _FATES for the debug log; the negative
+# codes are transient states inside _newton
+_CONVERGED, _SADDLE, _STALLED, _BOUND, _INVALID = range(5)
+_FATES = ("converged", "saddle", "non-converged", "range or box bound", "invalid")
+_ACTIVE, _STATIONARY, _ENDED = -1, -2, -3
 
-    Eigendirections with |lambda| below 1e-9 max|lambda| are projected out of
-    every step, and for a minimum so are all negative ones, so flat (channel)
-    directions stay put. Steps are capped at `cap`; z is clipped into
-    z_bounds when given. Returns (x, |B|(x)), or None when the iteration
-    leaves the field domain, moves farther than `guard` from x0, does not
-    reach |grad|B|| <= gtol within 30 steps, or ends on a point without
-    exactly `index` negative curvatures.
+
+def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, gtol=1e-8):
+    """Newton-converge every row of x0 (S, 3) onto a stationary point of |B|
+    with `index` negative Hessian eigenvalues (0: minimum, 1: saddle).
+
+    All rows run in lockstep: an iteration is one kernel call on the rows
+    still active and one batched eigh of their symmetrized Hessians.
+    Eigendirections with |lambda| <= 1e-9 max|lambda| are projected out of
+    every step, so flat (channel) directions stay put.
+
+    A minimum takes the saddle-free step -V |Lambda|^-1 V^T grad|B|, which
+    moves downhill along negative curvature too, inside a per-row trust
+    radius that starts at `cap`. A step is accepted only if the new point is
+    valid and |B| does not increase (by more than 1e-13 (|B_ext| + |B|),
+    far above its rounding noise); the radius then doubles (up to cap),
+    otherwise it shrinks fourfold. z is clipped into z_bounds and, with
+    xy_box, x and y into a box of that half-width around the row's start,
+    which keeps a tracked trap (transport) from hopping to a lattice copy.
+    A saddle takes the plain projected step -V Lambda^-1 V^T grad|B|, capped
+    at `cap` and always accepted, for at most 30 steps (a minimum: 100).
+
+    A row converges at |grad|B|| <= gtol with exactly `index` eigenvalues
+    below -1e-7 max|lambda|. Returns (x, |B|(x), fate), fate per row one of
+    _CONVERGED; _SADDLE (stationary, other curvature); _STALLED (iteration
+    cap, trust radius below 1e-12 period, or no usable direction); _BOUND
+    (ended on a z bound or the xy box, left z > 0, or moved farther than
+    `guard` from its start); _INVALID (field zero).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x = x0.copy()
-    val, g, H, valid = _sample_one(f, bias, x)
-    for _ in range(30):
-        if not valid or np.linalg.norm(g) < gtol:
+    lo = np.full_like(x0, -np.inf)
+    hi = np.full_like(x0, np.inf)
+    if z_bounds is not None:
+        lo[:, 2], hi[:, 2] = z_bounds
+    if xy_box is not None:
+        lo[:, :2] = x0[:, :2] - xy_box
+        hi[:, :2] = x0[:, :2] + xy_box
+    fate = np.full(len(x), _ACTIVE)
+    radius = np.full(len(x), float(cap))
+    min_radius = 1e-12 * f.geometry.period
+    maxiter = 100 if index == 0 else 30
+    b_norm = np.linalg.norm(bias)
+    _, _, val, g, H, valid = eval_field_arrays(f, bias, x)
+    for it in range(maxiter + 1):
+        act = fate == _ACTIVE
+        fate[act & ~valid] = _INVALID
+        fate[act & valid & (np.linalg.norm(g, axis=1) <= gtol)] = _STATIONARY
+        i = np.flatnonzero(fate == _ACTIVE)
+        if it == maxiter or not len(i):
             break
-        lam, V = np.linalg.eigh(0.5 * (H + H.T))
-        cut = 1e-9 * np.max(np.abs(lam))
-        use = lam > cut if index == 0 else np.abs(lam) > cut
-        if not np.any(use):
-            return None
-        step = -V @ np.where(use, (V.T @ g) / np.where(use, lam, 1.0), 0.0)
-        sn = np.linalg.norm(step)
-        if sn > cap:
-            step *= cap / sn
-        x = x + step
-        if z_bounds is not None:
-            x[2] = np.clip(x[2], z_bounds[0], z_bounds[1])
-        if x[2] <= 0 or np.linalg.norm(x - x0) > guard:
-            return None
-        val, g, H, valid = _sample_one(f, bias, x)
-    if not valid or np.linalg.norm(g) > gtol:
-        return None
-    lam = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if np.sum(lam < -1e-7 * max(np.max(np.abs(lam)), 1e-300)) != index:
-        return None
-    return x, val
+        lam, V = np.linalg.eigh(0.5 * (H[i] + np.transpose(H[i], (0, 2, 1))))
+        use = np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
+        curv = np.where(use, np.abs(lam) if index == 0 else lam, 1.0)
+        coef = np.where(use, np.einsum("nji,nj->ni", V, g[i]) / curv, 0.0)
+        step = -np.einsum("nij,nj->ni", V, coef)
+        sn = np.linalg.norm(step, axis=1)
+        big = sn > radius[i]
+        step[big] *= (radius[i][big] / sn[big])[:, None]
+        trial = np.clip(x[i] + step, lo[i], hi[i])
+        # a step that leaves the row where it is (no usable direction, or
+        # pushing only against a bound) will never move it
+        fate[i[np.all(trial == x[i], axis=1)]] = _ENDED
+        left = (trial[:, 2] <= 0) | (np.linalg.norm(trial - x0[i], axis=1) > guard)
+        fate[i[left]] = _BOUND
+        go = fate[i] == _ACTIVE
+        i, trial = i[go], trial[go]
+        if not len(i):
+            continue
+        _, _, v_t, g_t, H_t, valid_t = eval_field_arrays(f, bias, trial)
+        if index == 0:
+            # rounding noise in |B| stays below 2e-15 |B_ext| near the
+            # minima of the test patterns; a strict test rejected noise and
+            # collapsed the trust radius of rows already at the minimum
+            acc = valid_t & (v_t <= val[i] + 1e-13 * (b_norm + val[i]))
+            rej = i[~acc]
+            radius[i[acc]] = np.minimum(2 * radius[i[acc]], cap)
+            radius[rej] /= 4
+            fate[rej[radius[rej] < min_radius]] = _STALLED
+        else:
+            acc = np.ones(len(i), dtype=bool)
+        j = i[acc]
+        x[j], val[j], g[j], H[j], valid[j] = trial[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc]
 
-
-def _descend(f, bias, x0, z_bounds, gtol=1e-8, xy_box=None):
-    """One local minimization of |B| from x0. Returns the minimum or None.
-
-    xy_box, when given, is a half-width bounding the in-plane search around
-    x0; it keeps branch-tracking descents (transport) from hopping to a
-    lattice-translated copy of the same trap. Converging onto any bound is
-    treated as failure.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if xy_box is None:
-        bounds = [(None, None), (None, None), z_bounds]
-    else:
-        bounds = [
-            (x0[0] - xy_box, x0[0] + xy_box),
-            (x0[1] - xy_box, x0[1] + xy_box),
-            z_bounds,
-        ]
-
-    def fun(x):
-        B_mag, g, _, valid = _sample_one(f, bias, x)
-        if not valid or not np.all(np.isfinite(g)):
-            return B_mag, np.zeros(3)
-        return B_mag, g
-
-    res = minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    out = _newton(f, bias, res.x, 0, 0.05 * f.geometry.period, z_bounds=z_bounds, gtol=gtol)
-    if out is None:
-        return None
-    x = out[0]
-    # reject bound artifacts
-    if x[2] <= z_bounds[0] * (1 + 1e-9) or x[2] >= z_bounds[1] * (1 - 1e-9):
-        return None
-    if xy_box is not None and np.max(np.abs(x[:2] - x0[:2])) >= xy_box * (1 - 1e-9):
-        return None
-    return x
+    on_bound = np.zeros(len(x), dtype=bool)
+    if z_bounds is not None:
+        on_bound |= (x[:, 2] <= z_bounds[0] * (1 + 1e-9)) | (x[:, 2] >= z_bounds[1] * (1 - 1e-9))
+    if xy_box is not None:
+        on_bound |= np.max(np.abs(x[:, :2] - x0[:, :2]), axis=1) >= xy_box * (1 - 1e-9)
+    ended = (fate == _ACTIVE) | (fate == _ENDED)
+    fate[ended] = np.where(on_bound[ended], _BOUND, _STALLED)
+    k = np.flatnonzero(fate == _STATIONARY)
+    if len(k):
+        lam = np.linalg.eigvalsh(0.5 * (H[k] + np.transpose(H[k], (0, 2, 1))))
+        scale = np.maximum(np.max(np.abs(lam), axis=1, keepdims=True), 1e-300)
+        saddle = np.sum(lam < -1e-7 * scale, axis=1) != index
+        fate[k] = np.where(saddle, _SADDLE, np.where(on_bound[k], _BOUND, _CONVERGED))
+    return x, val, fate
 
 
 def _to_cell(geometry, r):
@@ -241,11 +262,13 @@ def find_trap_minima(
 ) -> list:
     """Locate distinct |B| minima in one unit cell.
 
-    Seeds a grid_seed_n^3 grid over the unit cell times z_range, descends
-    from every seed, and deduplicates converged minima modulo lattice
-    translations (merge radius 1e-3 of the lattice period). Returns one
-    representative per minimum, ties broken by smallest (z, x, y).
-    Non-converging seeds are dropped; the count is logged at debug level.
+    Seeds a grid_seed_n^3 grid over the unit cell times z_range and runs one
+    lockstep Newton descent (`_newton`, index 0) from all seeds at once;
+    converged minima are deduplicated modulo lattice translations (merge
+    radius 1e-3 of the lattice period). Returns one representative per
+    minimum, ties broken by smallest (z, x, y). Seeds that stop on a saddle,
+    do not converge, end on a z bound or reach a field zero are dropped; the
+    count of each fate is logged at debug level.
     """
     b = _bias_vec(bias)
     z_min, z_max = z_range
@@ -259,22 +282,15 @@ def find_trap_minima(
     geom = f.geometry
     fr = (np.arange(grid_seed_n) + 0.5) / grid_seed_n
     zs = np.linspace(z_min, z_max, grid_seed_n + 2)[1:-1]
-    found = []
-    discarded = 0
-    for fx in fr:
-        for fy in fr:
-            xy = fx * geom.a1 + fy * geom.a2
-            for z in zs:
-                x = _descend(f, b, [xy[0], xy[1], z], (z_min, z_max), gtol)
-                if x is None:
-                    discarded += 1
-                    continue
-                found.append(_to_cell(geom, x))
-    if discarded:
-        logger.debug(
-            "find_trap_minima: %d of %d seeds discarded (non-convergence, "
-            "saddle, or range bound)", discarded, grid_seed_n**3,
-        )
+    FX, FY, Z = (a.ravel() for a in np.meshgrid(fr, fr, zs, indexing="ij"))
+    seeds = np.column_stack([np.outer(FX, geom.a1) + np.outer(FY, geom.a2), Z])
+    x, _, fate = _newton(f, b, seeds, 0, 0.05 * geom.period, z_bounds=(z_min, z_max), gtol=gtol)
+    counts = np.bincount(fate, minlength=len(_FATES))
+    logger.debug(
+        "find_trap_minima: %d seeds: %s", len(seeds),
+        ", ".join(f"{n} {name}" for n, name in zip(counts, _FATES)),
+    )
+    found = [_to_cell(geom, r) for r in x[fate == _CONVERGED]]
 
     merge_tol = 1e-3 * geom.period
     reps = []
@@ -492,12 +508,10 @@ def barrier_heights(
     height = float(vals[top] - B_IP)
     saddle = path[top]
     if 0 < top < n_nodes - 1 and height > 0:
-        polished = _newton(f, b, path[top], 1, 0.125 * chord, guard=0.5 * chord)
-        if polished is not None:
-            x, val = polished
-            if abs(val - vals[top]) < 0.25 * max(height, 1e-300):
-                height = float(val - B_IP)
-                saddle = x
+        x, val, fate = _newton(f, b, path[top], 1, 0.125 * chord, guard=0.5 * chord)
+        if fate[0] == _CONVERGED and abs(val[0] - vals[top]) < 0.25 * max(height, 1e-300):
+            height = float(val[0] - B_IP)
+            saddle = x[0]
     return BarrierResult(height=max(height, 0.0), coarse=False, saddle=saddle)
 
 
@@ -557,9 +571,9 @@ def tune_bias(
         for r in (state["r_prev"], state["r_anchor"]):
             if r is None:
                 continue
-            x = _descend(f, bvec, r, (z_lo, z_hi))
-            if x is not None:
-                return x
+            x, _, fate = _newton(f, bvec, r, 0, 0.05 * geom.period, z_bounds=(z_lo, z_hi))
+            if fate[0] == _CONVERGED:
+                return x[0]
         return None
 
     def line_scan_barrier(bvec, r0, shift):
@@ -579,11 +593,10 @@ def tune_bias(
         B_IP, *_ = _sample_one(f, bvec, r0)
         if cached is not None:
             reach = 0.6 * np.linalg.norm(shift)
-            pol = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
-            if pol is not None:
-                x, val = pol
-                state["saddles"][label] = x
-                return max(float(val - B_IP), 0.0)
+            x, val, fate = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
+            if fate[0] == _CONVERGED:
+                state["saddles"][label] = x[0]
+                return max(float(val[0] - B_IP), 0.0)
             state["saddles"].pop(label, None)
         res = barrier_heights(f, bvec, r0, r0 + shift, n_nodes=24, max_sweeps=80)
         if res.coarse:
@@ -687,9 +700,12 @@ def transport_trajectory(
 ) -> TransportResult:
     """Track trap minima through a schedule of bias fields.
 
-    Minima found at the first bias are followed step to step by
-    warm-started descent; a match is rejected (tracking lost, trajectory
-    truncated) when a minimum jumps farther than a quarter lattice period.
+    Minima found at the first bias are followed step to step by one
+    lockstep Newton descent over all tracked traps, each started at its
+    previous position and boxed in x and y to a quarter lattice period
+    around it. A step whose descent fails for any trap, or moves one
+    farther than a quarter period, loses tracking and truncates the
+    trajectory (lost_at_step).
     """
     if len(schedule) < 2:
         raise ValueError("schedule must contain at least 2 bias steps")
@@ -726,17 +742,12 @@ def transport_trajectory(
     snaps = [snapshot(0, vecs[0], positions)]
     lost_at = None
     for step in range(1, len(vecs)):
-        new_pos = np.empty_like(positions)
-        ok = True
-        for i, r in enumerate(positions):
-            x = _descend(f, vecs[step], r, z_range, xy_box=guard)
-            if x is None or np.linalg.norm(x - r) > guard:
-                ok = False
-                break
-            new_pos[i] = x
-        if not ok:
+        x, _, fate = _newton(
+            f, vecs[step], positions, 0, 0.05 * geom.period, z_bounds=z_range, xy_box=guard
+        )
+        if np.any(fate != _CONVERGED) or np.any(np.linalg.norm(x - positions, axis=1) > guard):
             lost_at = step
             break
-        positions = new_pos
+        positions = x
         snaps.append(snapshot(step, vecs[step], positions))
     return TransportResult(snapshots=snaps, lost_at_step=lost_at)

@@ -324,3 +324,50 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
     assert rc == 1
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert not (workdir / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, schedule",
+    [
+        (("traps", "--seeds", "2"), None),
+        (("surface", "--seeds", "3"), None),
+        (("traps", "--z-min-nm", "-5"), None),
+        (("traps", "--z-min-nm", "0"), None),
+        (("traps", "--z-min-nm", "500", "--z-max-nm", "100"), None),
+        (("surface", "--z-max-nm", "inf"), None),
+        (("surface", "--z-min-nm", "nan"), None),
+        (("field-map", "--z-nm", "-5"), None),
+        (("field-map", "--z-nm", "nan"), None),
+        (("field-map", "--z-nm", "500", "--n", "0"), None),
+        (("transport", "--schedule-json", "{schedule}"), None),
+        (("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5, 0.0],"),
+        (("transport", "--schedule-json", "{schedule}"), '{"steps": 2}'),
+        (("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5], [-2.0, 0.5]]"),
+        (("transport", "--schedule-json", "{schedule}"), "[[NaN, 0.5, 0.0], [-2.0, 0.5, 0.0]]"),
+    ],
+)
+def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):
+    path = workdir / "schedule.json"
+    if schedule is not None:
+        path.write_text(schedule)
+    rc = run_cli(workdir, *(a.replace("{schedule}", str(path)) for a in argv))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert not (workdir / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--threads", "abc", "hubbard", "--d", "425"),
+        ("fano", "--ntraj", "abc"),
+        ("traps", "--seeds", "abc"),
+    ],
+)
+def test_usage_errors_exit_1(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(workdir, *argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: maglattice") and "error: argument" in err

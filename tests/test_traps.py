@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,68 @@ def test_stripe_minima_match_closed_form(stripe_expansion):
     # converged gradient below the stated tolerance
     s = eval_field(f, bias, minima[0])
     assert np.linalg.norm(s.grad_mag) < 1e-8
+
+
+def count_kernel_calls(monkeypatch):
+    from maglattice import traps
+
+    calls = []
+    real = traps.eval_field_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(traps, "eval_field_arrays", counted)
+    return calls
+
+
+# the lockstep descent makes one kernel call for the seeds, then at most one
+# per iteration (cap 100), whatever the seed count
+MAX_SEARCH_CALLS = 102
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_search_kernel_calls_bounded(stripe_expansion, monkeypatch, n):
+    calls = count_kernel_calls(monkeypatch)
+    minima = find_trap_minima(stripe_expansion, stripe_bias(), (0.05e-6, 1.2e-6), grid_seed_n=n)
+    assert minima
+    assert len(calls) <= MAX_SEARCH_CALLS
+    assert calls[0] == n**3
+
+
+def test_search_rejects_range_bound(stripe_expansion, monkeypatch):
+    # every seed descends onto the top of a z range below the trap height
+    zstar = stripe_zstar(stripe_expansion, stripe_bias()[0])
+    calls = count_kernel_calls(monkeypatch)
+    assert find_trap_minima(stripe_expansion, stripe_bias(), (0.05e-6, 0.75 * zstar)) == []
+    assert len(calls) <= MAX_SEARCH_CALLS
+
+
+def test_search_without_minimum_is_bounded(monkeypatch):
+    # a checkerboard under this bias has no Ioffe-Pritchard minimum: the
+    # seeds wander toward field zeros until the iteration cap
+    from maglattice.patterns import checkerboard
+
+    f = fourier_from_pattern(checkerboard(1e-6, n=32), max_order=8)
+    calls = count_kernel_calls(monkeypatch)
+    assert find_trap_minima(f, [-1e-3, -0.3e-3, 0.0], (50e-9, 1200e-9), grid_seed_n=6) == []
+    assert len(calls) <= MAX_SEARCH_CALLS
+
+
+def test_search_logs_seed_fates(stripe_expansion, caplog):
+    with caplog.at_level(logging.DEBUG, logger="maglattice.traps"):
+        minima = find_trap_minima(stripe_expansion, stripe_bias(), (0.05e-6, 1.2e-6), grid_seed_n=6)
+    (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_trap_minima")]
+    head, tail = msg.split(": ", 1)[1].split(": ")
+    assert head == "216 seeds"
+    counts = {name: int(n) for n, name in (part.split(" ", 1) for part in tail.split(", "))}
+    assert list(counts) == ["converged", "saddle", "non-converged", "range or box bound", "invalid"]
+    assert sum(counts.values()) == 216
+    # seeds on the x = 3/4 symmetry line, where the lattice field adds to
+    # the bias, climb to z_max
+    assert counts["converged"] > 0 and counts["range or box bound"] > 0
+    assert len(minima) <= counts["converged"]
 
 
 def test_minima_input_validation(stripe_expansion):
@@ -297,6 +361,21 @@ def test_transport_rotation_moves_traps_monotonically(stripe_expansion):
     steps = np.diff(xs)
     assert np.all(steps > 0) or np.all(steps < 0)
     assert abs(xs[-1] - xs[0]) == pytest.approx(0.5e-6, rel=1e-3)
+
+
+def test_transport_lost_when_trap_leaves_range(stripe_expansion):
+    # weakening B_x lifts the stripe trap ~8 nm per step; the step whose
+    # trap lies above z_max ends its descent on the bound and loses tracking
+    f = stripe_expansion
+    schedule = [stripe_bias(Bx=-2e-3 * 0.95**s) for s in range(20)]
+    zstar = np.array([stripe_zstar(f, b[0]) for b in schedule])
+    z_max = 0.75e-6
+    out = transport_trajectory(f, schedule, z_range=(0.05e-6, z_max))
+    lost = int(np.argmax(zstar > z_max))
+    assert out.lost_at_step == lost == 11
+    assert len(out.snapshots) == lost
+    for snap, z in zip(out.snapshots, zstar):
+        assert np.allclose(snap.positions[:, 2], z, atol=0.1e-9)
 
 
 def test_transport_validation(stripe_expansion):
