@@ -46,6 +46,7 @@ from .lattice import (
     eval_field,
     eval_field_arrays,
     eval_potential,
+    field_on_cell_grid,
     fourier_from_pattern,
 )
 from .surface import (

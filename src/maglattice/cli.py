@@ -10,7 +10,6 @@ report.json (plus CSV files where applicable) into --out. Exit codes:
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +26,7 @@ from .lattice import (
     LatticeGeometry,
     MagnetizationPattern,
     NoStructureError,
-    eval_field_arrays,
+    field_on_cell_grid,
     fourier_from_pattern,
 )
 from .surface import MaterialParams, surface_budget
@@ -39,6 +38,7 @@ from .traps import (
     find_trap_minima,
     transport_trajectory,
     tune_bias,
+    validate_schedule,
 )
 
 
@@ -124,17 +124,33 @@ def _vec(value, n, path):
         raise ConfigError(f"'{path}' must be a numeric {n}-vector") from exc
     if arr.shape != (n,):
         raise ConfigError(f"'{path}' must have exactly {n} entries")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"'{path}' entries must be finite")
     return arr
 
 
-def _positive(value, path):
+def _finite(value, path):
     try:
         v = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{path}' must be a number") from exc
+    if not np.isfinite(v):
+        raise ConfigError(f"'{path}' must be finite")
+    return v
+
+
+def _positive(value, path):
+    v = _finite(value, path)
     if v <= 0:
         raise ConfigError(f"'{path}' must be positive")
     return v
+
+
+def _integer(value, path):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"'{path}' must be an integer") from exc
 
 
 def parse_config(path) -> RunConfig:
@@ -180,8 +196,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("'atom' must be an object")
     atom = AtomState(
         mass=_positive(_pop(at, "mass_kg", base.mass, "atom."), "atom.mass_kg"),
-        gF=float(_pop(at, "gF", base.gF, "atom.")),
-        mF=float(_pop(at, "mF", base.mF, "atom.")),
+        gF=_finite(_pop(at, "gF", base.gF, "atom."), "atom.gF"),
+        mF=_finite(_pop(at, "mF", base.mF, "atom."), "atom.mF"),
         a_s=_positive(_pop(at, "a_s_nm", base.a_s * 1e9, "atom."), "atom.a_s_nm") * 1e-9,
         lambda_bar=_positive(
             _pop(at, "lambda_bar_nm", base.lambda_bar * 1e9, "atom."),
@@ -202,7 +218,9 @@ def parse_config(path) -> RunConfig:
     if not isinstance(mat, dict):
         raise ConfigError("'material' must be an object")
     material = MaterialParams(
-        epsilon_factor=float(_pop(mat, "epsilon_factor", 0.85, "material.")),
+        epsilon_factor=_finite(
+            _pop(mat, "epsilon_factor", 0.85, "material."), "material.epsilon_factor"
+        ),
         sigma=_positive(_pop(mat, "sigma_S_per_m", 45e6, "material."), "material.sigma_S_per_m"),
         coating_t=_positive(
             _pop(mat, "coating_thickness_nm", 50.0, "material."),
@@ -220,15 +238,15 @@ def parse_config(path) -> RunConfig:
     trunc = _pop(doc, "truncation", {}, "")
     if not isinstance(trunc, dict):
         raise ConfigError("'truncation' must be an object")
-    max_order = int(_pop(trunc, "max_order", 16, "truncation."))
+    max_order = _integer(_pop(trunc, "max_order", 16, "truncation."), "truncation.max_order")
     if max_order < 1:
         raise ConfigError("'truncation.max_order' must be >= 1")
-    threshold = float(_pop(trunc, "threshold", 1e-4, "truncation."))
+    threshold = _finite(_pop(trunc, "threshold", 1e-4, "truncation."), "truncation.threshold")
     if threshold < 0:
         raise ConfigError("'truncation.threshold' must be >= 0")
     _reject_unknown(trunc, "truncation.")
 
-    seed = int(_pop(doc, "seed", 0, ""))
+    seed = _integer(_pop(doc, "seed", 0, ""), "seed")
     _reject_unknown(doc, "")
 
     occupancy = None
@@ -301,40 +319,20 @@ def _cmd_field_map(args, cfg: RunConfig):
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1 (got {args.n})")
     f, _ = cfg.expansion()
-    n = args.n
-    z = args.z_nm * 1e-9
-    fr = (np.arange(n) + 0.5) / n
-    FX, FY = np.meshgrid(fr, fr, indexing="ij")
-    pts = (
-        FX.ravel()[:, None] * cfg.a1[None, :]
-        + FY.ravel()[:, None] * cfg.a2[None, :]
-    )
-    pts = np.column_stack([pts, np.full(len(pts), z)])
-
-    workers = max(1, args.threads)
-    chunks = np.array_split(np.arange(len(pts)), workers)
-    B = np.empty((len(pts), 3))
-
-    def work(idx):
-        B[idx], *_ = eval_field_arrays(f, cfg.bias, pts[idx])
-
-    if workers == 1:
-        work(np.arange(len(pts)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(work, chunks))
+    pts, B = field_on_cell_grid(f, cfg.bias, args.z_nm * 1e-9, args.n)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "field_map.csv"
     write_field_map_csv(csv_path, pts, B)
+    mag = np.linalg.norm(B, axis=1)
     payload = {
         "z_nm": args.z_nm,
-        "grid_n": n,
+        "grid_n": args.n,
         "csv": csv_path.name,
         "modes_retained": int(f.nmodes),
-        "Bmag_min_mT": float(np.linalg.norm(B, axis=1).min() * 1e3),
-        "Bmag_max_mT": float(np.linalg.norm(B, axis=1).max() * 1e3),
+        "Bmag_min_mT": float(mag.min() * 1e3),
+        "Bmag_max_mT": float(mag.max() * 1e3),
     }
     _emit(args, "field-map", cfg.echo(), payload, [])
     return 0
@@ -372,6 +370,12 @@ def _cmd_traps(args, cfg: RunConfig):
 
 
 def _cmd_tune_bias(args, cfg: RunConfig):
+    if not 0 < args.target_z_nm < np.inf:
+        raise ConfigError(
+            f"--target-z-nm must be a finite height above the film (got {args.target_z_nm})"
+        )
+    if not 0 <= args.weight < np.inf:
+        raise ConfigError(f"--weight must be finite and >= 0 (got {args.weight})")
     f, _ = cfg.expansion()
     mode = {
         "symmetric": "symmetric_barriers",
@@ -405,9 +409,13 @@ def _cmd_tune_bias(args, cfg: RunConfig):
 
 
 def _cmd_hubbard(args, cfg: RunConfig):
-    ds = [float(v) * 1e-9 for v in args.d.split(",") if v.strip()]
-    if not ds:
-        raise ConfigError("--d must list at least one period in nm")
+    try:
+        ds = [float(v) for v in args.d.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--d must be a comma list of periods in nm ({exc})") from exc
+    if not ds or not all(0 < d < np.inf for d in ds):
+        raise ConfigError(f"--d must list finite positive periods in nm (got {args.d!r})")
+    ds = [d * 1e-9 for d in ds]
     rows = []
     for d in ds:
         s = mott_depth(d, cfg.atom, args.j_over_u)
@@ -534,6 +542,10 @@ def _cmd_transport(args, cfg: RunConfig):
             b[i] = ci * np.cos(th) - cj * np.sin(th)
             b[j] = ci * np.sin(th) + cj * np.cos(th)
             schedule.append(b)
+    try:
+        validate_schedule(schedule)
+    except ValueError as exc:
+        raise ConfigError(f"bias schedule: {exc}") from exc
     result = transport_trajectory(f, schedule, atom=cfg.atom)
     warnings = []
     if result.lost_at_step is not None:
@@ -576,7 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=".", help="output directory (default: .)")
     ap.add_argument("--json", action="store_true", help="print report.json to stdout")
     ap.add_argument("--no-timestamp", action="store_true", help="omit the timestamp")
-    ap.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    ap.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; changes no work"
+    )
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

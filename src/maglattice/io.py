@@ -51,21 +51,30 @@ def save_pbm(path, occupancy: np.ndarray):
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
+_CSV_CHUNK_ROWS = 2**15
+
+
 def fmt9(x: float) -> str:
     """Fixed 9-significant-digit decimal representation."""
     return f"{x:.9g}"
 
 
 def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
-    """CSV columns x_nm, y_nm, z_nm, Bx_mT, By_mT, Bz_mT, Bmag_mT."""
+    """CSV columns x_nm, y_nm, z_nm, Bx_mT, By_mT, Bz_mT, Bmag_mT.
+
+    Rows are formatted and written in chunks, so memory stays bounded; each
+    number reads exactly as fmt9 gives it ('%.9g' is the same conversion).
+    """
     pts = np.asarray(points_m, dtype=float)
     B = np.asarray(B_T, dtype=float)
     mag = np.linalg.norm(B, axis=1)
+    row = ",".join(["%.9g"] * 7) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT\n")
-        for p, b, m in zip(pts, B, mag):
-            cols = [p[0] * 1e9, p[1] * 1e9, p[2] * 1e9, b[0] * 1e3, b[1] * 1e3, b[2] * 1e3, m * 1e3]
-            fh.write(",".join(fmt9(c) for c in cols) + "\n")
+        for s in range(0, len(pts), _CSV_CHUNK_ROWS):
+            c = slice(s, s + _CSV_CHUNK_ROWS)
+            cols = np.column_stack([pts[c] * 1e9, B[c] * 1e3, mag[c] * 1e3])
+            fh.write("".join([row % tuple(r) for r in cols.tolist()]))
 
 
 def write_fano_csv(path, curve):

@@ -347,6 +347,34 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray):
     return B, grad, B_mag, grad_mag, hess, valid
 
 
+def field_on_cell_grid(f: FourierExpansion, bias, z: float, n: int):
+    """Field B on the n x n cell-centre grid of one unit cell at height z.
+
+    The points are fx a1 + fy a2 at z, with fx, fy = (i + 1/2)/n, in row
+    order i * n + j for (fx_i, fy_j). Returns (points (n*n, 3), B (n*n, 3)).
+
+    On this grid exp(i k.rho) = exp(i fx k.a1) exp(i fy k.a2), so each
+    component of grad(phi) is one complex (n x M) by (M x n) product instead
+    of an (n^2 x M) table. eval_field_arrays is its reference.
+    """
+    _check_z(z)
+    bias = np.asarray(bias, dtype=float)
+    a1, a2 = f.geometry.a1, f.geometry.a2
+    fr = (np.arange(n) + 0.5) / n
+    xy = (fr[:, None, None] * a1 + fr[None, :, None] * a2).reshape(-1, 2)
+    points = np.column_stack([xy, np.full(n * n, z)])
+
+    # phi = P Re sum A exp(-k z) exp(i k.rho), A = C - iS, so that
+    # d/dx_i phi = -Im(sum P k_i env A e^{ik.rho}) and d/dz phi = Re(... -P k env)
+    X = np.exp(1j * np.outer(fr, f.k_vec @ a1))  # (n, M)
+    Y = np.exp(1j * np.outer(fr, f.k_vec @ a2))
+    weights = f.prefactor * np.exp(-f.k_mag * z) * (f.C - 1j * f.S)
+    k3 = np.column_stack([f.k_vec, -f.k_mag]).T  # (3, M)
+    D = (X[None] * (k3 * weights)[:, None, :]) @ Y.T  # (3, n, n)
+    grad_phi = np.stack([-D[0].imag, -D[1].imag, D[2].real], axis=-1).reshape(-1, 3)
+    return points, bias - grad_phi
+
+
 def eval_field(f: FourierExpansion, bias, r) -> FieldSample:
     """Field sample B = B_ext - grad(phi) at a single point r (z > 0)."""
     r = np.asarray(r, dtype=float)

@@ -565,15 +565,17 @@ def tune_bias(
         return min(minima, key=lambda r: abs(r[2] - objective.target_z))
 
     def locate(bvec):
-        # inside the search loop only warm-started descents run; the grid
-        # multistart happens once per restart (see below), otherwise a
-        # single plateau evaluation would cost as much as a full search
+        """(r, |B|(r)) of the minimum near the previous one, or None.
+
+        Inside the search loop only warm-started descents run; the grid
+        multistart happens once per restart (see below), otherwise a single
+        plateau evaluation would cost as much as a full search."""
         for r in (state["r_prev"], state["r_anchor"]):
             if r is None:
                 continue
-            x, _, fate = _newton(f, bvec, r, 0, 0.05 * geom.period, z_bounds=(z_lo, z_hi))
+            x, val, fate = _newton(f, bvec, r, 0, 0.05 * geom.period, z_bounds=(z_lo, z_hi))
             if fate[0] == _CONVERGED:
-                return x[0]
+                return x[0], val[0]
         return None
 
     def line_scan_barrier(bvec, r0, shift):
@@ -582,15 +584,15 @@ def tune_bias(
         _, _, B_mag, *_ = eval_field_arrays(f, bvec, pts)
         return float(np.max(B_mag) - B_mag[0])
 
-    def tracked_barrier(bvec, r0, shift, label):
-        """Barrier along one lattice direction, reusing the previous saddle
-        as a warm start so the string method runs only on cache misses.
-        Directions whose string diverged (inter-site saddle above the
-        escape value) stay on the cheap straight-line scan."""
+    def tracked_barrier(bvec, r0, B_IP, shift, label):
+        """Barrier along one lattice direction from the minimum r0 (where
+        |B| = B_IP), reusing the previous saddle as a warm start so the
+        string method runs only on cache misses. Directions whose string
+        diverged (inter-site saddle above the escape value) stay on the
+        cheap straight-line scan."""
         cached = state["saddles"].get(label)
         if isinstance(cached, str):
             return line_scan_barrier(bvec, r0, shift)
-        B_IP, *_ = _sample_one(f, bvec, r0)
         if cached is not None:
             reach = 0.6 * np.linalg.norm(shift)
             x, val, fate = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
@@ -608,23 +610,23 @@ def tune_bias(
     def cost(bvec):
         if np.linalg.norm(bvec) >= 0.1:
             return 1e6
-        r = locate(bvec)
-        if r is None:
+        found = locate(bvec)
+        if found is None:
             state["r_prev"] = None
             return 1e5
+        r, B_mag = found
         state["r_prev"] = r
-        B_mag, *_ = _sample_one(f, bvec, r)
         if B_mag < 1e-7:  # Majorana-adjacent, useless trap
             return 1e4
         zterm = ((r[2] - objective.target_z) / objective.target_z) ** 2
         w = objective.weighting
         if objective.mode == "symmetric_barriers":
-            b1 = tracked_barrier(bvec, r, a1_shift, "a1")
-            b2 = tracked_barrier(bvec, r, a2_shift, "a2")
+            b1 = tracked_barrier(bvec, r, B_mag, a1_shift, "a1")
+            b2 = tracked_barrier(bvec, r, B_mag, a2_shift, "a2")
             asym = (b1 - b2) / max(b1 + b2, 1e-300)
             return zterm + w * asym**2
         shift = a1_shift if objective.mode == "channels_along_a1" else a2_shift
-        along = tracked_barrier(bvec, r, shift, "along")
+        along = tracked_barrier(bvec, r, B_mag, shift, "along")
         # scale the along-channel barrier by the bias magnitude so the
         # term is dimensionless and comparable to the z term
         return zterm + w * (along / max(np.linalg.norm(bvec), 1e-300)) ** 2
@@ -672,14 +674,14 @@ def tune_bias(
         )
     state["r_prev"] = None
     state["r_anchor"] = full_search(best.x)
-    r_best = locate(best.x)
-    if r_best is None:
+    found = locate(best.x)
+    if found is None:
         raise TuneUnreachableError(
             "objective unreachable: no trap at best-found bias",
             best=(BiasField(best.x), None),
         )
-    report = characterize_trap(f, best.x, r_best, atom)
-    if best.fun >= cost_threshold:
+    report = characterize_trap(f, best.x, found[0], atom)
+    if not best.fun < cost_threshold:  # a NaN cost never reaches the objective
         raise TuneUnreachableError(
             f"objective unreachable: best cost {best.fun:.3e} >= {cost_threshold:.1e}",
             best=(BiasField(best.x), report),
@@ -689,6 +691,19 @@ def tune_bias(
 
 # ----------------------------------------------------------------------
 # transport
+
+
+def validate_schedule(schedule) -> list:
+    """The bias vectors of a transport schedule. Raises ValueError unless it
+    has at least two steps, each a valid bias, and every step changes the
+    bias by less than a tenth of its magnitude."""
+    if len(schedule) < 2:
+        raise ValueError("schedule must contain at least 2 bias steps")
+    vecs = [_bias_vec(b) for b in schedule]
+    for a, b in zip(vecs[:-1], vecs[1:]):
+        if np.linalg.norm(b - a) >= 0.1 * max(np.linalg.norm(a), 1e-300):
+            raise ValueError("consecutive bias steps too large (|dB| >= 0.1 |B|)")
+    return vecs
 
 
 def transport_trajectory(
@@ -707,12 +722,7 @@ def transport_trajectory(
     farther than a quarter period, loses tracking and truncates the
     trajectory (lost_at_step).
     """
-    if len(schedule) < 2:
-        raise ValueError("schedule must contain at least 2 bias steps")
-    vecs = [_bias_vec(b) for b in schedule]
-    for a, b in zip(vecs[:-1], vecs[1:]):
-        if np.linalg.norm(b - a) >= 0.1 * max(np.linalg.norm(a), 1e-300):
-            raise ValueError("consecutive bias steps too large (|dB| >= 0.1 |B|)")
+    vecs = validate_schedule(schedule)
     atom = atom or default_rb87()
     geom = f.geometry
     if z_range is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maglattice.cli import ConfigError, main, parse_config
-from maglattice.io import load_pbm, save_pbm
+from maglattice.io import fmt9, load_pbm, save_pbm, write_field_map_csv
 from maglattice.patterns import stripes
 
 
@@ -103,6 +103,34 @@ def test_nan_bias_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("film.M0_kA_per_m", "Infinity"),
+        ("film.thickness_nm", "NaN"),
+        ("geometry.a1_nm", "[NaN, 0]"),
+        ("geometry.a2_nm", "[0, Infinity]"),
+        ("atom.mass_kg", "Infinity"),
+        ("atom.gF", "NaN"),
+        ("material.sigma_S_per_m", "NaN"),
+        ("material.epsilon_factor", "NaN"),
+        ("truncation.threshold", "NaN"),
+        ("truncation.max_order", "Infinity"),
+        ("seed", "Infinity"),
+    ],
+)
+def test_nonfinite_config_values_exit_1(workdir, capsys, path, value):
+    doc = json.loads((workdir / "config.json").read_text())
+    *section, key = path.split(".")
+    (doc.setdefault(section[0], {}) if section else doc)[key] = "@"
+    (workdir / "config.json").write_text(json.dumps(doc).replace('"@"', value))
+    rc = run_cli(workdir, "traps")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: ") and f"'{path}'" in err
+    assert not (workdir / "report.json").exists()
+
+
 def test_atom_override(tmp_path):
     doc = {"bias_mT": [-1.0, 0.0, 0.0], "atom": {"a_s_nm": 2.75, "mF": 1}}
     (tmp_path / "c.json").write_text(json.dumps(doc))
@@ -114,6 +142,24 @@ def test_atom_override(tmp_path):
 def test_config_file_missing():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/config.json")
+
+
+def test_field_map_csv_matches_fmt9(tmp_path):
+    # more rows than one write chunk; signed zeros, extremes, a non-finite
+    # value and 9-digit ties among the numbers
+    rng = np.random.default_rng(5)
+    n = 2**15 + 1001
+    pts = rng.uniform(-2e-6, 2e-6, (n, 3))
+    B = rng.normal(0.0, 1e-3, (n, 3)) * 10.0 ** rng.integers(-12, 3, (n, 1))
+    pts[:4, 0] = [0.0, -0.0, 1e-300, -1.23456789e-9]
+    B[:5, 1] = [0.0, -0.0, 1e-299, np.inf, 1.0000000005e-3]
+    B[5, :] = 0.0
+    write_field_map_csv(tmp_path / "map.csv", pts, B)
+    lines = ["x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT"]
+    for p, b in zip(pts, B):
+        cols = [*(p * 1e9), *(b * 1e3), np.linalg.norm(b) * 1e3]
+        lines.append(",".join(fmt9(c) for c in cols))
+    assert (tmp_path / "map.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +390,16 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
         (("transport", "--schedule-json", "{schedule}"), '{"steps": 2}'),
         (("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5], [-2.0, 0.5]]"),
         (("transport", "--schedule-json", "{schedule}"), "[[NaN, 0.5, 0.0], [-2.0, 0.5, 0.0]]"),
+        (("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5, 0.0]]"),
+        (("transport", "--steps", "1"), None),
+        (("transport", "--steps", "3", "--degrees", "360"), None),
+        (("tune-bias", "--target-z-nm", "-5"), None),
+        (("tune-bias", "--target-z-nm", "nan"), None),
+        (("tune-bias", "--target-z-nm", "1215", "--weight", "nan"), None),
+        (("tune-bias", "--target-z-nm", "1215", "--weight", "-1"), None),
+        (("hubbard", "--d", "abc"), None),
+        (("hubbard", "--d", "-5"), None),
+        (("hubbard", "--d", "425,inf"), None),
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):

@@ -14,9 +14,10 @@ from maglattice.lattice import (
     eval_field,
     eval_field_arrays,
     eval_potential,
+    field_on_cell_grid,
     fourier_from_pattern,
 )
-from maglattice.patterns import checkerboard, square_geometry, stripes, z_edge_band
+from maglattice.patterns import checkerboard, square_geometry, stripes, windmill, z_edge_band
 
 
 BIAS = np.array([-0.5e-3, 0.2e-3, 0.05e-3])
@@ -234,6 +235,40 @@ def test_analytic_derivatives_match_finite_differences(make_pattern):
         H_fd = _fd_hessian_mag(f, BIAS, r)
         hscale = np.abs(s.hessian_mag).max()
         assert np.abs(s.hessian_mag - H_fd).max() < 1e-5 * hscale
+
+
+def _skewed_band():
+    geom = LatticeGeometry.from_primitives([1.3e-6, 0.2e-6], [-0.4e-6, 0.9e-6])
+    occ = z_edge_band(1e-6, n=32).occupancy
+    return MagnetizationPattern(geom, occ, M0=670e3, film_h=300e-9)
+
+
+@pytest.mark.parametrize("make_pattern", [
+    lambda: stripes(1e-6, nx=64, ny=8),
+    lambda: checkerboard(1e-6, n=32),
+    lambda: windmill(1e-6),
+    lambda: z_edge_band(1e-6, n=32),
+    _skewed_band,
+], ids=["stripes", "checkerboard", "windmill", "z_edge", "skewed"])
+@pytest.mark.parametrize("z", [0.2e-6, 0.6e-6])
+def test_cell_grid_matches_batched_kernel(make_pattern, z):
+    f = fourier_from_pattern(make_pattern(), max_order=8)
+    a1, a2 = f.geometry.a1, f.geometry.a2
+    n = 24
+    pts, B = field_on_cell_grid(f, BIAS, z, n)
+    # the points of the former meshgrid construction, bit for bit
+    fr = (np.arange(n) + 0.5) / n
+    FX, FY = np.meshgrid(fr, fr, indexing="ij")
+    xy = FX.ravel()[:, None] * a1[None, :] + FY.ravel()[:, None] * a2[None, :]
+    assert np.array_equal(pts, np.column_stack([xy, np.full(n * n, z)]))
+    B_ref, *_ = eval_field_arrays(f, BIAS, pts)
+    assert np.abs(B - B_ref).max() <= 1e-13 * np.linalg.norm(B_ref, axis=1).max()
+
+
+def test_cell_grid_rejects_points_below_film(stripe_expansion):
+    for z in (0.0, -1e-7):
+        with pytest.raises(BelowFilmError):
+            field_on_cell_grid(stripe_expansion, BIAS, z, 4)
 
 
 def test_laplace_residual_of_potential():
