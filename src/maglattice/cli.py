@@ -415,6 +415,8 @@ def _cmd_hubbard(args, cfg: RunConfig):
         raise ConfigError(f"--d must be a comma list of periods in nm ({exc})") from exc
     if not ds or not all(0 < d < np.inf for d in ds):
         raise ConfigError(f"--d must list finite positive periods in nm (got {args.d!r})")
+    if not 0.001 < args.j_over_u < 1:
+        raise ConfigError(f"--j-over-u must be in (0.001, 1) (got {args.j_over_u!r})")
     ds = [d * 1e-9 for d in ds]
     rows = []
     for d in ds:

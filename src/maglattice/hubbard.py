@@ -12,7 +12,6 @@ an exact 1-D plane-wave band-structure diagonalization (J = bandwidth / 4).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import constants as const
 from .atom import AtomState
@@ -89,7 +88,8 @@ def mott_depth(d: float, atom: AtomState, j_over_u: float = 0.06) -> float:
     square-lattice Mott transition value 0.06).
 
     J/U is strictly decreasing in s over the fit range, so the root is
-    unique; solved by bisection to 1e-4 in s.
+    unique; solved by bisection to 1e-4 in s (the midpoint of the last
+    bracket, within 5e-5 of the root).
     """
     if not 0.001 < j_over_u < 1:
         raise ValueError("j_over_u must be in (0.001, 1)")
@@ -100,7 +100,13 @@ def mott_depth(d: float, atom: AtomState, j_over_u: float = 0.06) -> float:
 
     if g(lo) * g(hi) > 0:
         raise ValueError("target ratio unreachable within the fit range")
-    return float(brentq(g, lo, hi, xtol=1e-4))
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def band_J_1d(s: float, n_plane_waves: int = 41, n_q: int = 65) -> BandResult:

@@ -6,14 +6,16 @@ and takes a saddle-free Newton step on the analytic Hessian inside a
 per-seed trust region, down to |grad|B|| <= 1e-8 T/m. Barriers between
 minima use a climbing-image relaxed string whose top node the same Newton
 routine refines onto the saddle; the bias tuner wraps everything in a
-restarted Nelder-Mead search over the three bias components.
+restarted Nelder-Mead search over the three bias components, run by
+``_nelder_mead``, an in-repo port of scipy 1.17's non-adaptive
+``scipy.optimize.minimize(method="Nelder-Mead")`` that returns the same
+iterates bit for bit.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import constants as const
 from .atom import AtomState, default_rb87
@@ -519,6 +521,71 @@ def barrier_heights(
 # bias tuning
 
 
+def _nelder_mead(fun, simplex, maxiter, xatol, fatol):
+    """(x, fval) of a Nelder-Mead simplex search started from the (N+1, N)
+    array ``simplex``.
+
+    A port of scipy 1.17's ``_minimize_neldermead`` without bounds, with
+    reflection 1, expansion 2, contraction 1/2 and shrink 1/2 (Nelder &
+    Mead, Comput. J. 7, 308 (1965); the non-adaptive form of Gao & Han,
+    Comput. Optim. Appl. 51, 259 (2012)). Trial points, re-sorting and the
+    stopping test follow scipy's arithmetic in scipy's order, so the result
+    equals ``minimize(fun, simplex[0], method="Nelder-Mead",
+    options={"initial_simplex", "maxiter", "xatol", "fatol"})`` bit for bit.
+    The search stops once every vertex lies within xatol of the best one in
+    each coordinate and within fatol of its value, or after maxiter - 1
+    iterations.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    N = sim.shape[1]
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = fun(np.copy(sim[k]))
+    # sorted twice, as scipy does: argsort need not keep tied values in order
+    sim, fsim = sort(*sort(sim, fsim))
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = fun(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = fun(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = fun(np.copy(xc))
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = fun(np.copy(xcc))
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = fun(np.copy(sim[j]))
+        iterations += 1
+        sim, fsim = sort(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def tune_bias(
     f: FourierExpansion,
     objective: TuneObjective,
@@ -534,9 +601,10 @@ def tune_bias(
     Cost: ((z - target_z)/target_z)^2 plus, depending on mode, the squared
     relative barrier asymmetry between the two lattice axes or the squared
     ratio of along-channel to transverse barrier. Derivative-free simplex
-    search restarted from jittered initial points; deterministic for a given
-    seed. Raises TuneUnreachableError (best attempt attached) if the final
-    cost stays above cost_threshold.
+    search (``_nelder_mead``, the in-repo port of scipy's Nelder-Mead; see
+    there for the reference) restarted from jittered initial points;
+    deterministic for a given seed. Raises TuneUnreachableError (best
+    attempt attached) if the final cost stays above cost_threshold.
     """
     b0 = _bias_vec(initial)
     if f.nmodes == 0:
@@ -651,20 +719,12 @@ def tune_bias(
         # vector when a component starts near zero
         span = 0.1 * max(np.linalg.norm(x0), 1e-5)
         simplex = np.vstack([x0, x0 + span * np.eye(3)])
-        res = minimize(
-            cost,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": maxiter,
-                "initial_simplex": simplex,
-                "xatol": 1e-7 * max(np.linalg.norm(b0), 1e-6),
-                "fatol": 1e-8,
-            },
+        res = _nelder_mead(
+            cost, simplex, maxiter, xatol=1e-7 * max(np.linalg.norm(b0), 1e-6), fatol=1e-8
         )
-        if best is None or res.fun < best.fun:
+        if best is None or res[1] < best[1]:
             best = res
-        if best.fun < cost_threshold:
+        if best[1] < cost_threshold:
             break
 
     if best is None:
@@ -672,21 +732,22 @@ def tune_bias(
             "objective unreachable: no trap found at any restart point",
             best=(BiasField(b0), None),
         )
+    x_best, fun_best = best
     state["r_prev"] = None
-    state["r_anchor"] = full_search(best.x)
-    found = locate(best.x)
+    state["r_anchor"] = full_search(x_best)
+    found = locate(x_best)
     if found is None:
         raise TuneUnreachableError(
             "objective unreachable: no trap at best-found bias",
-            best=(BiasField(best.x), None),
+            best=(BiasField(x_best), None),
         )
-    report = characterize_trap(f, best.x, found[0], atom)
-    if not best.fun < cost_threshold:  # a NaN cost never reaches the objective
+    report = characterize_trap(f, x_best, found[0], atom)
+    if not fun_best < cost_threshold:  # a NaN cost never reaches the objective
         raise TuneUnreachableError(
-            f"objective unreachable: best cost {best.fun:.3e} >= {cost_threshold:.1e}",
-            best=(BiasField(best.x), report),
+            f"objective unreachable: best cost {fun_best:.3e} >= {cost_threshold:.1e}",
+            best=(BiasField(x_best), report),
         )
-    return BiasField(best.x), report
+    return BiasField(x_best), report
 
 
 # ----------------------------------------------------------------------

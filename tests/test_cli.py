@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,25 +305,66 @@ def test_transport_cli(workdir):
     assert abs(abs(x1 - x0) - 500.0) < 1.0  # half a period per half turn
 
 
-def test_tune_bias_cli(workdir):
-    # z-edge band lattice with a detuned starting bias; default threshold
-    # stops early, so this only checks plumbing, not the tuning quality
-    from maglattice.io import save_pbm as _save
+def write_band_config(workdir, name):
+    """The z-edge band lattice with a detuned starting bias, as workdir/name."""
     from maglattice.patterns import z_edge_band
 
     pat = z_edge_band(1e-6, band_frac=0.5, notch_frac=0.10, n=32)
-    _save(workdir / "band.pbm", pat.occupancy)
+    save_pbm(workdir / "band.pbm", pat.occupancy)
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["pattern"] = "band.pbm"
     cfg["bias_mT"] = [-1.19, -0.17, 0.0]
     cfg["truncation"] = {"max_order": 5, "threshold": 1e-4}
-    (workdir / "config.json").write_text(json.dumps(cfg))
+    (workdir / name).write_text(json.dumps(cfg))
+
+
+def test_tune_bias_cli(workdir):
+    # default threshold stops early, so this only checks plumbing, not the
+    # tuning quality
+    write_band_config(workdir, "config.json")
     rc = run_cli(workdir, "tune-bias", "--target-z-nm", "1215", "--mode", "symmetric")
     report = json.loads((workdir / "report.json").read_text())
     assert rc == 0
     assert report["payload"]["reached"]
     assert "bias_mT" in report["payload"]
     assert report["payload"]["trap"]["position_nm"][2] == pytest.approx(1215, rel=0.1)
+
+
+IMPORT_GUARD = """
+import sys
+
+import maglattice
+import maglattice.cli
+
+assert "scipy" not in sys.modules, "importing maglattice.cli loaded scipy"
+config, band, out = sys.argv[1:]
+for cfg, argv in [
+    (config, ["traps", "--z-min-nm", "50", "--z-max-nm", "1200", "--seeds", "5"]),
+    (band, ["tune-bias", "--target-z-nm", "1215"]),
+    (config, ["fano", "--n0", "300", "--ntraj", "400", "--eta", "0.9,0.5"]),
+    (config, ["field-map", "--z-nm", "500", "--n", "8"]),
+    (config, ["hubbard", "--d", "425,100"]),
+]:
+    rc = maglattice.cli.main(["--config", cfg, "--out", out, "--no-timestamp", *argv])
+    assert rc == 0, f"{argv[0]} exited {rc}"
+    assert "scipy.optimize" not in sys.modules, f"{argv[0]} loaded scipy.optimize"
+"""
+
+
+def test_cli_runs_without_scipy(workdir):
+    # a fresh interpreter: the test session itself has scipy loaded
+    import maglattice
+
+    write_band_config(workdir, "band.json")
+    src = str(Path(maglattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(workdir / "config.json"),
+         str(workdir / "band.json"), str(workdir / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bad_config_exit_1(tmp_path, capsys):
@@ -400,6 +445,8 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
         (("hubbard", "--d", "abc"), None),
         (("hubbard", "--d", "-5"), None),
         (("hubbard", "--d", "425,inf"), None),
+        (("hubbard", "--d", "425", "--j-over-u", "2"), None),
+        (("hubbard", "--d", "425", "--j-over-u", "nan"), None),
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):

@@ -81,6 +81,20 @@ def test_mott_depth_hits_requested_ratio(rb87):
         assert hp.U_over_J / 4 == pytest.approx(4.2, rel=0.05)
 
 
+@pytest.mark.parametrize("d", [100e-9, 425e-9])
+def test_mott_depth_bisection_matches_brentq(rb87, d):
+    from scipy.optimize import brentq
+
+    def g(s):
+        hp = hubbard_sinusoidal(d, s, rb87)
+        return hp.J_tun / hp.U - 0.06
+
+    s = mott_depth(d, rb87, 0.06)
+    assert abs(s - brentq(g, 1.0, 50.0, xtol=1e-4)) <= 1e-4
+    # the midpoint of a bracket no wider than 1e-4
+    assert abs(s - brentq(g, 1.0, 50.0, xtol=1e-12)) <= 5e-5
+
+
 def test_mott_depth_unreachable(rb87):
     # J/U scales with 2d/a_s, so at small periods even s = 1 cannot reach
     # large ratios

@@ -462,3 +462,81 @@ def test_characterize_records_coarse_barriers(stripe_expansion, rb87, monkeypatc
     assert rep.barriers_coarse == ("+a2",)
     rep = characterize_trap(stripe_expansion, bias, minima[0], rb87, with_barriers=False)
     assert rep.barriers == () and rep.barriers_coarse == ()
+
+
+# ----------------------------------------------------------------------
+# the in-repo Nelder-Mead against scipy's
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def plateau_cost(x):
+    """The shape of tune_bias's cost: sentinel plateaus (out of bounds, no
+    trap, Majorana-adjacent) around a smooth bowl."""
+    if np.linalg.norm(x) >= 0.1:
+        return 1e6
+    if x[0] > 0.02:
+        return 1e5
+    if x[1] < -0.03:
+        return 1e4
+    return float(np.sum((x - np.array([-0.01, 0.005, 0.002])) ** 2))
+
+
+def simplex_at(x0, span):
+    x0 = np.asarray(x0, dtype=float)
+    return np.vstack([x0, x0 + span * np.eye(len(x0))])
+
+
+def recording(fun, log):
+    def wrapped(x):
+        val = fun(x)
+        log.append((x.tobytes(), val))
+        return val
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "fun, simplex, maxiter, xatol, fatol, capped",
+    [
+        (rosenbrock, simplex_at([-1.2, 1.0, 0.5], 0.1), 2000, 1e-10, 1e-12, False),
+        (rosenbrock, simplex_at([0.0, 0.0, 0.0], 1.0), 2000, 1e-10, 1e-12, False),
+        (rosenbrock, simplex_at([2.0, -1.0, 1.5], 0.25), 2000, 1e-10, 1e-12, False),
+        (rosenbrock, simplex_at([-1.2, 1.0, 0.5], 0.1), 40, 1e-10, 1e-12, True),
+        (
+            plateau_cost,
+            np.array([[0.04, -0.02, -0.01], [0.02, 0.02, -0.01], [0.03, -0.02, -0.02], [0.02, -0.04, 0.03]]),
+            150,
+            1e-10,
+            1e-8,
+            False,
+        ),
+    ],
+    ids=["rosen-a", "rosen-b", "rosen-c", "rosen-maxiter", "plateaus"],
+)
+def test_nelder_mead_matches_scipy(fun, simplex, maxiter, xatol, fatol, capped):
+    from scipy.optimize import minimize
+
+    from maglattice.traps import _nelder_mead
+
+    ours, theirs = [], []
+    x, fval = _nelder_mead(recording(fun, ours), simplex, maxiter, xatol, fatol)
+    res = minimize(
+        recording(fun, theirs),
+        simplex[0],
+        method="Nelder-Mead",
+        options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter},
+    )
+    assert x.tobytes() == res.x.tobytes()
+    assert np.float64(fval).tobytes() == np.float64(res.fun).tobytes()
+    assert ours == theirs  # every trial point and value, in order
+    assert res.success == (not capped)
+    if capped:
+        assert res.nit == maxiter
+    if fun is plateau_cost:
+        # ties among the initial vertices, and a shrink step: an iteration
+        # that evaluates N points on top of its reflection and contraction
+        assert len({v for _, v in ours[:4]}) < 4
+        assert res.nfev > 4 + 2 * (res.nit - 1)
