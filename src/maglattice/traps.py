@@ -4,8 +4,9 @@ Minima of |B| are located by one lockstep Newton descent over a grid of
 seeds: every iteration evaluates all active seeds in one batched kernel call
 and takes a saddle-free Newton step on the analytic Hessian inside a
 per-seed trust region, down to |grad|B|| <= 1e-8 T/m. Barriers between
-minima use a climbing-image relaxed string whose top node the same Newton
-routine refines onto the saddle; the bias tuner wraps everything in a
+minima come from the saddle graph of the unit cell, built by the same Newton
+routine: saddles from the seed grid, joined to the minima and field zeros
+their unstable axis descends into. The bias tuner wraps everything in a
 restarted Nelder-Mead search over the three bias components, run by
 ``_nelder_mead``, an in-repo port of scipy 1.17's non-adaptive
 ``scipy.optimize.minimize(method="Nelder-Mead")`` that returns the same
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import constants as const
 from .atom import AtomState, default_rb87
-from .lattice import FourierExpansion, eval_field_arrays
+from .lattice import FourierExpansion, eval_field, eval_field_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -104,9 +105,9 @@ class TuneObjective:
 
 @dataclass(frozen=True)
 class BarrierResult:
-    height: float  # T above the trap's B_IP
-    coarse: bool  # True when the string fell back to a straight line scan
-    saddle: np.ndarray | None  # position of the path maximum
+    height: float  # T above the lower of the two minima
+    coarse: bool  # True when no saddle joins them: a straight-line scan
+    saddle: np.ndarray | None  # the joining saddle (home cell); None if coarse
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,6 @@ class TransportResult:
 
 # ----------------------------------------------------------------------
 # minimization of |B|
-
-
-def _sample_one(f, bias, r):
-    B, grad, B_mag, grad_mag, hess, valid = eval_field_arrays(f, bias, np.asarray(r)[None])
-    return B_mag[0], grad_mag[0], hess[0], bool(valid[0])
 
 
 # fates of a Newton row, named in _FATES for the debug log; the negative
@@ -165,7 +161,8 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, g
     _CONVERGED; _SADDLE (stationary, other curvature); _STALLED (iteration
     cap, trust radius below 1e-12 period, or no usable direction); _BOUND
     (ended on a z bound or the xy box, left z > 0, or moved farther than
-    `guard` from its start); _INVALID (field zero).
+    `guard` from its start); _INVALID (field zero: |B| below
+    1e-6 period |grad|B||, i.e. within about 1e-6 period of a point zero).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x = x0.copy()
@@ -184,8 +181,12 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, g
     _, _, val, g, H, valid = eval_field_arrays(f, bias, x)
     for it in range(maxiter + 1):
         act = fate == _ACTIVE
-        fate[act & ~valid] = _INVALID
-        fate[act & valid & (np.linalg.norm(g, axis=1) <= gtol)] = _STATIONARY
+        gn = np.linalg.norm(g, axis=1)
+        # near a point zero |B| ~ |grad|B|| times the distance to it, and
+        # a row descending into the cone never meets gtol
+        zero = ~valid | (val < 1e-6 * f.geometry.period * gn)
+        fate[act & zero] = _INVALID
+        fate[act & ~zero & (gn <= gtol)] = _STATIONARY
         i = np.flatnonzero(fate == _ACTIVE)
         if it == maxiter or not len(i):
             break
@@ -255,6 +256,36 @@ def _cell_distance(geometry, ra, rb):
     return float(np.sqrt(dxy @ dxy + (ra[2] - rb[2]) ** 2))
 
 
+def _cell_seeds(geom, n, z_lo, z_hi):
+    """(n^3, 3) seed grid: cell-centre fractions (i + 1/2)/n along a1 and a2
+    times n heights evenly inside (z_lo, z_hi)."""
+    fr = (np.arange(n) + 0.5) / n
+    zs = np.linspace(z_lo, z_hi, n + 2)[1:-1]
+    FX, FY, Z = (a.ravel() for a in np.meshgrid(fr, fr, zs, indexing="ij"))
+    return np.column_stack([np.outer(FX, geom.a1) + np.outer(FY, geom.a2), Z])
+
+
+def _distinct(geom, pts):
+    """Classes of points equal modulo lattice translations (merge radius
+    1e-3 of the period). Returns (reps, cls): one home-cell representative
+    per class, the member with smallest (z, x, y), sorted by (z, x, y); and
+    the index into reps of each point."""
+    merge_tol = 1e-3 * geom.period
+    reps, cls = [], []
+    for r in (_to_cell(geom, p) for p in pts):
+        for i, q in enumerate(reps):
+            if _cell_distance(geom, r, q) < merge_tol:
+                if (r[2], r[0], r[1]) < (q[2], q[0], q[1]):
+                    reps[i] = r
+                break
+        else:
+            i = len(reps)
+            reps.append(r)
+        cls.append(i)
+    order = sorted(range(len(reps)), key=lambda i: (reps[i][2], reps[i][0], reps[i][1]))
+    return [reps[i] for i in order], np.argsort(order)[np.array(cls, dtype=int)]
+
+
 def find_trap_minima(
     f: FourierExpansion,
     bias,
@@ -282,33 +313,14 @@ def find_trap_minima(
         return []
 
     geom = f.geometry
-    fr = (np.arange(grid_seed_n) + 0.5) / grid_seed_n
-    zs = np.linspace(z_min, z_max, grid_seed_n + 2)[1:-1]
-    FX, FY, Z = (a.ravel() for a in np.meshgrid(fr, fr, zs, indexing="ij"))
-    seeds = np.column_stack([np.outer(FX, geom.a1) + np.outer(FY, geom.a2), Z])
+    seeds = _cell_seeds(geom, grid_seed_n, z_min, z_max)
     x, _, fate = _newton(f, b, seeds, 0, 0.05 * geom.period, z_bounds=(z_min, z_max), gtol=gtol)
     counts = np.bincount(fate, minlength=len(_FATES))
     logger.debug(
         "find_trap_minima: %d seeds: %s", len(seeds),
         ", ".join(f"{n} {name}" for n, name in zip(counts, _FATES)),
     )
-    found = [_to_cell(geom, r) for r in x[fate == _CONVERGED]]
-
-    merge_tol = 1e-3 * geom.period
-    reps = []
-    for r in found:
-        matched = False
-        for i, q in enumerate(reps):
-            if _cell_distance(geom, r, q) < merge_tol:
-                # keep the representative with smallest (z, x, y)
-                if (r[2], r[0], r[1]) < (q[2], q[0], q[1]):
-                    reps[i] = r
-                matched = True
-                break
-        if not matched:
-            reps.append(r)
-    reps.sort(key=lambda p: (p[2], p[0], p[1]))
-    return reps
+    return _distinct(geom, x[fate == _CONVERGED])[0]
 
 
 # ----------------------------------------------------------------------
@@ -346,20 +358,23 @@ def characterize_trap(
     """Full report for a verified minimum r0.
 
     Raises MajoranaError at a field zero and SaddleError if the Hessian is
-    not positive semidefinite. Barriers are computed toward the four
+    not positive semidefinite. Barriers are reported toward the four
     lattice-translated copies of the trap (labels '+a1', '-a1', '+a2',
-    '-a2') unless with_barriers is False.
+    '-a2') unless with_barriers is False. Only the +a hops are solved: the
+    translation by -a maps the hop to -a onto the hop to +a from the
+    translated copy, so the -a barrier and flag repeat the +a ones.
     """
     b = _bias_vec(bias)
     r0 = np.asarray(r0, dtype=float)
-    B_mag, g, H, valid = _sample_one(f, b, r0)
-    if not valid or B_mag <= 0.0:
+    s = eval_field(f, b, r0)
+    B_mag, g = s.B_mag, s.grad_mag
+    if not s.hessian_valid or B_mag <= 0.0:
         raise MajoranaError("field zero at trap position (Majorana point)")
     if np.linalg.norm(g) > grad_tol:
         raise ValueError(
             f"r0 is not a verified minimum: |grad|B|| = {np.linalg.norm(g):.3e} T/m"
         )
-    freqs, axes = frequencies_from_hessian(H, atom)
+    freqs, axes = frequencies_from_hessian(s.hessian_mag, atom)
 
     omega_max = 2 * np.pi * freqs[0]
     omega_larmor = atom.mu * B_mag / const.hbar
@@ -367,19 +382,12 @@ def characterize_trap(
 
     barriers, coarse = (), ()
     if with_barriers:
-        geom = f.geometry
-        out = []
-        for label, shift in (
-            ("+a1", np.append(geom.a1, 0.0)),
-            ("-a1", np.append(-geom.a1, 0.0)),
-            ("+a2", np.append(geom.a2, 0.0)),
-            ("-a2", np.append(-geom.a2, 0.0)),
-        ):
-            res = barrier_heights(f, b, r0, r0 + shift)
-            out.append((label, res.height))
+        for axis, a in (("a1", f.geometry.a1), ("a2", f.geometry.a2)):
+            res = barrier_heights(f, b, r0, r0 + np.append(a, 0.0))
+            pair = ("+" + axis, "-" + axis)
+            barriers += tuple((label, res.height) for label in pair)
             if res.coarse:
-                coarse += (label,)
-        barriers = tuple(out)
+                coarse += pair
 
     return TrapReport(
         r0=r0,
@@ -396,125 +404,90 @@ def characterize_trap(
 
 
 # ----------------------------------------------------------------------
-# barriers: climbing-image relaxed string
+# barriers: the saddle graph
 
 
-def barrier_heights(
-    f: FourierExpansion,
-    bias,
-    r_i,
-    r_j,
-    n_nodes: int = 64,
-    max_sweeps: int = 400,
-) -> BarrierResult:
+def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
     """Minimax barrier of |B| between two minima (possibly translated copies).
 
-    A straight path is relaxed transversally to the local tangent while the
-    highest node climbs along it; the converged top node is Newton-polished
-    onto the saddle. Returns the saddle height above the trap floor
-    min(|B|(r_i), |B|(r_j)).
+    Builds the saddle graph of the unit cell (Wales, Energy Landscapes, CUP
+    2003) from `_newton` alone. One index-1 descent over the cell seed grid,
+    at heights up to z_top = max(z_i, z_j) + 3/k_min, finds the saddles
+    below the escape value |B_ext|. One index-0 descent from both sides of
+    each saddle's unstable axis finds the two minima or field zeros it
+    joins. Saddles are then added in ascending height to a union-find over
+    those nodes in a 5 x 5 window of cell translates around r_i; the first
+    one that joins r_i to r_j is the top of the minimax path. Returns its
+    height above the trap floor min(|B|(r_i), |B|(r_j)).
 
-    When the barriers between sites exceed the escape value |B_ext| the
-    minimax path detours over the lattice (z -> infinity, where the barrier
-    degenerates to the trap depth); that is escape, not inter-site physics,
-    so a path drifting more than a few decay lengths above the endpoints
-    counts as divergence. Any divergence falls back to an unrelaxed
-    straight-line scan, flagged coarse.
+    When no such saddle joins them, the minimax path escapes over the
+    lattice (z -> infinity, where the barrier degenerates to the trap
+    depth); that is escape, not inter-site physics, and the result is the
+    maximum of a 256-point straight-line scan, flagged coarse.
     """
     b = _bias_vec(bias)
     r_i = np.asarray(r_i, dtype=float)
     r_j = np.asarray(r_j, dtype=float)
-    if n_nodes < 8:
-        raise ValueError("need at least 8 nodes")
-    chord = np.linalg.norm(r_j - r_i)
-    if chord == 0.0:
+    if np.linalg.norm(r_j - r_i) == 0.0:
         raise ValueError("endpoints must be distinct")
-    z_ceiling = max(r_i[2], r_j[2]) + 3.0 / f.k_min if f.nmodes else np.inf
-
-    def batch(pts):
-        B, grad, B_mag, grad_mag, hess, valid = eval_field_arrays(f, b, pts)
-        return B_mag, grad_mag, hess, valid
-
-    ends, *_ = batch(np.stack([r_i, r_j]))
+    _, _, ends, *_ = eval_field_arrays(f, b, np.stack([r_i, r_j]))
     B_IP = float(np.min(ends))
 
-    path = np.linspace(r_i, r_j, n_nodes)
-    diverged = False
-    prev_top = np.inf
-    for sweep in range(max_sweeps):
-        vals, gmag, hess, valid = batch(path)
-        if not np.all(valid):
-            diverged = True
-            break
-        top = int(np.argmax(vals))
-
-        # tangents by central difference
-        tan = np.empty_like(path)
-        tan[1:-1] = path[2:] - path[:-2]
-        tan[0] = path[1] - path[0]
-        tan[-1] = path[-1] - path[-2]
-        tan /= np.linalg.norm(tan, axis=1)[:, None] + 1e-300
-
-        g_par = np.einsum("ni,ni->n", gmag, tan)[:, None] * tan
-        g_perp = gmag - g_par
-        force = -g_perp
-        if 0 < top < n_nodes - 1:
-            force[top] = -gmag[top] + 2.0 * g_par[top]  # climbing image
-
-        # curvature-scaled steps, trust-capped at a fraction of node spacing
-        lam = np.linalg.eigvalsh(0.5 * (hess + np.transpose(hess, (0, 2, 1))))
-        lmax = np.maximum(np.max(np.abs(lam), axis=1), 1e-300)
-        step = force / lmax[:, None]
-        spacing = max(np.linalg.norm(path[1] - path[0]), 1e-300)
-        sn = np.linalg.norm(step, axis=1)
-        cap = 0.4 * spacing
-        big = sn > cap
-        step[big] *= (cap / sn[big])[:, None]
-        step[0] = 0.0
-        step[-1] = 0.0
-        path = path + step
-
-        # reparametrize to uniform arc length
-        seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        if (
-            s[-1] > 8.0 * chord
-            or np.max(np.linalg.norm(path - np.linspace(r_i, r_j, n_nodes), axis=1)) > 4.0 * chord
-            or np.max(path[:, 2]) > z_ceiling
-        ):
-            diverged = True
-            break
-        su = np.linspace(0.0, s[-1], n_nodes)
-        path = np.stack([np.interp(su, s, path[:, k]) for k in range(3)], axis=1)
-        if np.any(path[:, 2] <= 0):
-            diverged = True
-            break
-
-        top_val = float(np.max(vals))
-        moved = float(np.max(np.linalg.norm(step, axis=1)))
-        if abs(top_val - prev_top) < 1e-9 * max(top_val, 1e-300) and moved < 1e-4 * spacing:
-            break
-        prev_top = top_val
-
-    if diverged:
-        # coarse fallback: unrelaxed straight line scan with dense sampling
-        ts = np.linspace(0.0, 1.0, 4 * n_nodes)
-        pts = r_i[None, :] + ts[:, None] * (r_j - r_i)[None, :]
-        vals, *_ = batch(pts)
-        return BarrierResult(
-            height=float(np.max(vals) - B_IP), coarse=True, saddle=None
+    geom = f.geometry
+    if f.nmodes:
+        z_top = max(r_i[2], r_j[2]) + 3.0 / f.k_min
+        seeds = _cell_seeds(geom, 6, geom.period / 50, z_top)
+        x, val, fate = _newton(f, b, seeds, 1, 0.05 * geom.period)
+        keep = (fate == _CONVERGED) & (x[:, 2] <= z_top) & (val < np.linalg.norm(b))
+        saddles = np.array(_distinct(geom, x[keep])[0]).reshape(-1, 3)
+    else:
+        saddles = np.empty((0, 3))
+    if len(saddles):
+        _, _, s_val, _, s_H, _ = eval_field_arrays(f, b, saddles)
+        unstable = np.linalg.eigh(0.5 * (s_H + np.transpose(s_H, (0, 2, 1))))[1][:, :, 0]
+        step = 0.01 * geom.period * unstable
+        e, _, e_fate = _newton(
+            f, b, np.concatenate([saddles + step, saddles - step]), 0, 0.05 * geom.period
         )
+        reached = (e_fate == _CONVERGED) | (e_fate == _INVALID)
 
-    vals, *_ = batch(path)
-    top = int(np.argmax(vals))
-    height = float(vals[top] - B_IP)
-    saddle = path[top]
-    if 0 < top < n_nodes - 1 and height > 0:
-        x, val, fate = _newton(f, b, path[top], 1, 0.125 * chord, guard=0.5 * chord)
-        if fate[0] == _CONVERGED and abs(val[0] - vals[top]) < 0.25 * max(height, 1e-300):
-            height = float(val[0] - B_IP)
-            saddle = x[0]
-    return BarrierResult(height=max(height, 0.0), coarse=False, saddle=saddle)
+        # a node is (class, n1, n2): its class representative translated by
+        # n1 a1 + n2 a2; nodes 0 and 1 are r_i and r_j, then the ends
+        pts = np.vstack([r_i, r_j, e])
+        reps, cls = _distinct(geom, pts)
+        A = np.array([geom.a1, geom.a2]).T
+        cell = np.round(np.linalg.solve(A, (pts - np.array(reps)[cls])[:, :2].T).T).astype(int)
+        node = [(int(c), int(n1), int(n2)) for c, (n1, n2) in zip(cls, cell)]
+        parent = {}
+
+        def root(u):
+            while parent.get(u, u) != u:
+                u = parent[u]
+            return u
+
+        start, goal = node[0], node[1]
+        window = range(-2, 3)
+        k = len(saddles)
+        for s in np.argsort(s_val, kind="stable"):
+            if not (reached[s] and reached[s + k]):
+                continue
+            (ca, a1, a2), (cb, b1, b2) = node[2 + s], node[2 + k + s]
+            d1, d2 = b1 - a1, b2 - a2
+            # every translate of the edge with both ends in the window
+            for w1 in window:
+                for w2 in window:
+                    if w1 + d1 in window and w2 + d2 in window:
+                        n1, n2 = start[1] + w1, start[2] + w2
+                        parent[root((ca, n1, n2))] = root((cb, n1 + d1, n2 + d2))
+            if root(start) == root(goal):
+                return BarrierResult(
+                    height=max(float(s_val[s] - B_IP), 0.0), coarse=False, saddle=saddles[s]
+                )
+
+    ts = np.linspace(0.0, 1.0, 256)
+    pts = r_i[None, :] + ts[:, None] * (r_j - r_i)[None, :]
+    _, _, vals, *_ = eval_field_arrays(f, b, pts)
+    return BarrierResult(height=float(np.max(vals) - B_IP), coarse=True, saddle=None)
 
 
 # ----------------------------------------------------------------------
@@ -655,9 +628,9 @@ def tune_bias(
     def tracked_barrier(bvec, r0, B_IP, shift, label):
         """Barrier along one lattice direction from the minimum r0 (where
         |B| = B_IP), reusing the previous saddle as a warm start so the
-        string method runs only on cache misses. Directions whose string
-        diverged (inter-site saddle above the escape value) stay on the
-        cheap straight-line scan."""
+        saddle graph is built only on cache misses. Directions without a
+        joining saddle (escape-limited) stay on the cheap straight-line
+        scan."""
         cached = state["saddles"].get(label)
         if isinstance(cached, str):
             return line_scan_barrier(bvec, r0, shift)
@@ -668,11 +641,13 @@ def tune_bias(
                 state["saddles"][label] = x[0]
                 return max(float(val[0] - B_IP), 0.0)
             state["saddles"].pop(label, None)
-        res = barrier_heights(f, bvec, r0, r0 + shift, n_nodes=24, max_sweeps=80)
+        res = barrier_heights(f, bvec, r0, r0 + shift)
         if res.coarse:
+            # an escape-limited direction costs the same 96-point scan on
+            # every evaluation, so the cost has no jump at a cache miss
             state["saddles"][label] = "line"
-        elif res.saddle is not None:
-            state["saddles"][label] = res.saddle
+            return line_scan_barrier(bvec, r0, shift)
+        state["saddles"][label] = res.saddle
         return res.height
 
     def cost(bvec):
@@ -796,18 +771,16 @@ def transport_trajectory(
     positions = np.array(positions)
 
     def snapshot(step, bvec, pos):
-        Bm = np.empty(len(pos))
-        fr = np.empty((len(pos), 3))
-        for i, r in enumerate(pos):
-            B_mag, _, H, valid = _sample_one(f, bvec, r)
-            Bm[i] = B_mag if valid else np.nan
+        _, _, Bm, _, H, valid = eval_field_arrays(f, bvec, pos)
+        fr = np.full((len(pos), 3), np.nan)
+        for i in range(len(pos)):
             try:
-                fq, _ = frequencies_from_hessian(H, atom)
+                fr[i], _ = frequencies_from_hessian(H[i], atom)
             except (SaddleError, ValueError):
-                fq = np.full(3, np.nan)
-            fr[i] = fq
+                pass
         return TransportSnapshot(
-            step=step, bias=bvec.copy(), positions=pos.copy(), B_IP=Bm, freqs=fr
+            step=step, bias=bvec.copy(), positions=pos.copy(),
+            B_IP=np.where(valid, Bm, np.nan), freqs=fr,
         )
 
     snaps = [snapshot(0, vecs[0], positions)]

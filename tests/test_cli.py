@@ -212,15 +212,16 @@ def test_traps_cli_no_minima_exit_2(workdir, capsys):
 def test_traps_cli_flags_coarse_barriers(workdir, monkeypatch):
     from maglattice import traps
 
-    def coarse_along_minus_a1(f, bias, r_a, r_b, **kwargs):
-        return traps.BarrierResult(height=2e-4, coarse=bool(r_b[0] < r_a[0]), saddle=None)
+    def coarse_along_plus_a1(f, bias, r_a, r_b, **kwargs):
+        return traps.BarrierResult(height=2e-4, coarse=bool(r_b[0] > r_a[0]), saddle=None)
 
-    monkeypatch.setattr(traps, "barrier_heights", coarse_along_minus_a1)
+    monkeypatch.setattr(traps, "barrier_heights", coarse_along_plus_a1)
     rc = run_cli(workdir, "traps", "--z-min-nm", "50", "--z-max-nm", "1200", "--seeds", "5")
     assert rc == 0
     report = json.loads((workdir / "report.json").read_text())
     t = report["payload"]["traps"][0]
-    assert t["barriers_coarse"] == ["-a1"]
+    # only +a hops are solved; the -a barrier repeats the +a one
+    assert t["barriers_coarse"] == ["+a1", "-a1"]
     assert t["barriers_mT"] == {
         label: pytest.approx(0.2) for label in ("+a1", "-a1", "+a2", "-a2")
     }

@@ -272,14 +272,24 @@ def test_stripe_barrier_along_channel_is_zero(stripe_expansion):
     assert res.height == pytest.approx(0.0, abs=1e-12)
 
 
-def test_barrier_symmetry_and_saddle():
-    # axis bias on the chiral windmill: the transverse (a2) saddle sits
-    # below the escape value, so the string converges onto a true saddle
-    f = fourier_from_pattern(
+@pytest.fixture(scope="module")
+def windmill_expansion():
+    return fourier_from_pattern(
         windmill(1e-6, core=0.24, arm_len=0.34, arm_width=0.16, n=48, film_h=100e-9),
         threshold=1e-3,
         max_order=6,
     )
+
+
+def in_plane(mag, deg):
+    a = np.radians(deg)
+    return np.array([-mag * np.cos(a), -mag * np.sin(a), 0.0])
+
+
+def test_barrier_symmetry_and_saddle(windmill_expansion):
+    # axis bias on the chiral windmill: the transverse (a2) saddle sits
+    # below the escape value, so the graph joins the two sites through it
+    f = windmill_expansion
     bias = np.array([-1e-3, 0.0, 0.0])
     minima = find_trap_minima(f, bias, (0.15e-6, 1.4e-6), grid_seed_n=5)
     assert minima
@@ -296,8 +306,8 @@ def test_barrier_symmetry_and_saddle():
     assert lam[0] < 0 < lam[1]
     # barrier equals the saddle value above the trap floor
     assert fwd.height == pytest.approx(s.B_mag - eval_field(f, bias, r0).B_mag, rel=1e-9)
-    # the other direction's saddle exceeds the escape value, so the string
-    # would drift over the lattice: coarse line-scan fallback
+    # the other direction's saddle exceeds the escape value, so no saddle
+    # below it joins the sites: coarse line-scan fallback
     over = barrier_heights(f, bias, r0, r0 + np.array([1e-6, 0.0, 0.0]))
     assert over.coarse
     escape = np.linalg.norm(bias) - eval_field(f, bias, r0).B_mag
@@ -308,6 +318,97 @@ def test_barrier_input_validation(stripe_expansion):
     r = np.array([0.1e-6, 0.0, 0.5e-6])
     with pytest.raises(ValueError):
         barrier_heights(stripe_expansion, stripe_bias(), r, r)
+
+
+def trap_barriers(f, bias, z_range, grid_seed_n, atom):
+    """(barriers in mT by label, coarse labels) of the lowest trap."""
+    minima = find_trap_minima(f, bias, z_range, grid_seed_n=grid_seed_n)
+    rep = characterize_trap(f, bias, minima[0], atom)
+    mT = {label: h * 1e3 for label, h in rep.barriers}
+    # the -a hop is the +a hop of the translated copy
+    assert mT["-a1"] == mT["+a1"] and mT["-a2"] == mT["+a2"]
+    return mT, rep.barriers_coarse
+
+
+def z_edge_band_expansion(notch):
+    return fourier_from_pattern(z_edge_band(1e-6, band_frac=0.5, notch_frac=notch, n=32), max_order=5)
+
+
+# the values below are the climbing-image string's results, which the saddle
+# graph reproduces
+
+
+def test_windmill_barrier_pinned(windmill_expansion, rb87):
+    f, bias = windmill_expansion, np.array([-1e-3, 0.0, 0.0])
+    mT, coarse = trap_barriers(f, bias, (0.15e-6, 1.4e-6), 5, rb87)
+    assert mT["+a2"] == pytest.approx(0.5798893, rel=1e-6)
+    assert coarse == ("+a1", "-a1")
+    # the same hop between copies far from the home cell
+    r0 = find_trap_minima(f, bias, (0.15e-6, 1.4e-6), grid_seed_n=5)[0]
+    far = barrier_heights(f, bias, r0 + [5e-6, -4e-6, 0.0], r0 + [5e-6, -3e-6, 0.0])
+    assert not far.coarse
+    assert far.height * 1e3 == pytest.approx(mT["+a2"], rel=1e-9)
+
+
+def test_square_islands_barrier_through_field_zero(rb87):
+    from maglattice import traps
+    from maglattice.patterns import square_islands
+
+    f = fourier_from_pattern(square_islands(1e-6, n=32), max_order=6)
+    bias = np.array([-1e-3, -0.3e-3, 0.0])
+    mT, coarse = trap_barriers(f, bias, (0.1e-6, 1.5e-6), 5, rb87)
+    assert mT["+a2"] == pytest.approx(0.408291, rel=1e-6)
+    assert coarse == ("+a1", "-a1")
+    # one side of the joining saddle's unstable axis descends into a zero
+    # of |B|: the minimax hop passes a Majorana point
+    r0 = find_trap_minima(f, bias, (0.1e-6, 1.5e-6), grid_seed_n=5)[0]
+    res = barrier_heights(f, bias, r0, r0 + np.array([0.0, 1e-6, 0.0]))
+    v = np.linalg.eigh(eval_field(f, bias, res.saddle).hessian_mag)[1][:, 0]
+    _, val, fate = traps._newton(f, bias, [res.saddle + 1e-8 * v, res.saddle - 1e-8 * v], 0, 5e-8)
+    assert sorted(fate) == [traps._CONVERGED, traps._INVALID]
+    assert np.min(val) < 1e-8
+
+
+def test_z_edge_band_barriers_pinned(rb87):
+    mT, coarse = trap_barriers(z_edge_band_expansion(0.10), in_plane(1.2e-3, 8), (0.1e-6, 1.5e-6), 5, rb87)
+    assert mT["+a1"] == pytest.approx(0.0348760, rel=1e-6)
+    assert coarse == ("+a2", "-a2")
+    mT, coarse = trap_barriers(z_edge_band_expansion(0.25), in_plane(1.2e-3, 16), (0.1e-6, 1.3e-6), 5, rb87)
+    assert mT["+a2"] == pytest.approx(0.4154051, rel=1e-6)
+    assert "+a2" in coarse
+
+
+@pytest.mark.parametrize("deg", [16, 18, 20])
+def test_characterize_kernel_calls_bounded(rb87, monkeypatch, deg):
+    # the demos/01 band: no saddle joins the sites, so each barrier costs
+    # the two ends, one index-1 descent (at most 31 calls) and the scan
+    f = z_edge_band_expansion(0.25)
+    bias = in_plane(1.2e-3, deg)
+    r0 = find_trap_minima(f, bias, (0.1e-6, 1.3e-6), grid_seed_n=5)[0]
+    calls = count_kernel_calls(monkeypatch)
+    characterize_trap(f, bias, r0, rb87)
+    assert len(calls) <= 80
+
+
+@pytest.mark.parametrize(
+    "deg, r0",
+    [
+        (0, [9.571559318486913e-07, 5.053340834529368e-07, 4.634247733299639e-07]),
+        (15, [9.585732275253067e-07, 5.168332550295517e-07, 4.6828880579934973e-07]),
+        (30, [9.588699450464085e-07, 5.298773377855761e-07, 4.865031016092589e-07]),
+    ],
+)
+def test_search_ends_rows_at_field_zero(windmill_expansion, monkeypatch, caplog, deg, r0):
+    # seeds that descend into a point zero of |B| end as invalid instead of
+    # running to the iteration cap; the minimum is unchanged
+    calls = count_kernel_calls(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="maglattice.traps"):
+        minima = find_trap_minima(windmill_expansion, in_plane(1e-3, deg), (0.15e-6, 1.4e-6), grid_seed_n=5)
+    assert len(calls) <= 60
+    assert len(minima) == 1
+    assert np.allclose(minima[0], r0, rtol=0, atol=1e-14)
+    (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_trap_minima")]
+    assert int(msg.split(", ")[-1].split(" ")[0]) > 0  # invalid
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +560,8 @@ def test_characterize_records_coarse_barriers(stripe_expansion, rb87, monkeypatc
     minima = find_trap_minima(stripe_expansion, bias, (0.05e-6, 1.2e-6), grid_seed_n=5)
     rep = characterize_trap(stripe_expansion, bias, minima[0], rb87)
     assert [label for label, _ in rep.barriers] == ["+a1", "-a1", "+a2", "-a2"]
-    assert rep.barriers_coarse == ("+a2",)
+    # only +a hops are solved; the -a barrier repeats the +a one
+    assert rep.barriers_coarse == ("+a2", "-a2")
     rep = characterize_trap(stripe_expansion, bias, minima[0], rb87, with_barriers=False)
     assert rep.barriers == () and rep.barriers_coarse == ()
 
