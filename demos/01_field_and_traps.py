@@ -35,7 +35,7 @@ print(f"omega / Larmor : {report.omega_over_larmor:.3f}  healthy: {report.larmor
 # --- field map along z above the trap -----------------------------------
 zs = np.linspace(0.2e-6, 1.5e-6, 6)
 pts = np.column_stack([np.full_like(zs, r0[0]), np.full_like(zs, r0[1]), zs])
-_, _, B_mag, *_ = ml.eval_field_arrays(f, bias, pts)
+_, _, B_mag, *_ = ml.eval_field_arrays(f, bias, pts, order=0)
 print("\n|B| along the vertical through the trap:")
 for z, b in zip(zs, B_mag):
     print(f"   z = {z * 1e9:7.1f} nm   |B| = {b * 1e3:.4f} mT")

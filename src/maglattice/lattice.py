@@ -14,6 +14,7 @@ independent cross-check of the expansion.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,19 @@ class FourierExpansion:
     def k_min(self) -> float:
         """Smallest retained wavenumber; sets the field decay length 1/k_min."""
         return float(np.min(self.k_mag)) if self.nmodes else np.inf
+
+    @cached_property
+    def _kernel_tables(self):
+        """(even, odd, scale): the (M, 19) derivative table P sign prod(k) in
+        _DERIVS order, split into the columns the cos and the sin sums feed,
+        and the per-mode weights k |C + iS| of the local field scale.
+
+        Built at the first evaluation and kept on the instance; a copy made
+        by dataclasses.replace starts without it and builds its own.
+        """
+        k = np.column_stack([self.k_vec, self.k_mag, np.ones(self.nmodes)])
+        table = self.prefactor * _SIGN * k[:, _DERIVS[:, 0]] * k[:, _DERIVS[:, 1]] * k[:, _DERIVS[:, 2]]
+        return table[:, _EVEN], table[:, ~_EVEN], self.k_mag * np.hypot(self.C, self.S)
 
 
 @dataclass(frozen=True)
@@ -301,24 +315,32 @@ def _phi_derivatives(f: FourierExpansion, pts: np.ndarray):
 
     The (N, M) mode arrays live only inside this call.
     """
-    k = np.column_stack([f.k_vec, f.k_mag, np.ones(f.nmodes)])
-    table = f.prefactor * _SIGN * k[:, _DERIVS[:, 0]] * k[:, _DERIVS[:, 1]] * k[:, _DERIVS[:, 2]]
+    even, odd, scale = f._kernel_tables
     u = pts[:, :2] @ f.k_vec.T  # (N, M)
     env = np.exp(-np.outer(pts[:, 2], f.k_mag))  # (N, M)
     cos, sin = np.cos(u), np.sin(u)
     D = np.empty((len(pts), len(_DERIVS)))
-    D[:, _EVEN] = (env * (f.C * cos + f.S * sin)) @ table[:, _EVEN]
-    D[:, ~_EVEN] = (env * (f.S * cos - f.C * sin)) @ table[:, ~_EVEN]
-    return D, f.prefactor * (env @ (f.k_mag * np.hypot(f.C, f.S)))
+    D[:, _EVEN] = (env * (f.C * cos + f.S * sin)) @ even
+    D[:, ~_EVEN] = (env * (f.S * cos - f.C * sin)) @ odd
+    return D, f.prefactor * (env @ scale)
 
 
-def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray):
-    """Vectorized field evaluation at points (N, 3).
+def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int = 2):
+    """Vectorized field evaluation at points (N, 3), up to derivative order
+    `order` of |B|.
 
     Returns (B (N,3), grad (N,3,3), B_mag (N,), grad_mag (N,3),
     hess_mag (N,3,3), valid (N,) bool). grad is the Jacobian dB_i/dr_j;
-    hess_mag is the Hessian of |B|, NaN where |B| = 0.
+    hess_mag is the Hessian of |B|, NaN where |B| = 0 (valid False).
+
+    order=2 (the default) fills every slot. order=0 returns B, B_mag and
+    valid only, with None for grad, grad_mag and hess_mag; it skips the
+    Jacobian, the third-derivative tensor and the Hessian algebra, and its
+    B, B_mag and valid equal the order-2 arrays bit for bit. Any other order
+    raises ValueError.
     """
+    if order not in (0, 2):
+        raise ValueError(f"order must be 0 or 2, got {order!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _check_z(pts[:, 2])
     bias = np.asarray(bias, dtype=float)
@@ -326,13 +348,15 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray):
     D, lattice_scale = _phi_derivatives(f, pts)
     field_scale = np.linalg.norm(bias) + lattice_scale
     B = bias - D[:, :3]
-    grad = -D[:, _HESS_IDX]  # dB_i/dr_j = -d^2 phi
-    third = -D[:, _THIRD_IDX]  # dB_i/dr_j dr_l = -d^3 phi
-
     B_mag = np.linalg.norm(B, axis=1)
     # a zero of |B| (Majorana point) leaves rounding residue; flag anything
     # more than ten digits below the local field scale as an exact zero
     valid = B_mag > 1e-10 * field_scale
+    if order == 0:
+        return B, None, B_mag, None, None, valid
+
+    grad = -D[:, _HESS_IDX]  # dB_i/dr_j = -d^2 phi
+    third = -D[:, _THIRD_IDX]  # dB_i/dr_j dr_l = -d^3 phi
     with np.errstate(divide="ignore", invalid="ignore"):
         # grad|B|_j = B_i J_ij / |B|
         grad_mag = np.einsum("ni,nij->nj", B, grad) / B_mag[:, None]

@@ -356,7 +356,7 @@ def vertical_profile(
     x0, y0, z0 = trap.r0
     z = np.linspace(z_floor, max(4 * z0, z0 + 2e-7), n_samples)
     pts = np.column_stack([np.full_like(z, x0), np.full_like(z, y0), z])
-    _, _, B_mag, _, _, _ = eval_field_arrays(f, b, pts)
+    _, _, B_mag, _, _, _ = eval_field_arrays(f, b, pts, order=0)
     V = atom.mu * B_mag - C3 / z**3
     # frequency along the surface normal: project principal axes on z
     iz = int(np.argmax(np.abs(trap.axes[2, :])))

@@ -382,8 +382,8 @@ def characterize_trap(
 
     barriers, coarse = (), ()
     if with_barriers:
-        for axis, a in (("a1", f.geometry.a1), ("a2", f.geometry.a2)):
-            res = barrier_heights(f, b, r0, r0 + np.append(a, 0.0))
+        hops = [r0 + np.append(a, 0.0) for a in (f.geometry.a1, f.geometry.a2)]
+        for axis, res in zip(("a1", "a2"), _barriers(f, b, r0, hops)):
             pair = ("+" + axis, "-" + axis)
             barriers += tuple((label, res.height) for label in pair)
             if res.coarse:
@@ -430,12 +430,23 @@ def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
     r_j = np.asarray(r_j, dtype=float)
     if np.linalg.norm(r_j - r_i) == 0.0:
         raise ValueError("endpoints must be distinct")
-    _, _, ends, *_ = eval_field_arrays(f, b, np.stack([r_i, r_j]))
-    B_IP = float(np.min(ends))
+    return _barriers(f, b, r_i, [r_j])[0]
+
+
+def _barriers(f, b, r_i, goals) -> list:
+    """barrier_heights from r_i to each point of goals, all resolved on one
+    saddle graph (z_top from the highest endpoint). The goals share the
+    index-1 and index-0 descents; each gets its own floor, its own first
+    joining saddle and, failing one, its own coarse scan."""
+    floors = [
+        float(np.min(eval_field_arrays(f, b, np.stack([r_i, r_j]), order=0)[2]))
+        for r_j in goals
+    ]
+    results = [None] * len(goals)
 
     geom = f.geometry
     if f.nmodes:
-        z_top = max(r_i[2], r_j[2]) + 3.0 / f.k_min
+        z_top = max(r_i[2], *(r_j[2] for r_j in goals)) + 3.0 / f.k_min
         seeds = _cell_seeds(geom, 6, geom.period / 50, z_top)
         x, val, fate = _newton(f, b, seeds, 1, 0.05 * geom.period)
         keep = (fate == _CONVERGED) & (x[:, 2] <= z_top) & (val < np.linalg.norm(b))
@@ -452,8 +463,8 @@ def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
         reached = (e_fate == _CONVERGED) | (e_fate == _INVALID)
 
         # a node is (class, n1, n2): its class representative translated by
-        # n1 a1 + n2 a2; nodes 0 and 1 are r_i and r_j, then the ends
-        pts = np.vstack([r_i, r_j, e])
+        # n1 a1 + n2 a2; node 0 is r_i, then the goals, then the ends
+        pts = np.vstack([r_i, *goals, e])
         reps, cls = _distinct(geom, pts)
         A = np.array([geom.a1, geom.a2]).T
         cell = np.round(np.linalg.solve(A, (pts - np.array(reps)[cls])[:, :2].T).T).astype(int)
@@ -465,13 +476,13 @@ def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
                 u = parent[u]
             return u
 
-        start, goal = node[0], node[1]
+        start, targets, ends = node[0], node[1:1 + len(goals)], node[1 + len(goals):]
         window = range(-2, 3)
         k = len(saddles)
         for s in np.argsort(s_val, kind="stable"):
             if not (reached[s] and reached[s + k]):
                 continue
-            (ca, a1, a2), (cb, b1, b2) = node[2 + s], node[2 + k + s]
+            (ca, a1, a2), (cb, b1, b2) = ends[s], ends[k + s]
             d1, d2 = b1 - a1, b2 - a2
             # every translate of the edge with both ends in the window
             for w1 in window:
@@ -479,15 +490,21 @@ def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
                     if w1 + d1 in window and w2 + d2 in window:
                         n1, n2 = start[1] + w1, start[2] + w2
                         parent[root((ca, n1, n2))] = root((cb, n1 + d1, n2 + d2))
-            if root(start) == root(goal):
-                return BarrierResult(
-                    height=max(float(s_val[s] - B_IP), 0.0), coarse=False, saddle=saddles[s]
-                )
+            for g, goal in enumerate(targets):
+                if results[g] is None and root(start) == root(goal):
+                    results[g] = BarrierResult(
+                        height=max(float(s_val[s] - floors[g]), 0.0), coarse=False, saddle=saddles[s]
+                    )
+            if None not in results:
+                return results
 
     ts = np.linspace(0.0, 1.0, 256)
-    pts = r_i[None, :] + ts[:, None] * (r_j - r_i)[None, :]
-    _, _, vals, *_ = eval_field_arrays(f, b, pts)
-    return BarrierResult(height=float(np.max(vals) - B_IP), coarse=True, saddle=None)
+    for g, r_j in enumerate(goals):
+        if results[g] is None:
+            pts = r_i[None, :] + ts[:, None] * (r_j - r_i)[None, :]
+            _, _, vals, *_ = eval_field_arrays(f, b, pts, order=0)
+            results[g] = BarrierResult(height=float(np.max(vals) - floors[g]), coarse=True, saddle=None)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -622,7 +639,7 @@ def tune_bias(
     def line_scan_barrier(bvec, r0, shift):
         ts = np.linspace(0.0, 1.0, 96)
         pts = r0[None, :] + ts[:, None] * shift[None, :]
-        _, _, B_mag, *_ = eval_field_arrays(f, bvec, pts)
+        _, _, B_mag, *_ = eval_field_arrays(f, bvec, pts, order=0)
         return float(np.max(B_mag) - B_mag[0])
 
     def tracked_barrier(bvec, r0, B_IP, shift, label):

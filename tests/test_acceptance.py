@@ -406,12 +406,6 @@ def test_fano_deterministic_bytes(tmp_path):
 # 14. bias tuner
 
 
-@pytest.fixture(scope="module")
-def tuner_lattice():
-    pat = z_edge_band(1e-6, band_frac=0.5, notch_frac=0.10, n=32)
-    return ml.fourier_from_pattern(pat, max_order=5)
-
-
 def test_tuner_symmetric_barriers(rb87, tuner_lattice):
     f = tuner_lattice
     a1 = np.append(f.geometry.a1, 0.0)

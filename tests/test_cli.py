@@ -212,10 +212,11 @@ def test_traps_cli_no_minima_exit_2(workdir, capsys):
 def test_traps_cli_flags_coarse_barriers(workdir, monkeypatch):
     from maglattice import traps
 
-    def coarse_along_plus_a1(f, bias, r_a, r_b, **kwargs):
-        return traps.BarrierResult(height=2e-4, coarse=bool(r_b[0] > r_a[0]), saddle=None)
+    def coarse_along_plus_a1(f, bias, r_a, goals):
+        return [traps.BarrierResult(height=2e-4, coarse=bool(r_b[0] > r_a[0]), saddle=None)
+                for r_b in goals]
 
-    monkeypatch.setattr(traps, "barrier_heights", coarse_along_plus_a1)
+    monkeypatch.setattr(traps, "_barriers", coarse_along_plus_a1)
     rc = run_cli(workdir, "traps", "--z-min-nm", "50", "--z-max-nm", "1200", "--seeds", "5")
     assert rc == 0
     report = json.loads((workdir / "report.json").read_text())

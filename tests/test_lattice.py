@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -471,3 +473,52 @@ def test_zero_mode_expansion_returns_bias(pts, bias):
     assert np.array_equal(B, np.broadcast_to(bias, B.shape))
     assert valid.all()
     assert not np.any(grad) and not np.any(grad_mag) and not np.any(hess)
+
+
+# ----------------------------------------------------------------------
+# derivative orders and the per-expansion derivative table
+
+ORDER_EXPANSIONS = {**PROPERTY_EXPANSIONS, "zero_modes": zero_mode_expansion()}
+
+
+def assert_order0_matches(f, pts):
+    B, grad, B_mag, grad_mag, hess, valid = eval_field_arrays(f, BIAS, pts, order=0)
+    assert grad is None and grad_mag is None and hess is None
+    full = eval_field_arrays(f, BIAS, pts)
+    assert np.array_equal(B, full[0])
+    assert np.array_equal(B_mag, full[2])
+    assert np.array_equal(valid, full[5])
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(sorted(ORDER_EXPANSIONS)), pts=cell_points)
+def test_order0_equals_order2_bit_for_bit(name, pts):
+    assert_order0_matches(ORDER_EXPANSIONS[name], pts)
+
+
+@pytest.mark.parametrize("n", [96, 256])
+@pytest.mark.parametrize("name", sorted(ORDER_EXPANSIONS))
+def test_order0_equals_order2_on_line_scans(name, n):
+    # the batch sizes of the tuner's line scan and the coarse barrier scan
+    ts = np.linspace(0.0, 1.0, n)
+    pts = np.array([0.1e-6, 0.2e-6, 0.6e-6]) + ts[:, None] * np.array([1e-6, 0.3e-6, 0.0])
+    assert_order0_matches(ORDER_EXPANSIONS[name], pts)
+
+
+@pytest.mark.parametrize("order", [1, 3, -1])
+def test_eval_rejects_unused_orders(order):
+    with pytest.raises(ValueError, match="order"):
+        eval_field_arrays(PROPERTY_EXPANSIONS["z_edge"], BIAS, [[0.1e-6, 0.2e-6, 0.5e-6]], order=order)
+
+
+def test_replaced_expansion_builds_its_own_table():
+    # the table holds the prefactor: a copy with twice the prefactor must
+    # not reuse the original's, which is built by the first call
+    f = fourier_from_pattern(z_edge_band(1e-6, n=32), max_order=6)
+    pts = np.array([[0.1e-6, 0.9e-6, 0.4e-6], [0.6e-6, 0.3e-6, 1.1e-6]])
+    B, grad, *_ = eval_field_arrays(f, np.zeros(3), pts)
+    g = dataclasses.replace(f, prefactor=2 * f.prefactor)
+    B2, grad2, *_ = eval_field_arrays(g, np.zeros(3), pts)
+    assert np.array_equal(B2, 2 * B) and np.array_equal(grad2, 2 * grad)
+    assert np.array_equal(eval_field_arrays(g, np.zeros(3), pts, order=0)[0], 2 * B)
+    assert np.array_equal(eval_field_arrays(f, np.zeros(3), pts)[0], B)

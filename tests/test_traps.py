@@ -1,4 +1,5 @@
 import logging
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from maglattice.traps import (
     MajoranaError,
     SaddleError,
     TuneObjective,
+    TuneUnreachableError,
     barrier_heights,
     characterize_trap,
     find_trap_minima,
     frequencies_from_hessian,
     transport_trajectory,
+    tune_bias,
 )
 
 
@@ -78,17 +81,31 @@ def test_stripe_minima_match_closed_form(stripe_expansion):
     assert np.linalg.norm(s.grad_mag) < 1e-8
 
 
+KernelCall = namedtuple("KernelCall", "points order in_newton")
+
+
 def count_kernel_calls(monkeypatch):
+    """Record each kernel call traps makes as a KernelCall: its point
+    count, its derivative order and whether _newton made it."""
     from maglattice import traps
 
     calls = []
-    real = traps.eval_field_arrays
+    depth = [0]
+    real_eval, real_newton = traps.eval_field_arrays, traps._newton
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[2]))
-        return real(*args, **kwargs)
+    def counted(f, bias, points, order=2):
+        calls.append(KernelCall(len(points), order, depth[0] > 0))
+        return real_eval(f, bias, points, order=order)
+
+    def newton(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_newton(*args, **kwargs)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(traps, "eval_field_arrays", counted)
+    monkeypatch.setattr(traps, "_newton", newton)
     return calls
 
 
@@ -103,7 +120,7 @@ def test_search_kernel_calls_bounded(stripe_expansion, monkeypatch, n):
     minima = find_trap_minima(stripe_expansion, stripe_bias(), (0.05e-6, 1.2e-6), grid_seed_n=n)
     assert minima
     assert len(calls) <= MAX_SEARCH_CALLS
-    assert calls[0] == n**3
+    assert calls[0].points == n**3
 
 
 def test_search_rejects_range_bound(stripe_expansion, monkeypatch):
@@ -380,14 +397,43 @@ def test_z_edge_band_barriers_pinned(rb87):
 
 @pytest.mark.parametrize("deg", [16, 18, 20])
 def test_characterize_kernel_calls_bounded(rb87, monkeypatch, deg):
-    # the demos/01 band: no saddle joins the sites, so each barrier costs
-    # the two ends, one index-1 descent (at most 31 calls) and the scan
+    # the demos/01 band: no saddle joins the sites, so the two hops share
+    # one index-1 descent (at most 31 calls) and each adds its two ends and
+    # its scan; measured 35 (66 with one graph per hop)
     f = z_edge_band_expansion(0.25)
     bias = in_plane(1.2e-3, deg)
     r0 = find_trap_minima(f, bias, (0.1e-6, 1.3e-6), grid_seed_n=5)[0]
     calls = count_kernel_calls(monkeypatch)
     characterize_trap(f, bias, r0, rb87)
-    assert len(calls) <= 80
+    assert len(calls) <= 40
+
+
+def test_barrier_scans_ask_for_order_0(monkeypatch):
+    # a coarse hop reads only |B| at its ends and along its scan; the
+    # descents and the saddle Hessians take the full order
+    f = z_edge_band_expansion(0.25)
+    bias = in_plane(1.2e-3, 18)
+    r0 = find_trap_minima(f, bias, (0.1e-6, 1.3e-6), grid_seed_n=5)[0]
+    calls = count_kernel_calls(monkeypatch)
+    assert barrier_heights(f, bias, r0, r0 + np.array([1e-6, 0.0, 0.0])).coarse
+    assert calls[0] == KernelCall(2, 0, False)
+    assert calls[-1] == KernelCall(256, 0, False)
+    assert all(c.order == 2 for c in calls[1:-1])
+
+
+def test_tuner_line_scans_ask_for_order_0(rb87, tuner_lattice, monkeypatch):
+    # on this band the +a2 hop is escape-limited, so the tuner prices it
+    # with its 96-point line scan on every cost evaluation
+    calls = count_kernel_calls(monkeypatch)
+    objective = TuneObjective(target_z=1.215e-6, mode="symmetric_barriers")
+    try:
+        tune_bias(tuner_lattice, objective, rb87, in_plane(1.2e-3, 8), restarts=1, maxiter=20)
+    except TuneUnreachableError:
+        pass
+    scans = [c for c in calls if c.points == 96 and not c.in_newton]
+    assert len(scans) > 20 and all(c.order == 0 for c in scans)
+    assert all(c.order == 2 for c in calls if c.in_newton)
+    assert all(c.order == 0 for c in calls if c.points == 256 and not c.in_newton)
 
 
 @pytest.mark.parametrize(
@@ -552,10 +598,11 @@ def test_tune_skips_restart_outside_bias_bound(stripe_expansion, rb87, monkeypat
 def test_characterize_records_coarse_barriers(stripe_expansion, rb87, monkeypatch):
     from maglattice import traps
 
-    def coarse_along_plus_a2(f, bias, r_a, r_b, **kwargs):
-        return traps.BarrierResult(height=1e-4, coarse=bool(r_b[1] > r_a[1]), saddle=None)
+    def coarse_along_plus_a2(f, bias, r_a, goals):
+        return [traps.BarrierResult(height=1e-4, coarse=bool(r_b[1] > r_a[1]), saddle=None)
+                for r_b in goals]
 
-    monkeypatch.setattr(traps, "barrier_heights", coarse_along_plus_a2)
+    monkeypatch.setattr(traps, "_barriers", coarse_along_plus_a2)
     bias = stripe_bias()
     minima = find_trap_minima(stripe_expansion, bias, (0.05e-6, 1.2e-6), grid_seed_n=5)
     rep = characterize_trap(stripe_expansion, bias, minima[0], rb87)
