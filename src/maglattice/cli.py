@@ -60,6 +60,7 @@ class RunConfig:
     max_order: int
     threshold: float
     seed: int
+    read: dict  # every key as read, defaults filled in, in the key's own unit
 
     def expansion(self):
         if self.occupancy is None:
@@ -75,49 +76,11 @@ class RunConfig:
         ), pattern
 
     def echo(self) -> dict:
-        """Resolved config with unit-suffixed keys, echoed into every report."""
-        return {
-            "pattern": self.pattern_path,
-            "geometry": {
-                "a1_nm": [self.a1[0] * 1e9, self.a1[1] * 1e9],
-                "a2_nm": [self.a2[0] * 1e9, self.a2[1] * 1e9],
-            },
-            "film": {"M0_kA_per_m": self.M0 / 1e3, "thickness_nm": self.film_h * 1e9},
-            "bias_mT": [b * 1e3 for b in self.bias],
-            "atom": {
-                "mass_kg": self.atom.mass,
-                "gF": self.atom.gF,
-                "mF": self.atom.mF,
-                "a_s_nm": self.atom.a_s * 1e9,
-                "lambda_bar_nm": self.atom.lambda_bar * 1e9,
-                "gamma_over_2pi_MHz": self.atom.gamma_nat / (2 * np.pi) / 1e6,
-            },
-            "material": {
-                "epsilon_factor": self.material.epsilon_factor,
-                "sigma_S_per_m": self.material.sigma,
-                "coating_thickness_nm": self.material.coating_t * 1e9,
-                "johnson_C0_um_per_s": self.material.johnson_C0 * 1e6,
-            },
-            "truncation": {"max_order": self.max_order, "threshold": self.threshold},
-            "seed": self.seed,
-        }
+        """The resolved config, echoed into every report: the numbers as read."""
+        return self.read
 
 
-def _pop(d: dict, key: str, default, path: str, required: bool = False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"missing required config key '{path}{key}'")
-        return default
-    return d.pop(key)
-
-
-def _reject_unknown(d: dict, path: str):
-    if d:
-        keys = ", ".join(f"'{path}{k}'" for k in sorted(d))
-        raise ConfigError(f"unknown config key(s): {keys}")
-
-
-def _vec(value, n, path):
+def _vec(value, path, n=2):
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -126,6 +89,15 @@ def _vec(value, n, path):
         raise ConfigError(f"'{path}' must have exactly {n} entries")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"'{path}' entries must be finite")
+    return arr
+
+
+def _bias(value, path):
+    arr = _vec(value, path, 3)
+    try:
+        BiasField(arr * 1e-3)
+    except ValueError as exc:
+        raise ConfigError(f"'{path}': {exc}") from exc
     return arr
 
 
@@ -153,6 +125,64 @@ def _integer(value, path):
         raise ConfigError(f"'{path}' must be an integer") from exc
 
 
+def _at_least(lo, check):
+    def checked(value, path):
+        v = check(value, path)
+        if v < lo:
+            raise ConfigError(f"'{path}' must be >= {lo}")
+        return v
+
+    return checked
+
+
+def _in_unit(si, factor):
+    """An SI default in a key's unit, to 12 digits: 124.0 (nm), not the
+    123.99999999999999 of 124e-9 / 1e-9."""
+    return float(f"{si / factor:.12g}")
+
+
+_RB87, _MATERIAL = default_rb87(), MaterialParams()
+_MHZ = 2 * np.pi * 1e6  # rad/s per MHz
+
+# Every config key, by section ("" is the top level): the field it sets, its
+# default in the key's own unit (None: required), its check and its factor to
+# SI (None: no unit). The atom and material fields build an AtomState and a
+# MaterialParams; the others are RunConfig fields.
+_KEYS = {
+    "geometry": {
+        "a1_nm": ("a1", [1000.0, 0.0], _vec, 1e-9),
+        "a2_nm": ("a2", [0.0, 1000.0], _vec, 1e-9),
+    },
+    "film": {
+        "M0_kA_per_m": ("M0", 670.0, _positive, 1e3),
+        "thickness_nm": ("film_h", 300.0, _positive, 1e-9),
+    },
+    "atom": {
+        "mass_kg": ("mass", _RB87.mass, _positive, None),
+        "gF": ("gF", _RB87.gF, _finite, None),
+        "mF": ("mF", _RB87.mF, _finite, None),
+        "a_s_nm": ("a_s", _in_unit(_RB87.a_s, 1e-9), _positive, 1e-9),
+        "lambda_bar_nm": ("lambda_bar", _in_unit(_RB87.lambda_bar, 1e-9), _positive, 1e-9),
+        "gamma_over_2pi_MHz": ("gamma_nat", _in_unit(_RB87.gamma_nat, _MHZ), _positive, _MHZ),
+    },
+    "material": {
+        "epsilon_factor": ("epsilon_factor", _MATERIAL.epsilon_factor, _finite, None),
+        "sigma_S_per_m": ("sigma", _MATERIAL.sigma, _positive, None),
+        "coating_thickness_nm": ("coating_t", _in_unit(_MATERIAL.coating_t, 1e-9), _positive, 1e-9),
+        "johnson_C0_um_per_s": ("johnson_C0", _in_unit(_MATERIAL.johnson_C0, 1e-6), _positive, 1e-6),
+    },
+    "truncation": {
+        "max_order": ("max_order", 16, _at_least(1, _integer), None),
+        "threshold": ("threshold", 1e-4, _at_least(0, _finite), None),
+    },
+    "": {
+        "bias_mT": ("bias", None, _bias, 1e-3),
+        "seed": ("seed", 0, _integer, None),
+    },
+}
+_SECTION_TYPES = {"atom": AtomState, "material": MaterialParams}
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate the JSON config. Unknown keys are rejected so a
     typo in a physics parameter cannot pass silently."""
@@ -166,110 +196,32 @@ def parse_config(path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    pattern_path = _pop(doc, "pattern", None, "")
-    geo = _pop(doc, "geometry", {}, "")
-    if not isinstance(geo, dict):
-        raise ConfigError("'geometry' must be an object")
-    a1 = _vec(_pop(geo, "a1_nm", [1000.0, 0.0], "geometry."), 2, "geometry.a1_nm") * 1e-9
-    a2 = _vec(_pop(geo, "a2_nm", [0.0, 1000.0], "geometry."), 2, "geometry.a2_nm") * 1e-9
-    _reject_unknown(geo, "geometry.")
+    pattern_path = doc.pop("pattern", None)
+    fields, read = {}, {"pattern": pattern_path}
+    # the top level comes last, after every section has been popped from it
+    for section, keys in _KEYS.items():
+        prefix = f"{section}." if section else ""
+        d = doc.pop(section, {}) if section else doc
+        if not isinstance(d, dict):
+            raise ConfigError(f"'{section}' must be an object")
+        values, as_read = {}, {}
+        for key, (name, default, check, factor) in keys.items():
+            if key not in d and default is None:
+                raise ConfigError(f"missing required config key '{prefix}{key}'")
+            v = check(d.pop(key, default), prefix + key)
+            as_read[key] = v.tolist() if isinstance(v, np.ndarray) else v
+            values[name] = v if factor is None else v * factor
+        if d:
+            unknown = ", ".join(f"'{prefix}{k}'" for k in sorted(d))
+            raise ConfigError(f"unknown config key(s): {unknown}")
+        if section in _SECTION_TYPES:
+            values = {section: _SECTION_TYPES[section](**values)}
+        fields.update(values)
+        read.update({section: as_read} if section else as_read)
 
-    film = _pop(doc, "film", {}, "")
-    if not isinstance(film, dict):
-        raise ConfigError("'film' must be an object")
-    M0 = _positive(_pop(film, "M0_kA_per_m", 670.0, "film."), "film.M0_kA_per_m") * 1e3
-    film_h = (
-        _positive(_pop(film, "thickness_nm", 300.0, "film."), "film.thickness_nm")
-        * 1e-9
-    )
-    _reject_unknown(film, "film.")
-
-    bias = _vec(_pop(doc, "bias_mT", None, "", required=True), 3, "bias_mT") * 1e-3
-    try:
-        BiasField(bias)
-    except ValueError as exc:
-        raise ConfigError(f"'bias_mT': {exc}") from exc
-
-    base = default_rb87()
-    at = _pop(doc, "atom", {}, "")
-    if not isinstance(at, dict):
-        raise ConfigError("'atom' must be an object")
-    atom = AtomState(
-        mass=_positive(_pop(at, "mass_kg", base.mass, "atom."), "atom.mass_kg"),
-        gF=_finite(_pop(at, "gF", base.gF, "atom."), "atom.gF"),
-        mF=_finite(_pop(at, "mF", base.mF, "atom."), "atom.mF"),
-        a_s=_positive(_pop(at, "a_s_nm", base.a_s * 1e9, "atom."), "atom.a_s_nm") * 1e-9,
-        lambda_bar=_positive(
-            _pop(at, "lambda_bar_nm", base.lambda_bar * 1e9, "atom."),
-            "atom.lambda_bar_nm",
-        )
-        * 1e-9,
-        gamma_nat=_positive(
-            _pop(at, "gamma_over_2pi_MHz", base.gamma_nat / (2 * np.pi) / 1e6, "atom."),
-            "atom.gamma_over_2pi_MHz",
-        )
-        * 2
-        * np.pi
-        * 1e6,
-    )
-    _reject_unknown(at, "atom.")
-
-    mat = _pop(doc, "material", {}, "")
-    if not isinstance(mat, dict):
-        raise ConfigError("'material' must be an object")
-    material = MaterialParams(
-        epsilon_factor=_finite(
-            _pop(mat, "epsilon_factor", 0.85, "material."), "material.epsilon_factor"
-        ),
-        sigma=_positive(_pop(mat, "sigma_S_per_m", 45e6, "material."), "material.sigma_S_per_m"),
-        coating_t=_positive(
-            _pop(mat, "coating_thickness_nm", 50.0, "material."),
-            "material.coating_thickness_nm",
-        )
-        * 1e-9,
-        johnson_C0=_positive(
-            _pop(mat, "johnson_C0_um_per_s", 88.0, "material."),
-            "material.johnson_C0_um_per_s",
-        )
-        * 1e-6,
-    )
-    _reject_unknown(mat, "material.")
-
-    trunc = _pop(doc, "truncation", {}, "")
-    if not isinstance(trunc, dict):
-        raise ConfigError("'truncation' must be an object")
-    max_order = _integer(_pop(trunc, "max_order", 16, "truncation."), "truncation.max_order")
-    if max_order < 1:
-        raise ConfigError("'truncation.max_order' must be >= 1")
-    threshold = _finite(_pop(trunc, "threshold", 1e-4, "truncation."), "truncation.threshold")
-    if threshold < 0:
-        raise ConfigError("'truncation.threshold' must be >= 0")
-    _reject_unknown(trunc, "truncation.")
-
-    seed = _integer(_pop(doc, "seed", 0, ""), "seed")
-    _reject_unknown(doc, "")
-
-    occupancy = None
-    if pattern_path is not None:
-        pbm = Path(pattern_path)
-        if not pbm.is_absolute():
-            pbm = p.parent / pbm
-        occupancy = load_pbm(pbm)
-
-    return RunConfig(
-        pattern_path=pattern_path,
-        occupancy=occupancy,
-        a1=a1,
-        a2=a2,
-        M0=M0,
-        film_h=film_h,
-        bias=bias,
-        atom=atom,
-        material=material,
-        max_order=max_order,
-        threshold=threshold,
-        seed=seed,
-    )
+    # relative to the config's directory; an absolute path is kept as is
+    occupancy = None if pattern_path is None else load_pbm(p.parent / pattern_path)
+    return RunConfig(pattern_path=pattern_path, occupancy=occupancy, read=read, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -533,16 +485,13 @@ def _cmd_transport(args, cfg: RunConfig):
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"--schedule-json {args.schedule_json}: {exc}") from exc
     else:
-        angles = np.linspace(0.0, np.radians(args.degrees), args.steps)
         b0 = cfg.bias
-        plane = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}[args.rotate_plane]
+        i, j = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}[args.rotate_plane]
         schedule = []
-        for th in angles:
+        for th in np.linspace(0.0, np.radians(args.degrees), args.steps):
             b = b0.copy()
-            i, j = plane
-            ci, cj = b0[i], b0[j]
-            b[i] = ci * np.cos(th) - cj * np.sin(th)
-            b[j] = ci * np.sin(th) + cj * np.cos(th)
+            b[i] = b0[i] * np.cos(th) - b0[j] * np.sin(th)
+            b[j] = b0[i] * np.sin(th) + b0[j] * np.cos(th)
             schedule.append(b)
     try:
         validate_schedule(schedule)

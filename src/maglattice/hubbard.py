@@ -109,11 +109,14 @@ def mott_depth(d: float, atom: AtomState, j_over_u: float = 0.06) -> float:
     return 0.5 * (lo + hi)
 
 
-def band_J_1d(s: float, n_plane_waves: int = 41, n_q: int = 65) -> BandResult:
+_N_Q = 65  # quasimomenta sampled across the Brillouin zone
+
+
+def band_J_1d(s: float, n_plane_waves: int = 41) -> BandResult:
     """Tunneling energy from exact 1-D band structure, in units of E_R.
 
     Diagonalizes the single-particle Hamiltonian for V(x) = s E_R
-    sin^2(pi x / d) in a plane-wave basis over n_q quasimomenta (odd, so the
+    sin^2(pi x / d) in a plane-wave basis over _N_Q quasimomenta (odd, so the
     band center and edges are sampled exactly) and takes
     J = (max - min of the lowest band) / 4. Output energies are in units of
     E_R (multiply by recoil_energy(d, atom) for joules).
@@ -123,14 +126,12 @@ def band_J_1d(s: float, n_plane_waves: int = 41, n_q: int = 65) -> BandResult:
     """
     if n_plane_waves % 2 == 0 or n_plane_waves < 11:
         raise ValueError("n_plane_waves must be odd and >= 11")
-    if n_q < 8 or n_q % 2 == 0:
-        raise ValueError("n_q must be odd and >= 8")
 
     def lowest_band(npw):
         half = npw // 2
         g = 2.0 * np.arange(-half, half + 1)  # reciprocal vectors, units pi/d
-        q = np.linspace(-1.0, 1.0, n_q)
-        band = np.empty(n_q)
+        q = np.linspace(-1.0, 1.0, _N_Q)
+        band = np.empty(_N_Q)
         off = -s / 4.0 * np.eye(npw, k=1) - s / 4.0 * np.eye(npw, k=-1)
         for i, qi in enumerate(q):
             H = np.diag((qi + g) ** 2 + s / 2.0) + off

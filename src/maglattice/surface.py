@@ -341,20 +341,23 @@ def tip_field_enhancement(h: float, r: float) -> float:
     return h / r
 
 
+_PROFILE_Z_FLOOR = 1e-9  # m, lowest height of the vertical profile
+_PROFILE_SAMPLES = 2048
+
+
 def vertical_profile(
     f: FourierExpansion,
     bias,
     trap: TrapReport,
     atom: AtomState,
     C3: float,
-    z_floor: float = 1e-9,
-    n_samples: int = 2048,
 ) -> PotentialProfile1D:
     """V(z) = gF mF muB |B(x0, y0, z)| - C3/z^3 on the vertical line through
-    the trap, with E = V(z0) + hbar omega_z / 2 (zero point along z)."""
+    the trap, sampled at _PROFILE_SAMPLES heights from _PROFILE_Z_FLOOR, with
+    E = V(z0) + hbar omega_z / 2 (zero point along z)."""
     b = _bias_vec(bias)
     x0, y0, z0 = trap.r0
-    z = np.linspace(z_floor, max(4 * z0, z0 + 2e-7), n_samples)
+    z = np.linspace(_PROFILE_Z_FLOOR, max(4 * z0, z0 + 2e-7), _PROFILE_SAMPLES)
     pts = np.column_stack([np.full_like(z, x0), np.full_like(z, y0), z])
     _, _, B_mag, _, _, _ = eval_field_arrays(f, b, pts, order=0)
     V = atom.mu * B_mag - C3 / z**3

@@ -134,9 +134,13 @@ class TransportResult:
 _CONVERGED, _SADDLE, _STALLED, _BOUND, _INVALID = range(5)
 _FATES = ("converged", "saddle", "non-converged", "range or box bound", "invalid")
 _ACTIVE, _STATIONARY, _ENDED = -1, -2, -3
+# |grad|B|| (T/m) at which a Newton row is stationary, and the most a
+# verified minimum passed to characterize_trap may have
+_GTOL = 1e-8
+_GRAD_TOL = 1e-6
 
 
-def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, gtol=1e-8):
+def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf):
     """Newton-converge every row of x0 (S, 3) onto a stationary point of |B|
     with `index` negative Hessian eigenvalues (0: minimum, 1: saddle).
 
@@ -156,7 +160,7 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, g
     A saddle takes the plain projected step -V Lambda^-1 V^T grad|B|, capped
     at `cap` and always accepted, for at most 30 steps (a minimum: 100).
 
-    A row converges at |grad|B|| <= gtol with exactly `index` eigenvalues
+    A row converges at |grad|B|| <= _GTOL with exactly `index` eigenvalues
     below -1e-7 max|lambda|. Returns (x, |B|(x), fate), fate per row one of
     _CONVERGED; _SADDLE (stationary, other curvature); _STALLED (iteration
     cap, trust radius below 1e-12 period, or no usable direction); _BOUND
@@ -183,10 +187,10 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, g
         act = fate == _ACTIVE
         gn = np.linalg.norm(g, axis=1)
         # near a point zero |B| ~ |grad|B|| times the distance to it, and
-        # a row descending into the cone never meets gtol
+        # a row descending into the cone never meets _GTOL
         zero = ~valid | (val < 1e-6 * f.geometry.period * gn)
         fate[act & zero] = _INVALID
-        fate[act & ~zero & (gn <= gtol)] = _STATIONARY
+        fate[act & ~zero & (gn <= _GTOL)] = _STATIONARY
         i = np.flatnonzero(fate == _ACTIVE)
         if it == maxiter or not len(i):
             break
@@ -291,7 +295,6 @@ def find_trap_minima(
     bias,
     z_range: tuple,
     grid_seed_n: int = 6,
-    gtol: float = 1e-8,
 ) -> list:
     """Locate distinct |B| minima in one unit cell.
 
@@ -314,7 +317,7 @@ def find_trap_minima(
 
     geom = f.geometry
     seeds = _cell_seeds(geom, grid_seed_n, z_min, z_max)
-    x, _, fate = _newton(f, b, seeds, 0, 0.05 * geom.period, z_bounds=(z_min, z_max), gtol=gtol)
+    x, _, fate = _newton(f, b, seeds, 0, 0.05 * geom.period, z_bounds=(z_min, z_max))
     counts = np.bincount(fate, minlength=len(_FATES))
     logger.debug(
         "find_trap_minima: %d seeds: %s", len(seeds),
@@ -352,10 +355,9 @@ def characterize_trap(
     bias,
     r0,
     atom: AtomState,
-    grad_tol: float = 1e-6,
     with_barriers: bool = True,
 ) -> TrapReport:
-    """Full report for a verified minimum r0.
+    """Full report for a verified minimum r0 (|grad|B|| <= _GRAD_TOL).
 
     Raises MajoranaError at a field zero and SaddleError if the Hessian is
     not positive semidefinite. Barriers are reported toward the four
@@ -370,7 +372,7 @@ def characterize_trap(
     B_mag, g = s.B_mag, s.grad_mag
     if not s.hessian_valid or B_mag <= 0.0:
         raise MajoranaError("field zero at trap position (Majorana point)")
-    if np.linalg.norm(g) > grad_tol:
+    if np.linalg.norm(g) > _GRAD_TOL:
         raise ValueError(
             f"r0 is not a verified minimum: |grad|B|| = {np.linalg.norm(g):.3e} T/m"
         )
@@ -642,30 +644,40 @@ def tune_bias(
         _, _, B_mag, *_ = eval_field_arrays(f, bvec, pts, order=0)
         return float(np.max(B_mag) - B_mag[0])
 
-    def tracked_barrier(bvec, r0, B_IP, shift, label):
-        """Barrier along one lattice direction from the minimum r0 (where
-        |B| = B_IP), reusing the previous saddle as a warm start so the
-        saddle graph is built only on cache misses. Directions without a
-        joining saddle (escape-limited) stay on the cheap straight-line
-        scan."""
-        cached = state["saddles"].get(label)
-        if isinstance(cached, str):
-            return line_scan_barrier(bvec, r0, shift)
-        if cached is not None:
-            reach = 0.6 * np.linalg.norm(shift)
-            x, val, fate = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
-            if fate[0] == _CONVERGED:
-                state["saddles"][label] = x[0]
-                return max(float(val[0] - B_IP), 0.0)
-            state["saddles"].pop(label, None)
-        res = barrier_heights(f, bvec, r0, r0 + shift)
-        if res.coarse:
-            # an escape-limited direction costs the same 96-point scan on
-            # every evaluation, so the cost has no jump at a cache miss
-            state["saddles"][label] = "line"
-            return line_scan_barrier(bvec, r0, shift)
-        state["saddles"][label] = res.saddle
-        return res.height
+    def tracked_barriers(bvec, r0, B_IP, shifts):
+        """Barriers from the minimum r0 (where |B| = B_IP) along each
+        {label: lattice shift}, reusing each label's previous saddle as a
+        warm start. The labels that miss this cache are resolved together on
+        one saddle graph. Directions without a joining saddle
+        (escape-limited) stay on the cheap straight-line scan."""
+        heights, missed = {}, []
+        for label, shift in shifts.items():
+            cached = state["saddles"].get(label)
+            if isinstance(cached, str):
+                heights[label] = line_scan_barrier(bvec, r0, shift)
+                continue
+            if cached is not None:
+                reach = 0.6 * np.linalg.norm(shift)
+                x, val, fate = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
+                if fate[0] == _CONVERGED:
+                    state["saddles"][label] = x[0]
+                    heights[label] = max(float(val[0] - B_IP), 0.0)
+                    continue
+                state["saddles"].pop(label, None)
+            missed.append(label)
+        if missed:
+            goals = [r0 + shifts[label] for label in missed]
+            for label, res in zip(missed, _barriers(f, bvec, r0, goals)):
+                if res.coarse:
+                    # an escape-limited direction costs the same 96-point
+                    # scan on every evaluation, so the cost has no jump at a
+                    # cache miss
+                    state["saddles"][label] = "line"
+                    heights[label] = line_scan_barrier(bvec, r0, shifts[label])
+                else:
+                    state["saddles"][label] = res.saddle
+                    heights[label] = res.height
+        return [heights[label] for label in shifts]
 
     def cost(bvec):
         if np.linalg.norm(bvec) >= 0.1:
@@ -681,12 +693,11 @@ def tune_bias(
         zterm = ((r[2] - objective.target_z) / objective.target_z) ** 2
         w = objective.weighting
         if objective.mode == "symmetric_barriers":
-            b1 = tracked_barrier(bvec, r, B_mag, a1_shift, "a1")
-            b2 = tracked_barrier(bvec, r, B_mag, a2_shift, "a2")
+            b1, b2 = tracked_barriers(bvec, r, B_mag, {"a1": a1_shift, "a2": a2_shift})
             asym = (b1 - b2) / max(b1 + b2, 1e-300)
             return zterm + w * asym**2
         shift = a1_shift if objective.mode == "channels_along_a1" else a2_shift
-        along = tracked_barrier(bvec, r, B_mag, shift, "along")
+        (along,) = tracked_barriers(bvec, r, B_mag, {"along": shift})
         # scale the along-channel barrier by the bias magnitude so the
         # term is dimensionless and comparable to the z term
         return zterm + w * (along / max(np.linalg.norm(bvec), 1e-300)) ** 2

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maglattice.atom import default_rb87
 from maglattice.cli import ConfigError, main, parse_config
 from maglattice.io import fmt9, load_pbm, save_pbm, write_field_map_csv
 from maglattice.patterns import stripes
@@ -114,10 +115,17 @@ def test_nan_bias_is_a_config_error(tmp_path, capsys):
         ("film.thickness_nm", "NaN"),
         ("geometry.a1_nm", "[NaN, 0]"),
         ("geometry.a2_nm", "[0, Infinity]"),
+        ("bias_mT", "[-2.0, Infinity, 0.0]"),
         ("atom.mass_kg", "Infinity"),
         ("atom.gF", "NaN"),
+        ("atom.mF", "NaN"),
+        ("atom.a_s_nm", "Infinity"),
+        ("atom.lambda_bar_nm", "NaN"),
+        ("atom.gamma_over_2pi_MHz", "Infinity"),
         ("material.sigma_S_per_m", "NaN"),
         ("material.epsilon_factor", "NaN"),
+        ("material.coating_thickness_nm", "NaN"),
+        ("material.johnson_C0_um_per_s", "Infinity"),
         ("truncation.threshold", "NaN"),
         ("truncation.max_order", "Infinity"),
         ("seed", "Infinity"),
@@ -133,6 +141,49 @@ def test_nonfinite_config_values_exit_1(workdir, capsys, path, value):
     assert rc == 1
     assert err.startswith("config error: ") and f"'{path}'" in err
     assert not (workdir / "report.json").exists()
+
+
+def test_config_echo_repeats_the_numbers_as_written(workdir):
+    # the echo is each number as written; a round trip through SI moves
+    # the last digit (1000 * 1e-9 * 1e9 == 1000.0000000000001)
+    doc = {
+        "geometry": {"a1_nm": [1000, 0], "a2_nm": [0.0, 1000.0]},
+        "film": {"M0_kA_per_m": 670.0, "thickness_nm": 300},
+        "bias_mT": [-1.141267819554184, -0.3708203932499368, 0.0],
+        "atom": {"mass_kg": 1.44316e-25, "gF": 0.5, "mF": 2, "a_s_nm": 5.3,
+                 "lambda_bar_nm": 124, "gamma_over_2pi_MHz": 6.065},
+        "material": {"epsilon_factor": 0.85, "sigma_S_per_m": 4.1e7,
+                     "coating_thickness_nm": 50, "johnson_C0_um_per_s": 88},
+        "truncation": {"max_order": 8, "threshold": 1e-4},
+        "seed": 3,
+    }
+    (workdir / "config.json").write_text(json.dumps(doc))
+    assert parse_config(workdir / "config.json").echo() == {"pattern": None, **doc}
+    rc = run_cli(workdir, "fano", "--n0", "300", "--ntraj", "400", "--eta", "0.5")
+    assert rc == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["config"] == {"pattern": None, **doc}
+
+
+def test_default_atom_is_default_rb87(tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps({"bias_mT": [-1.0, 0.2, 0.0]}))
+    cfg = parse_config(tmp_path / "c.json")
+    assert cfg.atom == default_rb87()
+    assert cfg.echo()["atom"]["a_s_nm"] == 5.3
+
+
+def test_pattern_path_is_relative_to_the_config(workdir, tmp_path_factory):
+    elsewhere = tmp_path_factory.mktemp("elsewhere")
+    doc = json.loads((workdir / "config.json").read_text())
+    (elsewhere / "rel.json").write_text(json.dumps(doc))
+    (elsewhere / "abs.json").write_text(
+        json.dumps({**doc, "pattern": str(workdir / "pattern.pbm")})
+    )
+    with pytest.raises(FileNotFoundError):
+        parse_config(elsewhere / "rel.json")
+    cfg = parse_config(elsewhere / "abs.json")
+    assert np.array_equal(cfg.occupancy, load_pbm(workdir / "pattern.pbm"))
+    assert cfg.echo()["pattern"] == str(workdir / "pattern.pbm")
 
 
 def test_atom_override(tmp_path):

@@ -463,6 +463,26 @@ def test_batch_matches_single_point_calls(name, pts):
 
 @PROPERTY_SETTINGS
 @given(
+    name=st.sampled_from(sorted(PROPERTY_EXPANSIONS)),
+    pts=cell_points,
+    n1=st.integers(-3, 3),
+    n2=st.integers(-3, 3),
+)
+def test_field_is_invariant_under_lattice_translations(name, pts, n1, n2):
+    f = PROPERTY_EXPANSIONS[name]
+    shift = np.append(n1 * f.geometry.a1 + n2 * f.geometry.a2, 0.0)
+    B, grad, B_mag, _, hess, valid = eval_field_arrays(f, BIAS, pts)
+    B_t, grad_t, _, _, hess_t, valid_t = eval_field_arrays(f, BIAS, pts + shift)
+    assert np.array_equal(valid_t, valid)
+    j_scale = np.abs(grad).max(axis=(1, 2))
+    h_scale = np.abs(hess).max(axis=(1, 2)) + j_scale**2 / B_mag
+    assert np.all(np.abs(B_t - B) <= 1e-12 * np.abs(B).max(axis=1, keepdims=True))
+    assert np.all(np.abs(grad_t - grad) <= 1e-12 * j_scale[:, None, None])
+    assert np.all(np.abs(hess_t - hess) <= 1e-12 * h_scale[:, None, None])
+
+
+@PROPERTY_SETTINGS
+@given(
     pts=cell_points,
     bias=st.tuples(*[st.floats(-1e-2, 1e-2)] * 3).filter(lambda b: np.linalg.norm(b) > 1e-6),
 )

@@ -436,6 +436,27 @@ def test_tuner_line_scans_ask_for_order_0(rb87, tuner_lattice, monkeypatch):
     assert all(c.order == 0 for c in calls if c.points == 256 and not c.in_newton)
 
 
+def test_tuner_builds_one_graph_per_bias_and_r0(rb87, tuner_lattice, monkeypatch):
+    # at each restart's first cost evaluation both hops miss the empty
+    # saddle cache; they are resolved on one saddle graph, not two
+    from maglattice import traps
+
+    real_barriers, seen = traps._barriers, []
+
+    def recorded(f, b, r_i, goals):
+        seen.append((tuple(b), tuple(r_i)))
+        return real_barriers(f, b, r_i, goals)
+
+    monkeypatch.setattr(traps, "_barriers", recorded)
+    objective = TuneObjective(target_z=1.215e-6, mode="symmetric_barriers")
+    try:
+        tune_bias(tuner_lattice, objective, rb87, in_plane(1.2e-3, 8), restarts=2, maxiter=20)
+    except TuneUnreachableError:
+        pass
+    assert len(seen) >= 2
+    assert len(set(seen)) == len(seen)
+
+
 @pytest.mark.parametrize(
     "deg, r0",
     [
