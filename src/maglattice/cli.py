@@ -119,10 +119,12 @@ def _positive(value, path):
 
 
 def _integer(value, path):
-    try:
+    # an integral float such as 8.0 is accepted; 2.7, true and "3" are not
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"'{path}' must be an integer") from exc
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"'{path}' must be an integer")
 
 
 def _at_least(lo, check):
@@ -197,6 +199,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     pattern_path = doc.pop("pattern", None)
+    if pattern_path is not None and not isinstance(pattern_path, str):
+        raise ConfigError("'pattern' must be a path string")
     fields, read = {}, {"pattern": pattern_path}
     # the top level comes last, after every section has been popped from it
     for section, keys in _KEYS.items():

@@ -15,15 +15,21 @@ is treated as shorthand for the variance-based Fano factor.)
 
 Trajectories are simulated in blocks of about 2**20 events, each drawn
 from its own counter-based Philox stream keyed on (seed, block index)
-(Salmon et al., SC'11), so results do not depend on execution order. The
-event times are kept ragged, one running sum per trajectory; each
-checkpoint time comes from one selection over all of them, and the
-bootstrap resamples counts over the distinct sample values.
+(Salmon et al., SC'11), so results do not depend on execution order.
+The mean-field law brackets each checkpoint time with a window, and one
+pass over the blocks, dropping each once read, keeps every trajectory's
+count of events below the window and the event times inside it; the
+checkpoint time is selected among those. A window that missed, which the
+counts show exactly, is widened and the blocks are drawn again from the
+same streams. The bootstrap resamples counts over the distinct values.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
+
+_WINDOW = 0.02  # a checkpoint window's first half-width, relative to its time
 
 
 @dataclass(frozen=True)
@@ -132,57 +138,52 @@ def _fano_bootstrap(samples, key, n_boot):
     return float(F), float(F_b.std(ddof=1))
 
 
-def _event_times(model: LossModel, ensemble: TrajectoryEnsemble):
-    """Initial counts, ragged cumulative event times and per-row offsets.
+def _counts_at(flat, lo, hi, t):
+    """Number of elements at or below t in each ascending run flat[lo:hi], by
+    a binary search in power-of-two steps that runs on every run at once;
+    lo, hi and t broadcast against each other."""
+    lo, hi, t = np.broadcast_arrays(lo, hi, t)
+    pos = lo.copy()
+    step = 1 << int(np.max(hi - lo, initial=0)).bit_length()
+    while step := step >> 1:
+        ok = pos + step <= hi
+        ok &= np.take(flat, pos + step - 1, mode="clip") <= t
+        pos += step * ok
+    return pos - lo
 
-    Trajectories go in blocks of about 2**20 events. Block b draws from
-    Generator(Philox(SeedSequence((seed, b)))): first its Poisson initial
-    counts, then one exponential wait per slot of a (rows, longest row)
-    array. Row i's event times flat[offsets[i]:offsets[i + 1]] are the
-    running sum of its own waits; slots past a row's last event have
-    occupancy below 3, an infinite wait, and are dropped.
+
+def _block_pass(streams, N0s, mean_wait, windows):
+    """One pass over the blocks, holding one block of event times at a time.
+
+    A block draws one exponential wait per slot of a (rows, longest row)
+    array from a copy of its stream, so every pass draws the same waits; row
+    i's event times are the running sum of its first N0s[i] // 3 waits. For
+    each window (t_lo, t_hi], returns every row's number of events at or
+    below t_lo, and the event times inside the window with their row index.
     """
-    n, N0 = ensemble.n_traj, ensemble.N0
-    rows = max(1, 2**20 // (N0 // 3 + 1))
-    blocks = []
-    for b, lo in enumerate(range(0, n, rows)):
-        key = np.random.SeedSequence((ensemble.seed, b))
-        blocks.append((np.random.Generator(np.random.Philox(key)), lo, min(n, lo + rows)))
-    if ensemble.distribution == "poisson":
-        N0s = np.concatenate([rng.poisson(N0, size=hi - lo) for rng, lo, hi in blocks])
-    else:
-        N0s = np.full(n, N0, dtype=np.int64)
-    kmax = N0s // 3  # events until N drops below 3
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(kmax, out=offsets[1:])
-
-    # mean wait 1/(gamma3 N (N-1) (N-2)) at occupancy N, infinite below 3
-    top = int(N0s.max())
-    Ns = np.arange(3, top + 1, dtype=float)
-    inv_rate = np.full(top + 1, np.inf)
-    inv_rate[3:] = 1.0 / (model.rate_constant * Ns * (Ns - 1.0) * (Ns - 2.0))
-
-    flat = np.empty(offsets[-1])
-    for rng, lo, hi in blocks:
-        k = kmax[lo:hi]
-        j = np.arange(k.max())
-        waits = rng.standard_exponential((hi - lo, j.size))
-        waits *= inv_rate[np.maximum(N0s[lo:hi, None] - 3 * j, 0)]
+    t = np.asarray(windows, dtype=float)[:, :, None]
+    below = np.zeros((len(t), N0s.size), dtype=np.int64)
+    kept = [([], []) for _ in t]
+    # every block draws into one buffer, sized for the first block
+    buffer = np.empty(streams[0][2] * mean_wait.shape[1])
+    for stream, lo, hi in streams:
+        k = N0s[lo:hi] // 3
+        shape = (hi - lo, int(k.max()))
+        waits = buffer[: shape[0] * shape[1]].reshape(shape)
+        copy.deepcopy(stream).standard_exponential(out=waits)
+        waits *= mean_wait[N0s[lo:hi], : shape[1]]
         np.cumsum(waits, axis=1, out=waits)
-        flat[offsets[lo] : offsets[hi]] = waits[j < k[:, None]]
-    return N0s, flat, offsets
-
-
-def _counts_at(flat, offsets, t):
-    """Events at or below t in each row, by a binary search that runs on
-    every row at once (each row's times ascend)."""
-    lo, hi = offsets[:-1], offsets[1:]
-    for _ in range(int(np.max(hi - lo)).bit_length()):
-        mid = (lo + hi) // 2
-        right = (lo < hi) & (np.take(flat, mid, mode="clip") <= t)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo - offsets[:-1]
+        flat = waits.ravel()
+        start = np.arange(hi - lo) * shape[1]
+        counts = _counts_at(flat, start, start + k, t)
+        below[:, lo:hi] = counts[:, 0]
+        for (times, owner), (c_lo, c_hi) in zip(kept, counts):
+            size = c_hi - c_lo
+            skip = np.repeat(start + c_lo - np.cumsum(size) + size, size)
+            times.append(flat[np.arange(skip.size) + skip])
+            owner.append(np.repeat(np.arange(lo, hi), size))
+    # join each window's pieces, freeing them as it goes
+    return below, [tuple(map(np.concatenate, kept.pop(0))) for _ in range(len(kept))]
 
 
 def simulate_three_body(
@@ -204,21 +205,53 @@ def simulate_three_body(
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("checkpoints must be sorted descending")
 
-    N0s, flat, offsets = _event_times(model, ensemble)
-    n = ensemble.n_traj
-    S0 = int(N0s.sum())
-    total_events = flat.size
+    # block b draws from Generator(Philox(SeedSequence((seed, b)))): first
+    # its Poisson initial counts, then its waits
+    n, N0 = ensemble.n_traj, ensemble.N0
+    rows = max(1, 2**20 // (N0 // 3 + 1))
+    streams = []
+    for b, lo in enumerate(range(0, n, rows)):
+        key = np.random.SeedSequence((ensemble.seed, b))
+        streams.append((np.random.Generator(np.random.Philox(key)), lo, min(n, lo + rows)))
+    if ensemble.distribution == "poisson":
+        N0s = np.concatenate([rng.poisson(N0, size=hi - lo) for rng, lo, hi in streams])
+    else:
+        N0s = np.full(n, N0, dtype=np.int64)
+    kmax = N0s // 3  # events until N drops below 3
+    S0, total_events = int(N0s.sum()), int(kmax.sum())
+
+    # mean wait 1/(gamma3 N (N-1) (N-2)) at occupancy N, infinite below 3;
+    # mean_wait[N0, j] = inv_rate[N0 - 3 j] is a strided view of it
+    top, K = int(N0s.max()), int(kmax.max())
+    Ns = np.arange(3, top + 1, dtype=float)
+    inv_rate = np.full(3 * K + top + 1, np.inf)
+    inv_rate[3 * K + 3 :] = 1.0 / (model.rate_constant * Ns * (Ns - 1.0) * (Ns - 2.0))
+    mean_wait = np.lib.stride_tricks.sliding_window_view(inv_rate, 3 * K + 1)[:, :0:-3]
 
     # events needed so that mean N = (S0 - 3 m)/n first drops to eta*N0
-    ms = [
-        max(int(np.ceil((S0 - n * eta * ensemble.N0) / 3.0 - 1e-12)), 0) for eta in etas
-    ]
-    kths = sorted({m - 1 for m in ms if 0 < m <= total_events})
-    t_star = {}
-    if kths:
-        part = np.partition(flat, kths)
-        t_star = {k + 1: float(part[k]) for k in kths}
-        del part
+    ms = [max(int(np.ceil((S0 - n * eta * N0) / 3.0 - 1e-12)), 0) for eta in etas]
+    # The m-th event time t* lies near the time at which the mean-field law
+    # N(t) = N(0)/sqrt(1 + 6 gamma3 N(0)^2 t) falls from S0/n to (S0 - 3m)/n.
+    # Its window is that time times (1 - h[0], 1 + h[1]]; when the counts put
+    # t* outside, h grows fourfold on that side, unbounded once h >= 1.
+    pending = {m: [_WINDOW, _WINDOW] for m in ms if 0 < m <= total_events}
+    counts = {0: 0}
+    while pending:
+        windows = []
+        for m, h in pending.items():
+            t = ((n / (S0 - 3 * m)) ** 2 - (n / S0) ** 2) / 6 if 3 * m < S0 else np.inf
+            t /= model.rate_constant
+            windows.append((t * (1 - h[0]) if h[0] < 1 else -np.inf,
+                            t * (1 + h[1]) if h[1] < 1 else np.inf))
+        below, kept = _block_pass(streams, N0s, mean_wait, windows)
+        for m, row_below, (times, owner) in zip(list(pending), below, kept):
+            i = m - 1 - int(row_below.sum())  # t* among the kept times
+            if not 0 <= i < times.size:
+                pending[m][i >= 0] *= 4
+                continue
+            t_star = np.partition(times, i)[i]
+            counts[m] = row_below + np.bincount(owner[times <= t_star], minlength=n)
+            del pending[m]
 
     points = []
     for j, (eta, m) in enumerate(zip(etas, ms)):
@@ -226,7 +259,7 @@ def simulate_three_body(
             points.append(
                 FanoPoint(
                     eta=eta,
-                    eta_actual=float((S0 - 3.0 * total_events) / n / ensemble.N0),
+                    eta_actual=float((S0 - 3.0 * total_events) / n / N0),
                     mean_N=float((S0 - 3.0 * total_events) / n),
                     F=float("nan"),
                     stderr_F=float("nan"),
@@ -235,14 +268,13 @@ def simulate_three_body(
                 )
             )
             continue
-        counts = _counts_at(flat, offsets, t_star[m]) if m else 0
-        samples = N0s - 3 * counts
+        samples = N0s - 3 * counts[m]
         mean = samples.mean()
         F, stderr = _fano_bootstrap(samples, (ensemble.seed, 0xB00C, j), 200)
         points.append(
             FanoPoint(
                 eta=eta,
-                eta_actual=float(mean / ensemble.N0),
+                eta_actual=float(mean / N0),
                 mean_N=float(mean),
                 F=F,
                 stderr_F=stderr,
@@ -252,7 +284,7 @@ def simulate_three_body(
         )
     return FanoCurve(
         points=tuple(points),
-        N0=ensemble.N0,
+        N0=N0,
         n_traj=n,
         seed=ensemble.seed,
         distribution=ensemble.distribution,

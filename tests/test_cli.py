@@ -129,6 +129,15 @@ def test_nan_bias_is_a_config_error(tmp_path, capsys):
         ("truncation.threshold", "NaN"),
         ("truncation.max_order", "Infinity"),
         ("seed", "Infinity"),
+        # not integral, or not a number
+        ("seed", "2.7"),
+        ("seed", "true"),
+        ("seed", '"3"'),
+        ("truncation.max_order", "8.9"),
+        ("truncation.max_order", "false"),
+        ("truncation.max_order", '"8"'),
+        ("pattern", "5"),
+        ("pattern", '["pattern.pbm"]'),
     ],
 )
 def test_nonfinite_config_values_exit_1(workdir, capsys, path, value):
@@ -163,6 +172,14 @@ def test_config_echo_repeats_the_numbers_as_written(workdir):
     assert rc == 0
     report = json.loads((workdir / "report.json").read_text())
     assert report["config"] == {"pattern": None, **doc}
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    doc = {"bias_mT": [-1.0, 0.2, 0.0], "seed": 3.0, "truncation": {"max_order": 8.0}}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    cfg = parse_config(tmp_path / "c.json")
+    assert (cfg.seed, cfg.max_order) == (3, 8)
+    assert type(cfg.seed) is int and type(cfg.max_order) is int
 
 
 def test_default_atom_is_default_rb87(tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maglattice import fano
 from maglattice.fano import (
     LossModel,
     TrajectoryEnsemble,
@@ -190,13 +191,172 @@ def test_count_bootstrap_matches_index_bootstrap(kind):
 
 
 def test_event_time_memory_bound():
-    # 500 x N0=30000 fixed: 5e6 event times of 8 bytes; the engine holds the
-    # ragged times, one partitioned copy and block-sized temporaries
-    total_events = 500 * (30000 // 3)
+    # 2000 x N0=30000 fixed holds 2e7 event times (160 MB), but the engine
+    # keeps one block of about 2**20 waits, its temporaries and the times
+    # near each checkpoint: the bound does not grow with n_traj
     tracemalloc.start()
     try:
-        _run(n_traj=500, N0=30000, dist="fixed", seed=9)
+        _run(n_traj=2000, N0=30000, dist="fixed", seed=9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * total_events
+    assert peak <= 5 * 8 * 2**20
+
+
+def _reference_curve(model, ensemble, etas):
+    """The engine without windows: every event time in one array, each
+    checkpoint time from one selection over all of them. Returns the
+    (samples, F, stderr_F) of each checkpoint, None where exhausted."""
+    n, N0, seed = ensemble.n_traj, ensemble.N0, ensemble.seed
+    rows = max(1, 2**20 // (N0 // 3 + 1))
+    blocks = [
+        (np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b)))), lo)
+        for b, lo in enumerate(range(0, n, rows))
+    ]
+    if ensemble.distribution == "poisson":
+        N0s = np.concatenate([g.poisson(N0, size=min(rows, n - lo)) for g, lo in blocks])
+    else:
+        N0s = np.full(n, N0, dtype=np.int64)
+    kmax = N0s // 3
+    Ns = np.arange(3, N0s.max() + 1, dtype=float)
+    inv_rate = np.full(Ns.size + 3, np.inf)
+    inv_rate[3:] = 1.0 / (model.rate_constant * Ns * (Ns - 1.0) * (Ns - 2.0))
+    times, owner = [], []
+    for g, lo in blocks:
+        N, k = N0s[lo : lo + rows], kmax[lo : lo + rows]
+        j = np.arange(k.max())
+        waits = g.standard_exponential((N.size, j.size))
+        waits *= inv_rate[np.maximum(N[:, None] - 3 * j, 0)]
+        keep = j < k[:, None]
+        times.append(np.cumsum(waits, axis=1)[keep])
+        owner.append(np.broadcast_to(np.arange(lo, lo + N.size)[:, None], keep.shape)[keep])
+    times, owner = np.concatenate(times), np.concatenate(owner)
+    out = []
+    for i, eta in enumerate(etas):
+        m = max(int(np.ceil((N0s.sum() - n * eta * N0) / 3.0 - 1e-12)), 0)
+        if m > times.size:
+            out.append(None)
+            continue
+        t_star = np.partition(times, m - 1)[m - 1] if m else -np.inf
+        samples = N0s - 3 * np.bincount(owner[times <= t_star], minlength=n)
+        out.append((samples, *_fano_bootstrap(samples, (seed, 0xB00C, i), 200)))
+    return out
+
+
+def _count_passes(monkeypatch):
+    """Record the number of windows of every block pass."""
+    passes, real = [], fano._block_pass
+
+    def counted(*args):
+        passes.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(fano, "_block_pass", counted)
+    return passes
+
+
+def _assert_matches_reference(n_traj, N0, dist, seed, etas, gamma=1.0):
+    model = LossModel(rate_constant=gamma)
+    ensemble = TrajectoryEnsemble(n_traj=n_traj, N0=N0, distribution=dist, seed=seed)
+    curve = simulate_three_body(model, ensemble, etas)
+    for p, ref in zip(curve.points, _reference_curve(model, ensemble, etas), strict=True):
+        assert p.exhausted == (ref is None)
+        if ref is not None:
+            assert p.samples.tobytes() == ref[0].tobytes()
+            assert (p.F, p.stderr_F) == ref[1:]
+
+
+BENCH_ETAS = [round(0.9 - 0.05 * i, 2) for i in range(9)]
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12])
+@pytest.mark.parametrize(
+    "n_traj, N0, dist, etas",
+    [(6000, 1000, "poisson", BENCH_ETAS), (200, 30000, "fixed", [0.9, 0.5, 0.1])],
+)
+def test_streamed_engine_matches_reference(monkeypatch, n_traj, N0, dist, seed, etas):
+    # the two benchmark shapes at a tenth of their trajectories: every
+    # window hits, so the blocks are drawn once
+    passes = _count_passes(monkeypatch)
+    _assert_matches_reference(n_traj, N0, dist, seed, etas)
+    assert passes == [len(etas)]
+
+
+def test_missed_windows_regenerate_the_same_draws(monkeypatch):
+    # at small N0 the mean-field time is off by more than the first window
+    passes = _count_passes(monkeypatch)
+    regenerated = []
+    for shape in [
+        (200, 30, "poisson", 3, [0.9, 0.5, 0.02]),
+        (1000, 3, "poisson", 8, [0.8, 0.6]),
+        (500, 400, "poisson", 11, [0.8, 0.4], 2.5),
+    ]:
+        passes.clear()
+        _assert_matches_reference(*shape)
+        regenerated.append(len(passes) > 1)
+    assert any(regenerated)
+
+
+def _master_equation_fano(p0, eta):
+    """Exact Var/Mean of the pure death process at the time its mean falls to
+    eta times the initial mean, from the initial distribution p0 over
+    N = 0 .. p0.size - 1.
+
+    dp_N/dt = -r_N p_N + r_{N+3} p_{N+3} with r_N = N (N-1) (N-2) (gamma3 = 1,
+    which only sets the time unit). Each residue class mod 3 is a closed
+    chain, so the generator splits into three bidiagonal blocks, each
+    propagated by a dense matrix exponential.
+    """
+    from scipy.linalg import expm
+    from scipy.optimize import brentq
+
+    N = np.arange(p0.size)
+    r = N * (N - 1.0) * (N - 2.0)
+    chains = [(i, np.diag(-r[i]) + np.diag(r[i][1:], 1)) for i in (N[c::3] for c in range(3))]
+
+    def p_at(t):
+        p = np.empty(p0.size)
+        for i, Q in chains:
+            p[i] = expm(Q * t) @ p0[i]
+        return p
+
+    target = eta * (N @ p0)
+    p = p_at(brentq(lambda t: N @ p_at(t) - target, 0.0, 1.0, xtol=1e-16, rtol=1e-13))
+    mean = N @ p
+    return (N**2 @ p - mean**2) / mean
+
+
+def _initial(dist, N0, top=150):
+    """Initial distribution over N = 0 .. top: fixed at N0, or Poisson(N0)
+    truncated at top (beyond 150 a Poisson(60) tail holds < 1e-13)."""
+    N = np.arange(top + 1)
+    if dist == "fixed":
+        return (N == N0).astype(float)
+    p = np.exp(N * np.log(N0) - N0 - np.cumsum(np.log(np.maximum(N, 1))))
+    return p / p.sum()
+
+
+def test_master_equation_oracle_limits():
+    assert _master_equation_fano(_initial("fixed", 90), 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert _master_equation_fano(_initial("poisson", 60), 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert _master_equation_fano(_initial("poisson", 60), 0.5) == pytest.approx(
+        fano_theory(0.5, 1.0), abs=0.005
+    )
+
+
+def test_poisson_ensemble_matches_master_equation():
+    curve = _run(n_traj=20000, N0=60, seed=1, etas=(0.8, 0.5, 0.3))
+    for p in curve.points:
+        exact = _master_equation_fano(_initial("poisson", 60), p.eta_actual)
+        assert p.F == pytest.approx(exact, abs=4 * p.stderr_F)
+
+
+def test_finite_N_bias_resolved_by_master_equation():
+    # At N0 = 90, eta = 0.1 the exact F is 0.6040, 0.004 above the large-N
+    # closed form 0.6000. A million trajectories give stderr 0.0008, so the
+    # closed form lies outside the 3-stderr band this test accepts. The
+    # engine holds one block of event times, not the run's 3e7.
+    p = _run(n_traj=10**6, N0=90, dist="fixed", seed=1, etas=(0.1,)).points[0]
+    exact = _master_equation_fano(_initial("fixed", 90), p.eta_actual)
+    assert p.F == pytest.approx(exact, abs=3 * p.stderr_F)
+    assert abs(fano_theory(p.eta_actual, 0.0) - exact) > 3 * p.stderr_F
