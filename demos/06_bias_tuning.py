@@ -2,8 +2,9 @@
 
 The same film pattern supports qualitatively different lattices depending
 on the bias vector alone. Starting from a deliberately detuned bias, the
-simplex tuner either equalizes the inter-site barriers along both lattice
-axes (square-lattice operation) or collapses one barrier to form 1-D
+Gauss-Newton tuner (closed-form derivatives of trap height and barriers with
+respect to the bias) either equalizes the inter-site barriers along both
+lattice axes (square-lattice operation) or collapses one barrier to form 1-D
 channels.
 """
 

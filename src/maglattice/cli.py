@@ -10,7 +10,7 @@ report.json (plus CSV files where applicable) into --out. Exit codes:
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -148,8 +148,9 @@ _MHZ = 2 * np.pi * 1e6  # rad/s per MHz
 
 # Every config key, by section ("" is the top level): the field it sets, its
 # default in the key's own unit (None: required), its check and its factor to
-# SI (None: no unit). The atom and material fields build an AtomState and a
-# MaterialParams; the others are RunConfig fields.
+# SI (None: no unit). The atom and material keys given replace fields of
+# default_rb87() and MaterialParams(), so a key left out keeps their SI value
+# exactly; the others are RunConfig fields.
 _KEYS = {
     "geometry": {
         "a1_nm": ("a1", [1000.0, 0.0], _vec, 1e-9),
@@ -182,7 +183,7 @@ _KEYS = {
         "seed": ("seed", 0, _integer, None),
     },
 }
-_SECTION_TYPES = {"atom": AtomState, "material": MaterialParams}
+_SECTION_DEFAULTS = {"atom": _RB87, "material": _MATERIAL}
 
 
 def parse_config(path) -> RunConfig:
@@ -212,14 +213,16 @@ def parse_config(path) -> RunConfig:
         for key, (name, default, check, factor) in keys.items():
             if key not in d and default is None:
                 raise ConfigError(f"missing required config key '{prefix}{key}'")
+            given = key in d
             v = check(d.pop(key, default), prefix + key)
             as_read[key] = v.tolist() if isinstance(v, np.ndarray) else v
-            values[name] = v if factor is None else v * factor
+            if given or section not in _SECTION_DEFAULTS:
+                values[name] = v if factor is None else v * factor
         if d:
             unknown = ", ".join(f"'{prefix}{k}'" for k in sorted(d))
             raise ConfigError(f"unknown config key(s): {unknown}")
-        if section in _SECTION_TYPES:
-            values = {section: _SECTION_TYPES[section](**values)}
+        if section in _SECTION_DEFAULTS:
+            values = {section: replace(_SECTION_DEFAULTS[section], **values)}
         fields.update(values)
         read.update({section: as_read} if section else as_read)
 

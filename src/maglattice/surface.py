@@ -121,12 +121,13 @@ def vdw_trap_shift(omega: float, z0: float, C3: float, atom: AtomState):
 def numeric_min_oracle(omega: float, z0: float, C3: float, atom: AtomState) -> float:
     """Exact minimum of V(z) = m omega^2 (z - z0)^2 / 2 - C3/z^3 by root finding.
 
-    Solves V'(z) = m omega^2 (z - z0) + 3 C3 / z^4 = 0 on (0, z0]. Used as
-    the independent check of vdw_trap_shift. Raises TrapDestroyedError when
-    the attraction has removed the minimum (omega below omega_crit scale).
+    Solves V'(z) = m omega^2 (z - z0) + 3 C3 / z^4 = 0 on (0, z0]: a
+    4096-point scan down from z0 brackets the trap-side root, and bisection
+    narrows the bracket to 1e-18 m + 1e-15 z; the midpoint of the last
+    bracket is returned. Used as the independent check of vdw_trap_shift.
+    Raises TrapDestroyedError when the attraction has removed the minimum
+    (omega below omega_crit scale).
     """
-    from scipy.optimize import brentq
-
     if omega <= 0 or z0 <= 0:
         raise ValueError("omega and z0 must be positive")
     if C3 == 0:
@@ -141,8 +142,14 @@ def numeric_min_oracle(omega: float, z0: float, C3: float, atom: AtomState) -> f
     idx = np.nonzero(vals <= 0)[0]
     if len(idx) == 0:
         raise TrapDestroyedError("trap destroyed by surface attraction")
-    i = idx[0]
-    return float(brentq(vprime, zs[i], zs[i - 1], xtol=1e-18, rtol=1e-15))
+    lo, hi = zs[idx[0]], zs[idx[0] - 1]  # V'(lo) <= 0 < V'(hi)
+    while hi - lo > 1e-18 + 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if vprime(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
 
 
 def omega_crit(z0: float, C3: float, atom: AtomState):

@@ -6,11 +6,11 @@ and takes a saddle-free Newton step on the analytic Hessian inside a
 per-seed trust region, down to |grad|B|| <= 1e-8 T/m. Barriers between
 minima come from the saddle graph of the unit cell, built by the same Newton
 routine: saddles from the seed grid, joined to the minima and field zeros
-their unstable axis descends into. The bias tuner wraps everything in a
-restarted Nelder-Mead search over the three bias components, run by
-``_nelder_mead``, an in-repo port of scipy 1.17's non-adaptive
-``scipy.optimize.minimize(method="Nelder-Mead")`` that returns the same
-iterates bit for bit.
+their unstable axis descends into. The bias tuner runs a restarted, damped
+minimum-norm Gauss-Newton search over the three bias components (Levenberg,
+Q. Appl. Math. 2, 164 (1944); Nocedal & Wright, Numerical Optimization, 2nd
+ed., ch. 10), with the derivatives of trap height and barriers with respect
+to the bias in closed form from the kernel's order-2 output.
 """
 
 import logging
@@ -500,12 +500,10 @@ def _barriers(f, b, r_i, goals) -> list:
             if None not in results:
                 return results
 
-    ts = np.linspace(0.0, 1.0, 256)
     for g, r_j in enumerate(goals):
         if results[g] is None:
-            pts = r_i[None, :] + ts[:, None] * (r_j - r_i)[None, :]
-            _, _, vals, *_ = eval_field_arrays(f, b, pts, order=0)
-            results[g] = BarrierResult(height=float(np.max(vals) - floors[g]), coarse=True, saddle=None)
+            top = _line_scan(f, b, r_i, r_j - r_i, 256)[0]
+            results[g] = BarrierResult(height=top - floors[g], coarse=True, saddle=None)
     return results
 
 
@@ -513,69 +511,62 @@ def _barriers(f, b, r_i, goals) -> list:
 # bias tuning
 
 
-def _nelder_mead(fun, simplex, maxiter, xatol, fatol):
-    """(x, fval) of a Nelder-Mead simplex search started from the (N+1, N)
-    array ``simplex``.
+# tune_bias's Gauss-Newton stop and step rules (see there)
+_GN_COST_TOL = 1e-16
+_GN_STALL = 0.9
+_GN_STEP_CAP = 0.1
+_GN_MIN_STEP = 1e-9
 
-    A port of scipy 1.17's ``_minimize_neldermead`` without bounds, with
-    reflection 1, expansion 2, contraction 1/2 and shrink 1/2 (Nelder &
-    Mead, Comput. J. 7, 308 (1965); the non-adaptive form of Gao & Han,
-    Comput. Optim. Appl. 51, 259 (2012)). Trial points, re-sorting and the
-    stopping test follow scipy's arithmetic in scipy's order, so the result
-    equals ``minimize(fun, simplex[0], method="Nelder-Mead",
-    options={"initial_simplex", "maxiter", "xatol", "fatol"})`` bit for bit.
-    The search stops once every vertex lies within xatol of the best one in
-    each coordinate and within fatol of its value, or after maxiter - 1
-    iterations.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    sim = np.array(simplex, dtype=float)
-    N = sim.shape[1]
 
-    def sort(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+def _line_scan(f, b, r0, shift, n=96):
+    """(max |B|, its point) over n points evenly spaced from r0 to r0 + shift."""
+    pts = r0[None, :] + np.linspace(0.0, 1.0, n)[:, None] * shift[None, :]
+    B_mag = eval_field_arrays(f, b, pts, order=0)[2]
+    k = int(np.argmax(B_mag))
+    return float(B_mag[k]), pts[k]
 
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    for k in range(N + 1):
-        fsim[k] = fun(np.copy(sim[k]))
-    # sorted twice, as scipy does: argsort need not keep tied values in order
-    sim, fsim = sort(*sort(sim, fsim))
 
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = fun(np.copy(xr))
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = fun(np.copy(xe))
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = fun(np.copy(xc))
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:  # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = fun(np.copy(xcc))
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = fun(np.copy(sim[j]))
-        iterations += 1
-        sim, fsim = sort(sim, fsim)
-    return sim[0], np.min(fsim)
+def _sym_solve(A, rhs):
+    """A^+ rhs for a symmetric A, eigenvalues below 1e-9 of the largest
+    dropped as in `_newton`. By eigh: a first lstsq call adds 0.3 MB of RSS."""
+    lam, V = np.linalg.eigh(A)
+    lam = np.where(np.abs(lam) > 1e-9 * np.max(np.abs(lam)), lam, np.inf)
+    return V @ ((V.T @ rhs) / lam[:, None])
+
+
+def _bias_derivatives(f, b, r, tops, scanned):
+    """(dr/dB_ext, dh/dB_ext) at the minimum r for hops topping out at `tops`
+    (`scanned`: priced by a line scan), from one order-2 kernel call. The
+    implicit function theorem on grad|B| = J^T B^ = 0 gives dr/dB_ext =
+    -H^-1 J^T (I - B^ B^^T)/|B| = -H^-1 J^T/|B| at r (H = Hess|B|, flat
+    directions projected out; J = dB/dr). A saddle s is stationary:
+    dh/dB_ext = B^(s) - B^(r). A scan's top p = r + t shift rides on r,
+    adding grad|B|(p)^T dr/dB_ext."""
+    B, J, B_mag, g, H, _ = eval_field_arrays(f, b, np.vstack([r, *tops]))
+    unit = B / B_mag[:, None]
+    dr = -_sym_solve(0.5 * (H[0] + H[0].T), J[0].T / B_mag[0])
+    dh = unit[1:] - unit[0] + np.asarray(scanned)[:, None] * (g[1:] @ dr)
+    return dr, dh
+
+
+def _residuals(f, objective, b, r, heights, tops, scanned):
+    """(R, dR/dB_ext) of the tuner at the minimum r from its hops (+a1 and
+    +a2, or along the channel): R = ((z - target_z)/target_z, sqrt(w) a), a
+    the asymmetry (b1 - b2)/(b1 + b2) or the channel barrier over |B_ext|."""
+    dr, dh = _bias_derivatives(f, b, r, tops, scanned)
+    zt = objective.target_z
+    if objective.mode == "symmetric_barriers":
+        b1, b2 = heights
+        total = max(b1 + b2, 1e-300)
+        a, da = (b1 - b2) / total, 2 * (b2 * dh[0] - b1 * dh[1]) / total / total
+    else:
+        # scale the along-channel barrier by the bias magnitude so the
+        # term is dimensionless and comparable to the z term
+        (along,) = heights
+        nb = max(np.linalg.norm(b), 1e-300)
+        a, da = along / nb, dh[0] / nb - along * b / nb**3
+    sw = np.sqrt(objective.weighting)
+    return np.array([(r[2] - zt) / zt, sw * a]), np.vstack([dr[2] / zt, sw * da])
 
 
 def tune_bias(
@@ -590,13 +581,16 @@ def tune_bias(
 ):
     """Tune the three bias components toward a trap configuration.
 
-    Cost: ((z - target_z)/target_z)^2 plus, depending on mode, the squared
-    relative barrier asymmetry between the two lattice axes or the squared
-    ratio of along-channel to transverse barrier. Derivative-free simplex
-    search (``_nelder_mead``, the in-repo port of scipy's Nelder-Mead; see
-    there for the reference) restarted from jittered initial points;
-    deterministic for a given seed. Raises TuneUnreachableError (best
-    attempt attached) if the final cost stays above cost_threshold.
+    Minimizes the cost R . R of `_residuals` by damped minimum-norm
+    Gauss-Newton: each step, -J^T (J J^T)^+ R with J = dR/dB_ext (the
+    least-norm solution of J dB = -R), is capped at 10 % of |B_ext| and
+    halved while the trial raises the cost or meets no usable trap. A run
+    stops at cost 1e-16, when an accepted step lowers the cost by less than
+    10 % (near a fold, where the channel barrier vanishes, it only crawls),
+    when the step falls below 1e-9 |B_ext|, or after maxiter steps. Later
+    restarts start from jittered points; deterministic for a given seed.
+    Raises TuneUnreachableError (best attempt attached) if the final cost
+    stays above cost_threshold.
     """
     b0 = _bias_vec(initial)
     if f.nmodes == 0:
@@ -613,8 +607,12 @@ def tune_bias(
     geom = f.geometry
     z_lo = objective.target_z / 4
     z_hi = min(4 * objective.target_z, 19.9 / k1)
-    a1_shift = np.append(geom.a1, 0.0)
-    a2_shift = np.append(geom.a2, 0.0)
+    a1_shift, a2_shift = (np.append(a, 0.0) for a in (geom.a1, geom.a2))
+    shifts = {
+        "symmetric_barriers": {"a1": a1_shift, "a2": a2_shift},
+        "channels_along_a1": {"along": a1_shift},
+        "channels_along_a2": {"along": a2_shift},
+    }[objective.mode]
     state = {"r_prev": None, "r_anchor": None, "saddles": {}}
 
     def full_search(bvec):
@@ -629,7 +627,7 @@ def tune_bias(
 
         Inside the search loop only warm-started descents run; the grid
         multistart happens once per restart (see below), otherwise a single
-        plateau evaluation would cost as much as a full search."""
+        trial would cost as much as a full search."""
         for r in (state["r_prev"], state["r_anchor"]):
             if r is None:
                 continue
@@ -638,69 +636,74 @@ def tune_bias(
                 return x[0], val[0]
         return None
 
-    def line_scan_barrier(bvec, r0, shift):
-        ts = np.linspace(0.0, 1.0, 96)
-        pts = r0[None, :] + ts[:, None] * shift[None, :]
-        _, _, B_mag, *_ = eval_field_arrays(f, bvec, pts, order=0)
-        return float(np.max(B_mag) - B_mag[0])
-
-    def tracked_barriers(bvec, r0, B_IP, shifts):
-        """Barriers from the minimum r0 (where |B| = B_IP) along each
-        {label: lattice shift}, reusing each label's previous saddle as a
-        warm start. The labels that miss this cache are resolved together on
-        one saddle graph. Directions without a joining saddle
-        (escape-limited) stay on the cheap straight-line scan."""
-        heights, missed = {}, []
+    def tracked_barriers(bvec, r0, B_IP):
+        """(heights, top points, scanned flags) of the barriers from the
+        minimum r0 (|B| = B_IP) along `shifts`, each polished from its last
+        saddle; cache misses share one saddle graph, and escape-limited hops
+        stay on the cheap straight-line scan, topped at its argmax."""
+        hops, missed = {}, []
         for label, shift in shifts.items():
             cached = state["saddles"].get(label)
-            if isinstance(cached, str):
-                heights[label] = line_scan_barrier(bvec, r0, shift)
-                continue
-            if cached is not None:
+            if cached is None:
+                missed.append(label)
+            elif not isinstance(cached, str):
                 reach = 0.6 * np.linalg.norm(shift)
                 x, val, fate = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
                 if fate[0] == _CONVERGED:
                     state["saddles"][label] = x[0]
-                    heights[label] = max(float(val[0] - B_IP), 0.0)
-                    continue
-                state["saddles"].pop(label, None)
-            missed.append(label)
+                    hops[label] = (max(float(val[0] - B_IP), 0.0), x[0], False)
+                else:
+                    missed.append(label)
         if missed:
             goals = [r0 + shifts[label] for label in missed]
             for label, res in zip(missed, _barriers(f, bvec, r0, goals)):
-                if res.coarse:
-                    # an escape-limited direction costs the same 96-point
-                    # scan on every evaluation, so the cost has no jump at a
-                    # cache miss
-                    state["saddles"][label] = "line"
-                    heights[label] = line_scan_barrier(bvec, r0, shifts[label])
-                else:
-                    state["saddles"][label] = res.saddle
-                    heights[label] = res.height
-        return [heights[label] for label in shifts]
+                # an escape-limited direction costs the same 96-point scan
+                # on every evaluation, so the cost has no jump at a cache miss
+                state["saddles"][label] = "line" if res.coarse else res.saddle
+                if not res.coarse:
+                    hops[label] = (res.height, res.saddle, False)
+        for label in [label for label in shifts if label not in hops]:
+            top, p = _line_scan(f, bvec, r0, shifts[label])
+            hops[label] = (top - B_IP, p, True)
+        return zip(*(hops[label] for label in shifts))
 
-    def cost(bvec):
+    def evaluate(bvec):
+        """(cost, R, dR/dB_ext) at bvec; R, dR/dB_ext None at a sentinel cost."""
         if np.linalg.norm(bvec) >= 0.1:
-            return 1e6
+            return 1e6, None, None
         found = locate(bvec)
         if found is None:
             state["r_prev"] = None
-            return 1e5
+            return 1e5, None, None
         r, B_mag = found
         state["r_prev"] = r
         if B_mag < 1e-7:  # Majorana-adjacent, useless trap
-            return 1e4
-        zterm = ((r[2] - objective.target_z) / objective.target_z) ** 2
-        w = objective.weighting
-        if objective.mode == "symmetric_barriers":
-            b1, b2 = tracked_barriers(bvec, r, B_mag, {"a1": a1_shift, "a2": a2_shift})
-            asym = (b1 - b2) / max(b1 + b2, 1e-300)
-            return zterm + w * asym**2
-        shift = a1_shift if objective.mode == "channels_along_a1" else a2_shift
-        (along,) = tracked_barriers(bvec, r, B_mag, {"along": shift})
-        # scale the along-channel barrier by the bias magnitude so the
-        # term is dimensionless and comparable to the z term
-        return zterm + w * (along / max(np.linalg.norm(bvec), 1e-300)) ** 2
+            return 1e4, None, None
+        res, jac = _residuals(f, objective, bvec, r, *tracked_barriers(bvec, r, B_mag))
+        return float(res @ res), res, jac
+
+    def gauss_newton(x):
+        """(x, cost, steps, cost evaluations, halvings, stop reason)."""
+        c, res, jac = evaluate(x)
+        steps, evals, halvings = 0, 1, 0
+        stalled = res is None
+        while not (c < _GN_COST_TOL or stalled or steps == maxiter):
+            dx = -jac.T @ _sym_solve(jac @ jac.T, res[:, None])[:, 0]
+            dx *= min(1.0, _GN_STEP_CAP * np.linalg.norm(x) / max(np.linalg.norm(dx), 1e-300))
+            while np.linalg.norm(dx) > _GN_MIN_STEP * np.linalg.norm(x):
+                c_t, res_t, jac_t = evaluate(x + dx)
+                evals += 1
+                if res_t is not None and c_t < c:
+                    steps += 1
+                    stalled = not c_t < _GN_STALL * c
+                    x, c, res, jac = x + dx, c_t, res_t, jac_t
+                    break
+                dx /= 2
+                halvings += 1
+            else:
+                stalled = True
+        reason = "converged" if c < _GN_COST_TOL else "stalled" if stalled else "maxiter"
+        return x, c, steps, evals, halvings, reason
 
     rng = np.random.default_rng(seed)
     best = None
@@ -708,25 +711,21 @@ def tune_bias(
         x0 = b0 if attempt == 0 else b0 * (1 + 0.15 * rng.standard_normal(3))
         if np.linalg.norm(x0) >= 0.1:
             # the normals are drawn anyway, so later restarts keep their starts
-            logger.debug(
-                "tune_bias restart %d skipped: jittered start |B| >= 0.1 T", attempt
-            )
+            logger.debug("tune_bias restart %d skipped: jittered start |B| >= 0.1 T", attempt)
             continue
         state["r_prev"] = None
         state["r_anchor"] = full_search(x0)
         state["saddles"] = {}
         if state["r_anchor"] is None:
             continue
-        # spread the initial simplex over ~10% of the bias magnitude per
-        # axis; the default (5% of each component) cannot turn the bias
-        # vector when a component starts near zero
-        span = 0.1 * max(np.linalg.norm(x0), 1e-5)
-        simplex = np.vstack([x0, x0 + span * np.eye(3)])
-        res = _nelder_mead(
-            cost, simplex, maxiter, xatol=1e-7 * max(np.linalg.norm(b0), 1e-6), fatol=1e-8
+        x, c, steps, evals, halvings, reason = gauss_newton(x0)
+        logger.debug(
+            "tune_bias restart %d: start (%.6g, %.6g, %.6g) mT, %d Gauss-Newton steps, "
+            "%d cost evaluations, %d halvings, cost %.3e, %s",
+            attempt, *(x0 * 1e3), steps, evals, halvings, c, reason,
         )
-        if best is None or res[1] < best[1]:
-            best = res
+        if best is None or c < best[1]:
+            best = (x, c)
         if best[1] < cost_threshold:
             break
 

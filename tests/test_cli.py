@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from maglattice.atom import default_rb87
 from maglattice.cli import ConfigError, main, parse_config
 from maglattice.io import fmt9, load_pbm, save_pbm, write_field_map_csv
 from maglattice.patterns import stripes
+from maglattice.surface import MaterialParams
 
 
 @pytest.fixture
@@ -187,6 +189,19 @@ def test_default_atom_is_default_rb87(tmp_path):
     cfg = parse_config(tmp_path / "c.json")
     assert cfg.atom == default_rb87()
     assert cfg.echo()["atom"]["a_s_nm"] == 5.3
+
+
+def test_default_material_is_material_params(tmp_path):
+    # 50.0 * 1e-9 is 5.0000000000000004e-08, not the 50e-9 of MaterialParams
+    (tmp_path / "c.json").write_text(json.dumps({"bias_mT": [-1.0, 0.2, 0.0]}))
+    cfg = parse_config(tmp_path / "c.json")
+    assert cfg.material == MaterialParams()
+    assert cfg.echo()["material"]["coating_thickness_nm"] == 50.0
+    # a section that gives some keys keeps the exact defaults of the others
+    (tmp_path / "c.json").write_text(
+        json.dumps({"bias_mT": [-1.0, 0.2, 0.0], "material": {"sigma_S_per_m": 4e7}})
+    )
+    assert parse_config(tmp_path / "c.json").material == replace(MaterialParams(), sigma=4e7)
 
 
 def test_pattern_path_is_relative_to_the_config(workdir, tmp_path_factory):

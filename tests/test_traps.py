@@ -1,4 +1,5 @@
 import logging
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -421,19 +422,79 @@ def test_barrier_scans_ask_for_order_0(monkeypatch):
     assert all(c.order == 2 for c in calls[1:-1])
 
 
+def record_evaluations(monkeypatch):
+    """The arguments of each tuner cost evaluation's one derivative call."""
+    from maglattice import traps
+
+    seen, real = [], traps._bias_derivatives
+
+    def recorded(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(traps, "_bias_derivatives", recorded)
+    return seen
+
+
 def test_tuner_line_scans_ask_for_order_0(rb87, tuner_lattice, monkeypatch):
     # on this band the +a2 hop is escape-limited, so the tuner prices it
     # with its 96-point line scan on every cost evaluation
     calls = count_kernel_calls(monkeypatch)
+    evaluations = record_evaluations(monkeypatch)
     objective = TuneObjective(target_z=1.215e-6, mode="symmetric_barriers")
     try:
         tune_bias(tuner_lattice, objective, rb87, in_plane(1.2e-3, 8), restarts=1, maxiter=20)
     except TuneUnreachableError:
         pass
     scans = [c for c in calls if c.points == 96 and not c.in_newton]
-    assert len(scans) > 20 and all(c.order == 0 for c in scans)
+    assert evaluations and len(scans) >= len(evaluations)
+    assert all(c.order == 0 for c in scans)
     assert all(c.order == 2 for c in calls if c.in_newton)
     assert all(c.order == 0 for c in calls if c.points == 256 and not c.in_newton)
+
+
+TUNE_LOG = re.compile(
+    r"tune_bias restart (\d+): start \((\S+), (\S+), (\S+)\) mT, (\d+) Gauss-Newton steps, "
+    r"(\d+) cost evaluations, (\d+) halvings, cost (\S+), (converged|stalled|maxiter)$"
+)
+
+
+@pytest.mark.parametrize(
+    "objective, start, maxiter, reason, max_steps",
+    [
+        (TuneObjective(target_z=1.215e-6), in_plane(1.2e-3, 8), 150, "converged", 8),
+        (TuneObjective(target_z=1.215e-6), in_plane(1.2e-3, 8), 1, "maxiter", 1),
+        # near the fold the channel barrier only crawls down; the stall
+        # rule ends the run (measured 2 steps, about 64 without the rule)
+        (
+            TuneObjective(target_z=1.46e-6, mode="channels_along_a2", weighting=1e4),
+            in_plane(0.5e-3, 2),
+            150,
+            "stalled",
+            4,
+        ),
+    ],
+    ids=["converged", "maxiter", "stalled"],
+)
+def test_tuner_logs_each_restart(
+    rb87, tuner_lattice, monkeypatch, caplog, objective, start, maxiter, reason, max_steps
+):
+    # one line per restart: start bias, steps, cost evaluations (each one
+    # derivative call), halvings, final cost and why the run stopped
+    evaluations = record_evaluations(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="maglattice.traps"):
+        try:
+            tune_bias(tuner_lattice, objective, rb87, start, restarts=1, maxiter=maxiter)
+        except TuneUnreachableError:
+            pass
+    (m,) = [m for m in map(TUNE_LOG.match, (r.getMessage() for r in caplog.records)) if m]
+    assert m[1] == "0"
+    assert np.allclose([float(v) for v in m.group(2, 3, 4)], start * 1e3, rtol=1e-5)
+    steps, evals, halvings = (int(v) for v in m.group(5, 6, 7))
+    assert evals == 1 + steps + halvings == len(evaluations)
+    assert m[9] == reason
+    assert (float(m[8]) < 1e-16) == (reason == "converged")
+    assert 0 < steps <= max_steps and (steps == maxiter) == (reason == "maxiter")
 
 
 def test_tuner_builds_one_graph_per_bias_and_r0(rb87, tuner_lattice, monkeypatch):
@@ -635,78 +696,98 @@ def test_characterize_records_coarse_barriers(stripe_expansion, rb87, monkeypatc
 
 
 # ----------------------------------------------------------------------
-# the in-repo Nelder-Mead against scipy's
+# the tuner's closed-form bias derivatives against central differences
+
+TUNER_START = in_plane(1.2e-3, 8)
 
 
-def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+def tuner_hops(f, bias, r_guess):
+    """At `bias`: the minimum descended from r_guess, the +a1 hop's barrier
+    (a saddle on tuner_lattice) and the +a2 hop's 96-point line scan
+    (escape-limited there) as (height, top point)."""
+    from maglattice import traps
+
+    x, val, fate = traps._newton(f, bias, r_guess, 0, 0.05 * f.geometry.period)
+    assert fate[0] == traps._CONVERGED
+    r = x[0]
+    a1, a2 = (np.append(a, 0.0) for a in (f.geometry.a1, f.geometry.a2))
+    top, p = traps._line_scan(f, bias, r, a2)
+    return r, barrier_heights(f, bias, r, r + a1), (top - val[0], p)
 
 
-def plateau_cost(x):
-    """The shape of tune_bias's cost: sentinel plateaus (out of bounds, no
-    trap, Majorana-adjacent) around a smooth bowl."""
-    if np.linalg.norm(x) >= 0.1:
-        return 1e6
-    if x[0] > 0.02:
-        return 1e5
-    if x[1] < -0.03:
-        return 1e4
-    return float(np.sum((x - np.array([-0.01, 0.005, 0.002])) ** 2))
+def central_difference(fun, bias, rel=1e-5):
+    """d fun / d bias, the bias index last, by central differences."""
+    h = rel * np.linalg.norm(bias)
+    return np.stack([(fun(bias + h * e) - fun(bias - h * e)) / (2 * h) for e in np.eye(3)], -1)
 
 
-def simplex_at(x0, span):
-    x0 = np.asarray(x0, dtype=float)
-    return np.vstack([x0, x0 + span * np.eye(len(x0))])
+def assert_rel_close(actual, expected, rel=1e-6):
+    """Each row (each derivative) within rel of its norm."""
+    err = np.linalg.norm(actual - expected, axis=-1) / np.linalg.norm(expected, axis=-1)
+    assert np.all(err <= rel), err
 
 
-def recording(fun, log):
-    def wrapped(x):
-        val = fun(x)
-        log.append((x.tobytes(), val))
-        return val
+@pytest.fixture(scope="module")
+def tuner_start(tuner_lattice):
+    minima = find_trap_minima(tuner_lattice, TUNER_START, (0.3e-6, 4.8e-6), grid_seed_n=4)
+    r0 = min(minima, key=lambda r: abs(r[2] - 1.215e-6))
+    r, saddle, scan = tuner_hops(tuner_lattice, TUNER_START, r0)
+    # the two kinds of hop the derivatives cover
+    assert not saddle.coarse and barrier_heights(
+        tuner_lattice, TUNER_START, r, r + np.append(tuner_lattice.geometry.a2, 0.0)
+    ).coarse
+    return r, saddle, scan
 
-    return wrapped
+
+def test_trap_position_derivative(tuner_lattice, tuner_start):
+    from maglattice import traps
+
+    r = tuner_start[0]
+    dr, _ = traps._bias_derivatives(tuner_lattice, TUNER_START, r, [], [])
+    numeric = central_difference(lambda b: tuner_hops(tuner_lattice, b, r)[0], TUNER_START)
+    assert_rel_close(dr, numeric)
+
+
+def test_saddle_hop_derivative(tuner_lattice, tuner_start):
+    # envelope theorem: dh/dB = B^(s) - B^(r)
+    from maglattice import traps
+
+    r, saddle, _ = tuner_start
+    _, (dh,) = traps._bias_derivatives(tuner_lattice, TUNER_START, r, [saddle.saddle], [False])
+    numeric = central_difference(lambda b: tuner_hops(tuner_lattice, b, r)[1].height, TUNER_START)
+    assert_rel_close(dh, numeric)
+
+
+def test_line_scan_hop_derivative(tuner_lattice, tuner_start):
+    # the scan's top rides on the minimum: B^(p) - B^(r) + grad|B|(p) dr/dB
+    from maglattice import traps
+
+    r, _, (_, p) = tuner_start
+    _, (dh,) = traps._bias_derivatives(tuner_lattice, TUNER_START, r, [p], [True])
+    numeric = central_difference(lambda b: tuner_hops(tuner_lattice, b, r)[2][0], TUNER_START)
+    assert_rel_close(dh, numeric)
 
 
 @pytest.mark.parametrize(
-    "fun, simplex, maxiter, xatol, fatol, capped",
+    "objective",
     [
-        (rosenbrock, simplex_at([-1.2, 1.0, 0.5], 0.1), 2000, 1e-10, 1e-12, False),
-        (rosenbrock, simplex_at([0.0, 0.0, 0.0], 1.0), 2000, 1e-10, 1e-12, False),
-        (rosenbrock, simplex_at([2.0, -1.0, 1.5], 0.25), 2000, 1e-10, 1e-12, False),
-        (rosenbrock, simplex_at([-1.2, 1.0, 0.5], 0.1), 40, 1e-10, 1e-12, True),
-        (
-            plateau_cost,
-            np.array([[0.04, -0.02, -0.01], [0.02, 0.02, -0.01], [0.03, -0.02, -0.02], [0.02, -0.04, 0.03]]),
-            150,
-            1e-10,
-            1e-8,
-            False,
-        ),
+        TuneObjective(target_z=1.46e-6, mode="channels_along_a2", weighting=1e4),
+        TuneObjective(target_z=1.215e-6, mode="symmetric_barriers"),
     ],
-    ids=["rosen-a", "rosen-b", "rosen-c", "rosen-maxiter", "plateaus"],
+    ids=["channels", "symmetric"],
 )
-def test_nelder_mead_matches_scipy(fun, simplex, maxiter, xatol, fatol, capped):
-    from scipy.optimize import minimize
+def test_residual_gradient(tuner_lattice, tuner_start, objective):
+    # the channels residual is the +a2 scan over |B_ext|, which moves too;
+    # the symmetric one is the asymmetry of the saddle and scan hops
+    from maglattice import traps
 
-    from maglattice.traps import _nelder_mead
+    def residuals(b):
+        r, saddle, (height, p) = tuner_hops(tuner_lattice, b, tuner_start[0])
+        if objective.mode == "channels_along_a2":
+            heights, tops, scanned = [height], [p], [True]
+        else:
+            heights, tops, scanned = [saddle.height, height], [saddle.saddle, p], [False, True]
+        return traps._residuals(tuner_lattice, objective, b, r, heights, tops, scanned)
 
-    ours, theirs = [], []
-    x, fval = _nelder_mead(recording(fun, ours), simplex, maxiter, xatol, fatol)
-    res = minimize(
-        recording(fun, theirs),
-        simplex[0],
-        method="Nelder-Mead",
-        options={"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter},
-    )
-    assert x.tobytes() == res.x.tobytes()
-    assert np.float64(fval).tobytes() == np.float64(res.fun).tobytes()
-    assert ours == theirs  # every trial point and value, in order
-    assert res.success == (not capped)
-    if capped:
-        assert res.nit == maxiter
-    if fun is plateau_cost:
-        # ties among the initial vertices, and a shrink step: an iteration
-        # that evaluates N points on top of its reflection and contraction
-        assert len({v for _, v in ours[:4]}) < 4
-        assert res.nfev > 4 + 2 * (res.nit - 1)
+    jac = residuals(TUNER_START)[1]
+    assert_rel_close(jac, central_difference(lambda b: residuals(b)[0], TUNER_START))
