@@ -19,6 +19,7 @@ from .atom import (
     field_to_temperature,
     temperature_to_field,
 )
+from .errors import InputError
 from .fano import (
     FanoCurve,
     LossModel,

@@ -7,6 +7,7 @@ machine precision.
 from dataclasses import dataclass
 
 from . import constants as const
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,15 @@ class AtomState:
 
     def __post_init__(self):
         if self.mass <= 0:
-            raise ValueError("mass must be positive")
+            raise InputError("mass must be positive")
         if self.a_s <= 0:
-            raise ValueError("a_s must be positive")
+            raise InputError("a_s must be positive")
         if self.lambda_bar <= 0:
-            raise ValueError("lambda_bar must be positive")
+            raise InputError("lambda_bar must be positive")
         if self.gamma_nat <= 0:
-            raise ValueError("gamma_nat must be positive")
+            raise InputError("gamma_nat must be positive")
         if self.gF * self.mF <= 0:
-            raise ValueError(
+            raise InputError(
                 "gF*mF must be > 0 for a magnetically trappable "
                 "(low-field-seeking) state"
             )

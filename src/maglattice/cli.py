@@ -5,6 +5,11 @@ fano, transport. A single strict JSON config document supplies the pattern,
 geometry, film, bias, atom and material parameters; every run writes
 report.json (plus CSV files where applicable) into --out. Exit codes:
 0 success, 1 input error, 2 physics-level failure.
+
+The library checks every value it is given and raises InputError on one it
+cannot use; this module checks only what the library never sees (config
+types and keys, --d, --eta, --trap-index, the schedule file). main() maps
+InputError and OSError to exit 1 and every other ValueError to exit 2.
 """
 
 import argparse
@@ -19,13 +24,13 @@ import numpy as np
 from . import __version__
 from . import constants as const
 from .atom import AtomState, default_rb87
+from .errors import InputError
 from .fano import LossModel, TrajectoryEnsemble, simulate_three_body
 from .hubbard import hubbard_sinusoidal, mott_depth
 from .io import load_pbm, write_fano_csv, write_field_map_csv
 from .lattice import (
     LatticeGeometry,
     MagnetizationPattern,
-    NoStructureError,
     field_on_cell_grid,
     fourier_from_pattern,
 )
@@ -38,12 +43,7 @@ from .traps import (
     find_trap_minima,
     transport_trajectory,
     tune_bias,
-    validate_schedule,
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -64,7 +64,7 @@ class RunConfig:
 
     def expansion(self):
         if self.occupancy is None:
-            raise ConfigError("this subcommand needs a 'pattern' PBM in the config")
+            raise InputError("this subcommand needs a 'pattern' PBM in the config")
         pattern = MagnetizationPattern(
             geometry=LatticeGeometry.from_primitives(self.a1, self.a2),
             occupancy=self.occupancy,
@@ -75,20 +75,16 @@ class RunConfig:
             pattern, threshold=self.threshold, max_order=self.max_order
         ), pattern
 
-    def echo(self) -> dict:
-        """The resolved config, echoed into every report: the numbers as read."""
-        return self.read
-
 
 def _vec(value, path, n=2):
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{path}' must be a numeric {n}-vector") from exc
+        raise InputError(f"'{path}' must be a numeric {n}-vector") from exc
     if arr.shape != (n,):
-        raise ConfigError(f"'{path}' must have exactly {n} entries")
+        raise InputError(f"'{path}' must have exactly {n} entries")
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"'{path}' entries must be finite")
+        raise InputError(f"'{path}' entries must be finite")
     return arr
 
 
@@ -96,8 +92,8 @@ def _bias(value, path):
     arr = _vec(value, path, 3)
     try:
         BiasField(arr * 1e-3)
-    except ValueError as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"'{path}': {exc}") from exc
     return arr
 
 
@@ -105,16 +101,16 @@ def _finite(value, path):
     try:
         v = float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{path}' must be a number") from exc
+        raise InputError(f"'{path}' must be a number") from exc
     if not np.isfinite(v):
-        raise ConfigError(f"'{path}' must be finite")
+        raise InputError(f"'{path}' must be finite")
     return v
 
 
 def _positive(value, path):
     v = _finite(value, path)
     if v <= 0:
-        raise ConfigError(f"'{path}' must be positive")
+        raise InputError(f"'{path}' must be positive")
     return v
 
 
@@ -124,14 +120,14 @@ def _integer(value, path):
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ConfigError(f"'{path}' must be an integer")
+    raise InputError(f"'{path}' must be an integer")
 
 
 def _at_least(lo, check):
     def checked(value, path):
         v = check(value, path)
         if v < lo:
-            raise ConfigError(f"'{path}' must be >= {lo}")
+            raise InputError(f"'{path}' must be >= {lo}")
         return v
 
     return checked
@@ -180,7 +176,7 @@ _KEYS = {
     },
     "": {
         "bias_mT": ("bias", None, _bias, 1e-3),
-        "seed": ("seed", 0, _integer, None),
+        "seed": ("seed", 0, _at_least(0, _integer), None),
     },
 }
 _SECTION_DEFAULTS = {"atom": _RB87, "material": _MATERIAL}
@@ -191,28 +187,28 @@ def parse_config(path) -> RunConfig:
     typo in a physics parameter cannot pass silently."""
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path}")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
 
     pattern_path = doc.pop("pattern", None)
     if pattern_path is not None and not isinstance(pattern_path, str):
-        raise ConfigError("'pattern' must be a path string")
+        raise InputError("'pattern' must be a path string")
     fields, read = {}, {"pattern": pattern_path}
     # the top level comes last, after every section has been popped from it
     for section, keys in _KEYS.items():
         prefix = f"{section}." if section else ""
         d = doc.pop(section, {}) if section else doc
         if not isinstance(d, dict):
-            raise ConfigError(f"'{section}' must be an object")
+            raise InputError(f"'{section}' must be an object")
         values, as_read = {}, {}
         for key, (name, default, check, factor) in keys.items():
             if key not in d and default is None:
-                raise ConfigError(f"missing required config key '{prefix}{key}'")
+                raise InputError(f"missing required config key '{prefix}{key}'")
             given = key in d
             v = check(d.pop(key, default), prefix + key)
             as_read[key] = v.tolist() if isinstance(v, np.ndarray) else v
@@ -220,7 +216,7 @@ def parse_config(path) -> RunConfig:
                 values[name] = v if factor is None else v * factor
         if d:
             unknown = ", ".join(f"'{prefix}{k}'" for k in sorted(d))
-            raise ConfigError(f"unknown config key(s): {unknown}")
+            raise InputError(f"unknown config key(s): {unknown}")
         if section in _SECTION_DEFAULTS:
             values = {section: replace(_SECTION_DEFAULTS[section], **values)}
         fields.update(values)
@@ -259,10 +255,8 @@ def _emit(args, subcommand, config_echo, payload, warnings):
     }
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     text = json.dumps(doc, indent=2, sort_keys=True)
-    (out / "report.json").write_text(text + "\n")
+    (Path(args.out) / "report.json").write_text(text + "\n")
     if args.json:
         print(text)
     return doc
@@ -273,16 +267,9 @@ def _emit(args, subcommand, config_echo, payload, warnings):
 
 
 def _cmd_field_map(args, cfg: RunConfig):
-    if not (np.isfinite(args.z_nm) and args.z_nm > 0):
-        raise ConfigError(f"--z-nm must be a finite height above the film (got {args.z_nm})")
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1 (got {args.n})")
     f, _ = cfg.expansion()
     pts, B = field_on_cell_grid(f, cfg.bias, args.z_nm * 1e-9, args.n)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "field_map.csv"
+    csv_path = Path(args.out) / "field_map.csv"
     write_field_map_csv(csv_path, pts, B)
     mag = np.linalg.norm(B, axis=1)
     payload = {
@@ -293,30 +280,23 @@ def _cmd_field_map(args, cfg: RunConfig):
         "Bmag_min_mT": float(mag.min() * 1e3),
         "Bmag_max_mT": float(mag.max() * 1e3),
     }
-    _emit(args, "field-map", cfg.echo(), payload, [])
+    _emit(args, "field-map", cfg.read, payload, [])
     return 0
 
 
 def _search_minima(args, cfg: RunConfig):
-    """The expansion and the minima for traps and surface, with the search
-    options (--z-min-nm, --z-max-nm, --seeds) checked as input."""
-    if args.seeds < 4:
-        raise ConfigError(f"--seeds must be >= 4 (got {args.seeds})")
+    """The expansion and the minima for traps and surface."""
     f, _ = cfg.expansion()
     period = f.geometry.period
     z_lo = args.z_min_nm * 1e-9 if args.z_min_nm is not None else period / 50
     z_hi = args.z_max_nm * 1e-9 if args.z_max_nm is not None else 2 * period
-    if not (0 < z_lo < z_hi < np.inf):
-        raise ConfigError(
-            f"need 0 < --z-min-nm < --z-max-nm (got {z_lo * 1e9:g} and {z_hi * 1e9:g} nm)"
-        )
     return f, find_trap_minima(f, cfg.bias, (z_lo, z_hi), grid_seed_n=args.seeds)
 
 
 def _cmd_traps(args, cfg: RunConfig):
     f, minima = _search_minima(args, cfg)
     if not minima:
-        _emit(args, "traps", cfg.echo(), {"traps": []}, ["no minima found"])
+        _emit(args, "traps", cfg.read, {"traps": []}, ["no minima found"])
         print("no minima found in the search range", file=sys.stderr)
         return 2
     reports = [
@@ -324,17 +304,11 @@ def _cmd_traps(args, cfg: RunConfig):
         for r in minima
     ]
     payload = {"traps": [_trap_payload(r) for r in reports]}
-    _emit(args, "traps", cfg.echo(), payload, [])
+    _emit(args, "traps", cfg.read, payload, [])
     return 0
 
 
 def _cmd_tune_bias(args, cfg: RunConfig):
-    if not 0 < args.target_z_nm < np.inf:
-        raise ConfigError(
-            f"--target-z-nm must be a finite height above the film (got {args.target_z_nm})"
-        )
-    if not 0 <= args.weight < np.inf:
-        raise ConfigError(f"--weight must be finite and >= 0 (got {args.weight})")
     f, _ = cfg.expansion()
     mode = {
         "symmetric": "symmetric_barriers",
@@ -345,9 +319,7 @@ def _cmd_tune_bias(args, cfg: RunConfig):
         target_z=args.target_z_nm * 1e-9, mode=mode, weighting=args.weight
     )
     try:
-        bias, report = tune_bias(
-            f, objective, cfg.atom, cfg.bias, seed=args.seed if args.seed is not None else cfg.seed
-        )
+        bias, report = tune_bias(f, objective, cfg.atom, cfg.bias, seed=cfg.seed)
     except TuneUnreachableError as exc:
         warn = [str(exc)]
         best_bias, best_report = exc.best
@@ -355,7 +327,7 @@ def _cmd_tune_bias(args, cfg: RunConfig):
         if best_report is not None:
             payload["best_bias_mT"] = [b * 1e3 for b in np.asarray(best_bias.B_ext)]
             payload["best_trap"] = _trap_payload(best_report)
-        _emit(args, "tune-bias", cfg.echo(), payload, warn)
+        _emit(args, "tune-bias", cfg.read, payload, warn)
         print(exc, file=sys.stderr)
         return 2
     payload = {
@@ -363,7 +335,7 @@ def _cmd_tune_bias(args, cfg: RunConfig):
         "bias_mT": [b * 1e3 for b in bias.B_ext],
         "trap": _trap_payload(report),
     }
-    _emit(args, "tune-bias", cfg.echo(), payload, [])
+    _emit(args, "tune-bias", cfg.read, payload, [])
     return 0
 
 
@@ -371,11 +343,9 @@ def _cmd_hubbard(args, cfg: RunConfig):
     try:
         ds = [float(v) for v in args.d.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"--d must be a comma list of periods in nm ({exc})") from exc
+        raise InputError(f"--d must be a comma list of periods in nm ({exc})") from exc
     if not ds or not all(0 < d < np.inf for d in ds):
-        raise ConfigError(f"--d must list finite positive periods in nm (got {args.d!r})")
-    if not 0.001 < args.j_over_u < 1:
-        raise ConfigError(f"--j-over-u must be in (0.001, 1) (got {args.j_over_u!r})")
+        raise InputError(f"--d must list finite positive periods in nm (got {args.d!r})")
     ds = [d * 1e-9 for d in ds]
     rows = []
     for d in ds:
@@ -392,15 +362,13 @@ def _cmd_hubbard(args, cfg: RunConfig):
                 "U_over_4J": hp.U_over_J / 4.0,
             }
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cols = ["d_nm", "s", "E_R_nK", "U_nK", "J_nK", "J2_over_U_nK", "U_over_4J"]
-    with open(out / "hubbard.csv", "w", newline="") as fh:
+    with open(Path(args.out) / "hubbard.csv", "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(f"{row[c]:.9g}" for c in cols) + "\n")
     payload = {"j_over_u": args.j_over_u, "rows": rows, "csv": "hubbard.csv"}
-    _emit(args, "hubbard", cfg.echo(), payload, [])
+    _emit(args, "hubbard", cfg.read, payload, [])
     return 0
 
 
@@ -410,7 +378,7 @@ def _cmd_surface(args, cfg: RunConfig):
         print("no minima found in the search range", file=sys.stderr)
         return 2
     if not 0 <= args.trap_index < len(minima):
-        raise ConfigError(
+        raise InputError(
             f"--trap-index {args.trap_index} out of range ({len(minima)} traps)"
         )
     report = characterize_trap(
@@ -438,26 +406,21 @@ def _cmd_surface(args, cfg: RunConfig):
     warnings = []
     if not budget.vdw_pass:
         warnings.append("VdW destroys trap: omega_z below omega_crit")
-    _emit(args, "surface", cfg.echo(), payload, warnings)
+    _emit(args, "surface", cfg.read, payload, warnings)
     return 0
 
 
 def _cmd_fano(args, cfg: RunConfig):
-    seed = args.seed if args.seed is not None else cfg.seed
-    # every ValueError raised here rejects an option value: the eta list,
-    # the model, the ensemble or the checkpoints
     try:
         etas = [float(v) for v in args.eta.split(",") if v.strip()]
-        model = LossModel(rate_constant=args.gamma3)
-        ensemble = TrajectoryEnsemble(
-            n_traj=args.ntraj, N0=args.n0, distribution=args.dist, seed=seed
-        )
-        curve = simulate_three_body(model, ensemble, etas)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_fano_csv(out / "fano.csv", curve)
+        raise InputError(f"--eta must be a comma list of fractions ({exc})") from exc
+    model = LossModel(rate_constant=args.gamma3)
+    ensemble = TrajectoryEnsemble(
+        n_traj=args.ntraj, N0=args.n0, distribution=args.dist, seed=cfg.seed
+    )
+    curve = simulate_three_body(model, ensemble, etas)
+    write_fano_csv(Path(args.out) / "fano.csv", curve)
     payload = {
         "N0": curve.N0,
         "n_traj": curve.n_traj,
@@ -477,7 +440,7 @@ def _cmd_fano(args, cfg: RunConfig):
         ],
     }
     warnings = [f"checkpoint eta={p.eta} exhausted" for p in curve.points if p.exhausted]
-    _emit(args, "fano", cfg.echo(), payload, warnings)
+    _emit(args, "fano", cfg.read, payload, warnings)
     return 0
 
 
@@ -488,22 +451,19 @@ def _cmd_transport(args, cfg: RunConfig):
             rows = json.loads(Path(args.schedule_json).read_text())
             if not isinstance(rows, list):
                 raise ValueError("expected a JSON list of bias mT vectors")
-            schedule = [BiasField(np.asarray(row, dtype=float) * 1e-3).B_ext for row in rows]
+            schedule = [np.asarray(row, dtype=float) * 1e-3 for row in rows]
         except (OSError, ValueError, TypeError) as exc:
-            raise ConfigError(f"--schedule-json {args.schedule_json}: {exc}") from exc
+            raise InputError(f"--schedule-json {args.schedule_json}: {exc}") from exc
     else:
         b0 = cfg.bias
         i, j = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}[args.rotate_plane]
         schedule = []
-        for th in np.linspace(0.0, np.radians(args.degrees), args.steps):
+        # a negative --steps gives an empty schedule, which the library rejects
+        for th in np.linspace(0.0, np.radians(args.degrees), max(args.steps, 0)):
             b = b0.copy()
             b[i] = b0[i] * np.cos(th) - b0[j] * np.sin(th)
             b[j] = b0[i] * np.sin(th) + b0[j] * np.cos(th)
             schedule.append(b)
-    try:
-        validate_schedule(schedule)
-    except ValueError as exc:
-        raise ConfigError(f"bias schedule: {exc}") from exc
     result = transport_trajectory(f, schedule, atom=cfg.atom)
     warnings = []
     if result.lost_at_step is not None:
@@ -521,7 +481,7 @@ def _cmd_transport(args, cfg: RunConfig):
             for s in result.snapshots
         ],
     }
-    _emit(args, "transport", cfg.echo(), payload, warnings)
+    _emit(args, "transport", cfg.read, payload, warnings)
     return 0
 
 
@@ -607,12 +567,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
+        if args.seed is not None:
+            cfg.seed = _at_least(0, _integer)(args.seed, "--seed")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.handler(args, cfg)
-    except (ConfigError, NoStructureError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

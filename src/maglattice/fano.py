@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 _WINDOW = 0.02  # a checkpoint window's first half-width, relative to its time
 
 
@@ -44,9 +46,9 @@ class LossModel:
 
     def __post_init__(self):
         if not (np.isfinite(self.rate_constant) and self.rate_constant > 0):
-            raise ValueError("rate_constant must be positive and finite")
+            raise InputError("rate_constant must be positive and finite")
         if self.event_loss != 3:
-            raise ValueError("only three-body events are modeled")
+            raise InputError("only three-body events are modeled")
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,13 @@ class TrajectoryEnsemble:
 
     def __post_init__(self):
         if self.n_traj < 100:
-            raise ValueError("need at least 100 trajectories")
+            raise InputError("need at least 100 trajectories")
         if self.N0 < 3:
-            raise ValueError("N0 must be at least 3")
+            raise InputError("N0 must be at least 3")
         if self.distribution not in ("fixed", "poisson"):
-            raise ValueError("distribution must be 'fixed' or 'poisson'")
+            raise InputError("distribution must be 'fixed' or 'poisson'")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0 (got {self.seed})")
 
 
 @dataclass(frozen=True)
@@ -199,11 +203,11 @@ def simulate_three_body(
     """
     etas = [float(e) for e in eta_checkpoints]
     if not etas:
-        raise ValueError("need at least one checkpoint")
+        raise InputError("need at least one checkpoint")
     if any(not 0 < e <= 1 for e in etas):
-        raise ValueError("checkpoints must be in (0, 1]")
+        raise InputError("checkpoints must be in (0, 1]")
     if any(b >= a for a, b in zip(etas, etas[1:])):
-        raise ValueError("checkpoints must be sorted descending")
+        raise InputError("checkpoints must be sorted descending")
 
     # block b draws from Generator(Philox(SeedSequence((seed, b)))): first
     # its Poisson initial counts, then its waits

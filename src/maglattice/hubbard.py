@@ -15,6 +15,7 @@ import numpy as np
 
 from . import constants as const
 from .atom import AtomState
+from .errors import InputError
 
 _FIT_S_RANGE = (1.0, 50.0)
 _J_FIT = (1.43, 0.98, 2.07)
@@ -92,7 +93,7 @@ def mott_depth(d: float, atom: AtomState, j_over_u: float = 0.06) -> float:
     bracket, within 5e-5 of the root).
     """
     if not 0.001 < j_over_u < 1:
-        raise ValueError("j_over_u must be in (0.001, 1)")
+        raise InputError(f"j_over_u must be in (0.001, 1) (got {j_over_u!r})")
     lo, hi = _FIT_S_RANGE
 
     def g(s):

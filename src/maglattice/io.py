@@ -6,6 +6,8 @@ separator, independent of locale.
 
 import numpy as np
 
+from .errors import InputError
+
 
 def load_pbm(path) -> np.ndarray:
     """Read an ASCII portable bitmap (P1) into an occupancy grid.
@@ -20,24 +22,24 @@ def load_pbm(path) -> np.ndarray:
         line = line.split("#", 1)[0]
         tokens.extend(line.split())
     if not tokens or tokens[0] != "P1":
-        raise ValueError(f"{path}: not an ASCII PBM (P1) file")
+        raise InputError(f"{path}: not an ASCII PBM (P1) file")
     if len(tokens) < 3:
-        raise ValueError(f"{path}: truncated PBM header")
+        raise InputError(f"{path}: truncated PBM header")
     try:
         width, height = int(tokens[1]), int(tokens[2])
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed PBM dimensions") from exc
+        raise InputError(f"{path}: malformed PBM dimensions") from exc
     bits = tokens[3:]
     if len(bits) != width * height:
-        raise ValueError(
+        raise InputError(
             f"{path}: expected {width * height} pixels, found {len(bits)}"
         )
     try:
         arr = np.array([int(b) for b in bits], dtype=int).reshape(height, width)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-binary pixel value") from exc
+        raise InputError(f"{path}: non-binary pixel value") from exc
     if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError(f"{path}: PBM pixels must be 0 or 1")
+        raise InputError(f"{path}: PBM pixels must be 0 or 1")
     return arr.T[:, ::-1]  # image rows top-to-bottom -> grid [ix, iy]
 
 

@@ -19,14 +19,15 @@ from functools import cached_property
 import numpy as np
 
 from . import constants as const
+from .errors import InputError
 
 
-class NoStructureError(ValueError):
+class NoStructureError(InputError):
     """Raised when a pattern has no spatial structure (uniform occupancy)."""
 
 
-class BelowFilmError(ValueError):
-    """Raised when a field evaluation point has z <= 0."""
+class BelowFilmError(InputError):
+    """Raised when a field evaluation point is not above the film (z <= 0)."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class LatticeGeometry:
         a2 = np.asarray(a2, dtype=float)
         cross = a1[0] * a2[1] - a1[1] * a2[0]
         if abs(cross) <= 0.0:
-            raise ValueError("a1, a2 must be linearly independent")
+            raise InputError("a1, a2 must be linearly independent")
         # rows of 2*pi*inv([a1; a2]) transposed give K1, K2
         A = np.array([[a1[0], a1[1]], [a2[0], a2[1]]])
         K = 2 * np.pi * np.linalg.inv(A).T
@@ -59,7 +60,7 @@ class LatticeGeometry:
                 want = 2 * np.pi if dij else 0.0
                 got = float(np.dot(Ki, aj))
                 if abs(got - want) > 1e-12 * 2 * np.pi:
-                    raise ValueError("reciprocal vectors do not satisfy Ki.aj = 2 pi delta_ij")
+                    raise InputError("reciprocal vectors do not satisfy Ki.aj = 2 pi delta_ij")
 
     @property
     def cell_area(self) -> float:
@@ -87,13 +88,13 @@ class MagnetizationPattern:
     def __post_init__(self):
         occ = np.asarray(self.occupancy)
         if occ.ndim != 2 or occ.shape[0] < 2 or occ.shape[1] < 2:
-            raise ValueError("occupancy must be a 2-D grid with Nx, Ny >= 2")
+            raise InputError(f"occupancy must be a 2-D grid with Nx, Ny >= 2 (got shape {occ.shape})")
         if not np.all((occ == 0) | (occ == 1)):
-            raise ValueError("occupancy entries must be 0 or 1")
+            raise InputError("occupancy entries must be 0 or 1")
         if self.M0 <= 0:
-            raise ValueError("M0 must be positive")
+            raise InputError("M0 must be positive")
         if self.film_h <= 0:
-            raise ValueError("film thickness must be positive")
+            raise InputError("film thickness must be positive")
 
 
 @dataclass(frozen=True)
@@ -211,9 +212,9 @@ def fourier_from_pattern(
         NoStructureError: if no mode survives (uniform pattern).
     """
     if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+        raise InputError("max_order must be >= 1")
     if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+        raise InputError("threshold must be >= 0")
     keep = set(tuple(p) for p in keep) if keep else set()
 
     occ = np.asarray(pattern.occupancy, dtype=float)
@@ -381,7 +382,10 @@ def field_on_cell_grid(f: FourierExpansion, bias, z: float, n: int):
     component of grad(phi) is one complex (n x M) by (M x n) product instead
     of an (n^2 x M) table. eval_field_arrays is its reference.
     """
-    _check_z(z)
+    if not 0 < z < np.inf:
+        raise BelowFilmError(f"z must be a finite height above the film (got {z})")
+    if n < 1:
+        raise InputError(f"n must be >= 1 (got {n})")
     bias = np.asarray(bias, dtype=float)
     a1, a2 = f.geometry.a1, f.geometry.a2
     fr = (np.arange(n) + 0.5) / n

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import constants as const
 from .atom import AtomState
+from .errors import InputError
 from .lattice import FourierExpansion, eval_field_arrays
 from .traps import TrapReport, _bias_vec
 
@@ -52,9 +53,9 @@ class MaterialParams:
 
     def __post_init__(self):
         if not 0 < self.epsilon_factor <= 1:
-            raise ValueError("epsilon_factor must be in (0, 1]")
+            raise InputError("epsilon_factor must be in (0, 1]")
         if self.sigma <= 0 or self.coating_t <= 0 or self.johnson_C0 <= 0:
-            raise ValueError("material parameters must be positive")
+            raise InputError("material parameters must be positive")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import constants as const
 from .atom import AtomState, default_rb87
+from .errors import InputError
 from .lattice import FourierExpansion, eval_field, eval_field_arrays
 
 logger = logging.getLogger(__name__)
@@ -50,11 +51,11 @@ class BiasField:
     def __post_init__(self):
         b = np.asarray(self.B_ext, dtype=float)
         if b.shape != (3,):
-            raise ValueError("bias must be a 3-vector")
+            raise InputError("bias must be a 3-vector")
         if not np.all(np.isfinite(b)):
-            raise ValueError("bias components must be finite")
+            raise InputError("bias components must be finite")
         if np.linalg.norm(b) >= 0.1:
-            raise ValueError("bias magnitude must be < 0.1 T")
+            raise InputError("bias magnitude must be < 0.1 T")
         object.__setattr__(self, "B_ext", b)
 
 
@@ -93,14 +94,16 @@ class TuneObjective:
     weighting: float = 1.0
 
     def __post_init__(self):
-        if self.target_z <= 0:
-            raise ValueError("target_z must be positive")
+        if not 0 < self.target_z < np.inf:
+            raise InputError(f"target_z must be finite and > 0 (got {self.target_z})")
+        if not 0 <= self.weighting < np.inf:
+            raise InputError(f"weighting must be finite and >= 0 (got {self.weighting})")
         if self.mode not in (
             "symmetric_barriers",
             "channels_along_a1",
             "channels_along_a2",
         ):
-            raise ValueError(f"unknown tune mode {self.mode!r}")
+            raise InputError(f"unknown tune mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -308,10 +311,10 @@ def find_trap_minima(
     """
     b = _bias_vec(bias)
     z_min, z_max = z_range
-    if not (0 < z_min < z_max):
-        raise ValueError("need 0 < z_min < z_max")
+    if not 0 < z_min < z_max < np.inf:
+        raise InputError(f"need 0 < z_min < z_max < inf (got {z_min:g} and {z_max:g} m)")
     if grid_seed_n < 4:
-        raise ValueError("grid_seed_n must be >= 4")
+        raise InputError(f"grid_seed_n must be >= 4 (got {grid_seed_n})")
     if f.nmodes == 0:
         return []
 
@@ -756,19 +759,6 @@ def tune_bias(
 # transport
 
 
-def validate_schedule(schedule) -> list:
-    """The bias vectors of a transport schedule. Raises ValueError unless it
-    has at least two steps, each a valid bias, and every step changes the
-    bias by less than a tenth of its magnitude."""
-    if len(schedule) < 2:
-        raise ValueError("schedule must contain at least 2 bias steps")
-    vecs = [_bias_vec(b) for b in schedule]
-    for a, b in zip(vecs[:-1], vecs[1:]):
-        if np.linalg.norm(b - a) >= 0.1 * max(np.linalg.norm(a), 1e-300):
-            raise ValueError("consecutive bias steps too large (|dB| >= 0.1 |B|)")
-    return vecs
-
-
 def transport_trajectory(
     f: FourierExpansion,
     schedule: list,
@@ -784,8 +774,17 @@ def transport_trajectory(
     around it. A step whose descent fails for any trap, or moves one
     farther than a quarter period, loses tracking and truncates the
     trajectory (lost_at_step).
+
+    Raises InputError unless the schedule has at least two steps, each a
+    valid bias, and every step changes the bias by less than a tenth of its
+    magnitude.
     """
-    vecs = validate_schedule(schedule)
+    if len(schedule) < 2:
+        raise InputError("schedule must contain at least 2 bias steps")
+    vecs = [_bias_vec(b) for b in schedule]
+    for a, b in zip(vecs[:-1], vecs[1:]):
+        if np.linalg.norm(b - a) >= 0.1 * max(np.linalg.norm(a), 1e-300):
+            raise InputError("consecutive bias steps too large (|dB| >= 0.1 |B|)")
     atom = atom or default_rb87()
     geom = f.geometry
     if z_range is None:

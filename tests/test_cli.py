@@ -9,10 +9,15 @@ import numpy as np
 import pytest
 
 from maglattice.atom import default_rb87
-from maglattice.cli import ConfigError, main, parse_config
+from maglattice.cli import main, parse_config
+from maglattice.errors import InputError
+from maglattice.fano import TrajectoryEnsemble
+from maglattice.hubbard import mott_depth
 from maglattice.io import fmt9, load_pbm, save_pbm, write_field_map_csv
+from maglattice.lattice import LatticeGeometry, field_on_cell_grid
 from maglattice.patterns import stripes
-from maglattice.surface import MaterialParams
+from maglattice.surface import MaterialParams, TrapDestroyedError
+from maglattice.traps import MajoranaError, SaddleError, TuneObjective, find_trap_minima
 
 
 @pytest.fixture
@@ -78,7 +83,7 @@ def test_minimal_config_defaults(tmp_path):
 
 def test_missing_bias_is_an_error(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps({"seed": 1}))
-    with pytest.raises(ConfigError, match="bias"):
+    with pytest.raises(InputError, match="bias"):
         parse_config(tmp_path / "c.json")
 
 
@@ -86,12 +91,12 @@ def test_unknown_keys_rejected(tmp_path):
     (tmp_path / "c.json").write_text(
         json.dumps({"bias_mT": [-1.0, 0.2, 0.0], "bais_mT": [0, 0, 0]})
     )
-    with pytest.raises(ConfigError, match="bais_mT"):
+    with pytest.raises(InputError, match="bais_mT"):
         parse_config(tmp_path / "c.json")
     (tmp_path / "c2.json").write_text(
         json.dumps({"bias_mT": [-1.0, 0.2, 0.0], "film": {"thickness_um": 1}})
     )
-    with pytest.raises(ConfigError, match="film.thickness_um"):
+    with pytest.raises(InputError, match="film.thickness_um"):
         parse_config(tmp_path / "c2.json")
 
 
@@ -99,7 +104,7 @@ def test_out_of_range_values_rejected(tmp_path):
     (tmp_path / "c.json").write_text(
         json.dumps({"bias_mT": [-1.0, 0.2, 0.0], "film": {"M0_kA_per_m": -5}})
     )
-    with pytest.raises(ConfigError, match="M0"):
+    with pytest.raises(InputError, match="M0"):
         parse_config(tmp_path / "c.json")
 
 
@@ -169,7 +174,7 @@ def test_config_echo_repeats_the_numbers_as_written(workdir):
         "seed": 3,
     }
     (workdir / "config.json").write_text(json.dumps(doc))
-    assert parse_config(workdir / "config.json").echo() == {"pattern": None, **doc}
+    assert parse_config(workdir / "config.json").read == {"pattern": None, **doc}
     rc = run_cli(workdir, "fano", "--n0", "300", "--ntraj", "400", "--eta", "0.5")
     assert rc == 0
     report = json.loads((workdir / "report.json").read_text())
@@ -188,7 +193,7 @@ def test_default_atom_is_default_rb87(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps({"bias_mT": [-1.0, 0.2, 0.0]}))
     cfg = parse_config(tmp_path / "c.json")
     assert cfg.atom == default_rb87()
-    assert cfg.echo()["atom"]["a_s_nm"] == 5.3
+    assert cfg.read["atom"]["a_s_nm"] == 5.3
 
 
 def test_default_material_is_material_params(tmp_path):
@@ -196,7 +201,7 @@ def test_default_material_is_material_params(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps({"bias_mT": [-1.0, 0.2, 0.0]}))
     cfg = parse_config(tmp_path / "c.json")
     assert cfg.material == MaterialParams()
-    assert cfg.echo()["material"]["coating_thickness_nm"] == 50.0
+    assert cfg.read["material"]["coating_thickness_nm"] == 50.0
     # a section that gives some keys keeps the exact defaults of the others
     (tmp_path / "c.json").write_text(
         json.dumps({"bias_mT": [-1.0, 0.2, 0.0], "material": {"sigma_S_per_m": 4e7}})
@@ -215,7 +220,7 @@ def test_pattern_path_is_relative_to_the_config(workdir, tmp_path_factory):
         parse_config(elsewhere / "rel.json")
     cfg = parse_config(elsewhere / "abs.json")
     assert np.array_equal(cfg.occupancy, load_pbm(workdir / "pattern.pbm"))
-    assert cfg.echo()["pattern"] == str(workdir / "pattern.pbm")
+    assert cfg.read["pattern"] == str(workdir / "pattern.pbm")
 
 
 def test_atom_override(tmp_path):
@@ -227,7 +232,7 @@ def test_atom_override(tmp_path):
 
 
 def test_config_file_missing():
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(InputError, match="not found"):
         parse_config("/nonexistent/config.json")
 
 
@@ -532,17 +537,85 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
         (("hubbard", "--d", "425,inf"), None),
         (("hubbard", "--d", "425", "--j-over-u", "2"), None),
         (("hubbard", "--d", "425", "--j-over-u", "nan"), None),
+        (("--seed", "-1", "tune-bias", "--target-z-nm", "1215"), None),
+        (("transport", "--steps", "-1"), None),
+        # config keys to replace: a negative seed, and values that pass their
+        # key's check but fail when the pattern is expanded
+        (("tune-bias", "--target-z-nm", "1215"), {"seed": -1}),
+        (("traps",), {"geometry": {"a1_nm": [1000.0, 0.0], "a2_nm": [2000.0, 0.0]}}),
+        (("traps",), {"pattern": "row.pbm"}),
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):
+    # schedule: the schedule file's text, or a dict of config keys to replace
     path = workdir / "schedule.json"
-    if schedule is not None:
+    prefix = "input error: "
+    if isinstance(schedule, dict):
+        save_pbm(workdir / "row.pbm", np.ones((4, 1), dtype=int))  # 4 x 1 cells
+        doc = json.loads((workdir / "config.json").read_text())
+        (workdir / "config.json").write_text(json.dumps({**doc, **schedule}))
+        if "seed" in schedule:
+            prefix = "config error: "
+    elif schedule is not None:
         path.write_text(schedule)
     rc = run_cli(workdir, *(a.replace("{schedule}", str(path)) for a in argv))
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert not (workdir / "report.json").exists()
+
+
+def test_out_naming_a_file_exits_1(workdir, capsys):
+    (workdir / "taken").write_text("")
+    rc = main(["--config", str(workdir / "config.json"), "--out", str(workdir / "taken"),
+               "hubbard", "--d", "425"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: LatticeGeometry.from_primitives([1e-6, 0.0], [2e-6, 0.0]),
+        lambda f: field_on_cell_grid(f, [-1e-3, 0.0, 0.0], float("nan"), 4),
+        lambda f: field_on_cell_grid(f, [-1e-3, 0.0, 0.0], 5e-7, 0),
+        lambda f: find_trap_minima(f, [-1e-3, 0.0, 0.0], (5e-8, float("inf"))),
+        lambda f: TuneObjective(target_z=float("inf")),
+        lambda f: TuneObjective(target_z=1e-6, weighting=float("nan")),
+        lambda f: mott_depth(425e-9, default_rb87(), float("nan")),
+        lambda f: TrajectoryEnsemble(n_traj=200, N0=30, seed=-1),
+    ],
+)
+def test_library_input_checks_raise_input_error(stripe_expansion, call):
+    with pytest.raises(InputError):
+        call(stripe_expansion)
+
+
+def test_physics_errors_are_not_input_errors():
+    for cls in (MajoranaError, SaddleError, TrapDestroyedError):
+        assert issubclass(cls, ValueError) and not issubclass(cls, InputError)
+
+
+@pytest.mark.parametrize(
+    "argv, bias",
+    [
+        (("traps", "--z-min-nm", "400", "--z-max-nm", "1200", "--seeds", "4"), [-80.0, 10.0, 0.0]),
+        (("surface", "--z-min-nm", "400", "--z-max-nm", "1200", "--seeds", "4"), [-80.0, 10.0, 0.0]),
+        (("tune-bias", "--target-z-nm", "1000000"), None),  # k1 z >= 20
+        (("hubbard", "--d", "10", "--j-over-u", "0.5"), None),  # ratio unreachable
+        # over stripes, a bias normal to the film makes field zeros, not minima
+        (("transport", "--steps", "4", "--degrees", "9"), [0.0, 0.0, 50.0]),
+    ],
+)
+def test_physics_errors_exit_2(workdir, capsys, argv, bias):
+    if bias is not None:
+        doc = json.loads((workdir / "config.json").read_text())
+        (workdir / "config.json").write_text(json.dumps({**doc, "bias_mT": bias}))
+    rc = run_cli(workdir, *argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and not err.startswith(("input error", "config error"))
 
 
 @pytest.mark.parametrize(
