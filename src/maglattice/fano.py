@@ -32,6 +32,7 @@ import numpy as np
 from .errors import InputError
 
 _WINDOW = 0.02  # a checkpoint window's first half-width, relative to its time
+_BLOCK_EVENTS = 2**20  # about this many events per block of trajectories
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,11 @@ class TrajectoryEnsemble:
 
     distribution is 'fixed' (every trajectory starts at exactly N0, F0 = 0)
     or 'poisson' (Poisson with mean N0, F0 = 1). Trajectories are grouped
-    into blocks of max(1, 2**20 // (N0 // 3 + 1)) rows, about 2**20 events;
-    each block draws from its own counter-based stream keyed on
-    (seed, block index), so results do not depend on execution order.
+    into blocks of 2**20 // (N0 // 3 + 1) rows, about 2**20 events; each
+    block draws from its own counter-based stream keyed on (seed, block
+    index), so results do not depend on execution order. N0 must be below
+    3 * 2**20: from there on that is 0 rows, one trajectory alone holding
+    2**20 events or more (and the mean-wait table grows with N0).
     """
 
     n_traj: int
@@ -72,6 +75,8 @@ class TrajectoryEnsemble:
             raise InputError("need at least 100 trajectories")
         if self.N0 < 3:
             raise InputError("N0 must be at least 3")
+        if self.N0 // 3 + 1 > _BLOCK_EVENTS:
+            raise InputError(f"N0 must be below {3 * _BLOCK_EVENTS} (got {self.N0})")
         if self.distribution not in ("fixed", "poisson"):
             raise InputError("distribution must be 'fixed' or 'poisson'")
         if self.seed < 0:
@@ -212,7 +217,7 @@ def simulate_three_body(
     # block b draws from Generator(Philox(SeedSequence((seed, b)))): first
     # its Poisson initial counts, then its waits
     n, N0 = ensemble.n_traj, ensemble.N0
-    rows = max(1, 2**20 // (N0 // 3 + 1))
+    rows = _BLOCK_EVENTS // (N0 // 3 + 1)  # >= 1 by the N0 cap
     streams = []
     for b, lo in enumerate(range(0, n, rows)):
         key = np.random.SeedSequence((ensemble.seed, b))

@@ -1,7 +1,9 @@
 """File formats: ASCII PBM (P1) occupancy grids and CSV field maps.
 
 Numbers in CSV output carry 9 significant digits with '.' as the decimal
-separator, independent of locale.
+separator, independent of locale. The field-map writer formats each chunk
+of rows with one '%' call, and on a cell grid, where the coordinate columns
+repeat, it formats each distinct coordinate only once.
 """
 
 import numpy as np
@@ -54,6 +56,7 @@ def save_pbm(path, occupancy: np.ndarray):
 
 
 _CSV_CHUNK_ROWS = 2**15
+_CSV_ROW = "%s,%s,%s,%.9g,%.9g,%.9g,%.9g\n"
 
 
 def fmt9(x: float) -> str:
@@ -61,22 +64,40 @@ def fmt9(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _fmt9_strings(col: np.ndarray) -> np.ndarray:
+    """fmt9 of each entry as an object array, one call per distinct value.
+
+    Values are told apart by their bit pattern, not by ==: 0.0 and -0.0
+    compare equal but print as '0' and '-0'.
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    strings = np.array([fmt9(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return strings[inverse]
+
+
 def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
     """CSV columns x_nm, y_nm, z_nm, Bx_mT, By_mT, Bz_mT, Bmag_mT.
 
-    Rows are formatted and written in chunks, so memory stays bounded; each
-    number reads exactly as fmt9 gives it ('%.9g' is the same conversion).
+    Rows are written in chunks, so memory stays bounded, and each number
+    reads exactly as fmt9 gives it. In each chunk the three coordinate
+    columns are formatted once per distinct bit pattern (a cell grid repeats
+    every x, y and z many times), then the chunk's seven columns go through
+    one '%s,%s,%s,%.9g,...' format call; '%.9g' is fmt9's conversion.
     """
     pts = np.asarray(points_m, dtype=float)
     B = np.asarray(B_T, dtype=float)
     mag = np.linalg.norm(B, axis=1)
-    row = ",".join(["%.9g"] * 7) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT\n")
         for s in range(0, len(pts), _CSV_CHUNK_ROWS):
             c = slice(s, s + _CSV_CHUNK_ROWS)
-            cols = np.column_stack([pts[c] * 1e9, B[c] * 1e3, mag[c] * 1e3])
-            fh.write("".join([row % tuple(r) for r in cols.tolist()]))
+            xyz = pts[c] * 1e9
+            cells = np.empty((len(xyz), 7), dtype=object)
+            for j in range(3):
+                cells[:, j] = _fmt9_strings(xyz[:, j])
+            cells[:, 3:6] = B[c] * 1e3
+            cells[:, 6] = mag[c] * 1e3
+            fh.write((_CSV_ROW * len(xyz)) % tuple(cells.ravel().tolist()))
 
 
 def write_fano_csv(path, curve):

@@ -14,7 +14,12 @@ from maglattice.errors import InputError
 from maglattice.fano import TrajectoryEnsemble
 from maglattice.hubbard import mott_depth
 from maglattice.io import fmt9, load_pbm, save_pbm, write_field_map_csv
-from maglattice.lattice import LatticeGeometry, field_on_cell_grid
+from maglattice.lattice import (
+    LatticeGeometry,
+    MagnetizationPattern,
+    field_on_cell_grid,
+    fourier_from_pattern,
+)
 from maglattice.patterns import stripes
 from maglattice.surface import MaterialParams, TrapDestroyedError
 from maglattice.traps import MajoranaError, SaddleError, TuneObjective, find_trap_minima
@@ -246,6 +251,22 @@ def test_field_map_csv_matches_fmt9(tmp_path):
     pts[:4, 0] = [0.0, -0.0, 1e-300, -1.23456789e-9]
     B[:5, 1] = [0.0, -0.0, 1e-299, np.inf, 1.0000000005e-3]
     B[5, :] = 0.0
+    write_field_map_csv(tmp_path / "map.csv", pts, B)
+    lines = ["x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT"]
+    for p, b in zip(pts, B):
+        cols = [*(p * 1e9), *(b * 1e3), np.linalg.norm(b) * 1e3]
+        lines.append(",".join(fmt9(c) for c in cols))
+    assert (tmp_path / "map.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_field_map_csv_matches_fmt9_on_oblique_grid(tmp_path):
+    # a hexagonal cell grid of 200^2 rows: one full write chunk and a partial
+    # one; in the full chunk x takes 1172 distinct bit patterns (rounding
+    # splits equal sums of fx a1 + fy a2), y 200 and z one
+    geom = LatticeGeometry.from_primitives([1e-6, 0.0], [0.5e-6, 0.5e-6 * np.sqrt(3.0)])
+    occ = (np.random.default_rng(3).random((8, 8)) < 0.5).astype(int)
+    f = fourier_from_pattern(MagnetizationPattern(geom, occ, M0=670e3, film_h=50e-9), max_order=3)
+    pts, B = field_on_cell_grid(f, [-1e-3, 0.2e-3, 0.0], 4e-7, 200)
     write_field_map_csv(tmp_path / "map.csv", pts, B)
     lines = ["x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT"]
     for p, b in zip(pts, B):
@@ -497,6 +518,8 @@ def test_field_map_threads_agree(workdir):
         ("--gamma3", "-1"),
         ("--gamma3", "nan"),
         ("--gamma3", "inf"),
+        ("--n0", "100000000000000000000000"),
+        ("--dist", "fixed", "--n0", str(3 * 2**20)),
     ],
 )
 def test_fano_input_errors_exit_1(workdir, capsys, bad):

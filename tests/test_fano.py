@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maglattice import fano
+from maglattice.errors import InputError
 from maglattice.fano import (
     LossModel,
     TrajectoryEnsemble,
@@ -44,6 +45,11 @@ def test_ensemble_validation():
         TrajectoryEnsemble(n_traj=50, N0=100)
     with pytest.raises(ValueError):
         TrajectoryEnsemble(n_traj=100, N0=100, distribution="gaussian")
+    # the largest N0 whose block still holds one trajectory; nothing is drawn
+    assert TrajectoryEnsemble(n_traj=100, N0=3 * 2**20 - 1).N0 == 3 * 2**20 - 1
+    for N0 in (3 * 2**20, 10**23):
+        with pytest.raises(InputError, match="N0 must be below"):
+            TrajectoryEnsemble(n_traj=100, N0=N0, distribution="fixed")
 
 
 def test_fano_from_samples_poisson():

@@ -495,6 +495,35 @@ def test_zero_mode_expansion_returns_bias(pts, bias):
     assert not np.any(grad) and not np.any(grad_mag) and not np.any(hess)
 
 
+occupancy_grids = (
+    st.tuples(st.integers(8, 16), st.integers(8, 16))
+    .flatmap(
+        lambda shape: st.lists(
+            st.booleans(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda bits: np.array(bits, dtype=int).reshape(shape))
+    )
+    .filter(lambda occ: 0 < occ.sum() < occ.size)  # uniform: NoStructureError
+)
+
+
+# each example sums over a million dipoles; 30 keep the test near 2.5 s
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(
+    occ=occupancy_grids,
+    frac=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.5, 1.0)),
+)
+def test_fourier_field_matches_dipole_sum_on_random_patterns(occ, frac):
+    pat = MagnetizationPattern(square_geometry(1e-6), occ, M0=670e3, film_h=50e-9)
+    f = fourier_from_pattern(pat, threshold=1e-5, max_order=7)
+    r = np.array(frac) * 1e-6  # z >= period / 2
+    bias = np.array([-1.0e-3, 0.3e-3, 0.0])
+    Bf = eval_field(f, bias, r).B
+    Bd = 2.0 * dipole_sum_oracle(pat, bias, r, n_cells=60) - dipole_sum_oracle(
+        pat, bias, r, n_cells=30
+    )
+    assert np.linalg.norm(Bf - Bd) < 0.01 * np.linalg.norm(Bd)
+
+
 # ----------------------------------------------------------------------
 # derivative orders and the per-expansion derivative table
 
