@@ -14,14 +14,16 @@ F is implemented as variance over mean. (The inline definition
 is treated as shorthand for the variance-based Fano factor.)
 
 Trajectories are simulated in blocks of about 2**20 events, each drawn
-from its own counter-based Philox stream keyed on (seed, block index)
-(Salmon et al., SC'11), so results do not depend on execution order.
-The mean-field law brackets each checkpoint time with a window, and one
-pass over the blocks, dropping each once read, keeps every trajectory's
+from its own PCG64 stream (numpy's default_rng) seeded with
+SeedSequence((seed, block index)), so results do not depend on execution
+order. The mean-field law brackets each checkpoint time with a window, and
+one pass over the blocks, dropping each once read, keeps every trajectory's
 count of events below the window and the event times inside it; the
-checkpoint time is selected among those. A window that missed, which the
-counts show exactly, is widened and the blocks are drawn again from the
-same streams. The bootstrap resamples counts over the distinct values.
+checkpoint time is selected among those. A block's waits are drawn
+event-major, and drawing stops once every trajectory is past the last
+window. A window that missed, which the counts show exactly, is widened and
+the blocks are drawn again from the same streams. The bootstrap resamples
+counts over the distinct values.
 """
 
 import copy
@@ -33,6 +35,7 @@ from .errors import InputError
 
 _WINDOW = 0.02  # a checkpoint window's first half-width, relative to its time
 _BLOCK_EVENTS = 2**20  # about this many events per block of trajectories
+_CHUNK_VALUES = 2**17  # about this many waits per chunk drawn from a block
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,12 @@ class TrajectoryEnsemble:
 
     distribution is 'fixed' (every trajectory starts at exactly N0, F0 = 0)
     or 'poisson' (Poisson with mean N0, F0 = 1). Trajectories are grouped
-    into blocks of 2**20 // (N0 // 3 + 1) rows, about 2**20 events; each
-    block draws from its own counter-based stream keyed on (seed, block
-    index), so results do not depend on execution order. N0 must be below
-    3 * 2**20: from there on that is 0 rows, one trajectory alone holding
-    2**20 events or more (and the mean-wait table grows with N0).
+    into blocks of 2**20 // (N0 // 3 + 1) rows, about 2**20 events. Each
+    block draws its initial counts, then its waits up to the last checkpoint
+    window, from its own PCG64 stream seeded with (seed, block index), so
+    results do not depend on execution order. N0 must be below 3 * 2**20:
+    from there on that is 0 rows, one trajectory alone holding 2**20 events
+    or more (and the mean-wait table grows with N0).
     """
 
     n_traj: int
@@ -147,49 +151,63 @@ def _fano_bootstrap(samples, key, n_boot):
     return float(F), float(F_b.std(ddof=1))
 
 
-def _counts_at(flat, lo, hi, t):
-    """Number of elements at or below t in each ascending run flat[lo:hi], by
-    a binary search in power-of-two steps that runs on every run at once;
-    lo, hi and t broadcast against each other."""
-    lo, hi, t = np.broadcast_arrays(lo, hi, t)
-    pos = lo.copy()
-    step = 1 << int(np.max(hi - lo, initial=0)).bit_length()
+def _counts_at(flat, stride, k, t):
+    """Number of elements at or below t in each row i of the event-major
+    array flat, the ascending run flat[i::stride] cut to its first k[i]
+    elements, by a binary search in power-of-two steps that runs on every
+    row at once; k and t broadcast against each other, rows on the last axis."""
+    pos = np.zeros(np.broadcast_shapes(np.shape(k), np.shape(t)), dtype=np.int64)
+    row = np.arange(stride) - stride  # element p - 1 of row i is at p * stride + row[i]
+    step = 1 << int(np.max(k, initial=0)).bit_length()
     while step := step >> 1:
-        ok = pos + step <= hi
-        ok &= np.take(flat, pos + step - 1, mode="clip") <= t
+        ok = pos + step <= k
+        ok &= np.take(flat, (pos + step) * stride + row, mode="clip") <= t
         pos += step * ok
-    return pos - lo
+    return pos
 
 
 def _block_pass(streams, N0s, mean_wait, windows):
     """One pass over the blocks, holding one block of event times at a time.
 
-    A block draws one exponential wait per slot of a (rows, longest row)
-    array from a copy of its stream, so every pass draws the same waits; row
-    i's event times are the running sum of its first N0s[i] // 3 waits. For
-    each window (t_lo, t_hi], returns every row's number of events at or
-    below t_lo, and the event times inside the window with their row index.
+    A block draws its waits event-major, (events, rows), in chunks of about
+    _CHUNK_VALUES waits from a copy of its stream, so every pass draws the
+    same waits; row i's event times are the running sum down column i of its
+    first N0s[i] // 3 waits. Drawing stops once every row is out of events
+    or past the highest window edge: what is drawn is a prefix of the
+    stream, whatever the chunk size. For each window (t_lo, t_hi], returns
+    every row's number of events at or below t_lo, and the event times
+    inside the window with their row index.
     """
     t = np.asarray(windows, dtype=float)[:, :, None]
+    t_stop = t.max()  # a row past it has drawn every event any window needs
     below = np.zeros((len(t), N0s.size), dtype=np.int64)
     kept = [([], []) for _ in t]
-    # every block draws into one buffer, sized for the first block
-    buffer = np.empty(streams[0][2] * mean_wait.shape[1])
+    buffer = np.empty(streams[0][2] * mean_wait.shape[1])  # sized for the first block
     for stream, lo, hi in streams:
-        k = N0s[lo:hi] // 3
-        shape = (hi - lo, int(k.max()))
-        waits = buffer[: shape[0] * shape[1]].reshape(shape)
-        copy.deepcopy(stream).standard_exponential(out=waits)
-        waits *= mean_wait[N0s[lo:hi], : shape[1]]
-        np.cumsum(waits, axis=1, out=waits)
-        flat = waits.ravel()
-        start = np.arange(hi - lo) * shape[1]
-        counts = _counts_at(flat, start, start + k, t)
+        rng, rows, k = copy.deepcopy(stream), hi - lo, N0s[lo:hi] // 3
+        step, end, K = max(1, _CHUNK_VALUES // rows), 0, int(k.max())
+        block = buffer[: K * rows].reshape(K, rows)
+        while end < K:
+            start, end = end, min(K, end + step)
+            chunk = block[start:end]
+            rng.standard_exponential(out=chunk)
+            chunk *= mean_wait.T[start:end, N0s[lo:hi]]
+            if start:
+                chunk[0] += block[start - 1]
+            if rows < 256:  # numpy's axis-0 cumsum walks one column at a time,
+                np.cumsum(chunk, axis=0, out=chunk)
+            else:  # so a wide chunk is summed row by row instead
+                for row, prev in zip(chunk[1:], chunk):
+                    row += prev
+            if np.all((k <= end) | (chunk[-1] > t_stop)):
+                break
+        flat = buffer[: end * rows]
+        counts = _counts_at(flat, rows, np.minimum(k, end), t)
         below[:, lo:hi] = counts[:, 0]
         for (times, owner), (c_lo, c_hi) in zip(kept, counts):
             size = c_hi - c_lo
-            skip = np.repeat(start + c_lo - np.cumsum(size) + size, size)
-            times.append(flat[np.arange(skip.size) + skip])
+            first = np.repeat((c_lo - np.cumsum(size) + size) * rows + np.arange(rows), size)
+            times.append(flat[np.arange(first.size) * rows + first])
             owner.append(np.repeat(np.arange(lo, hi), size))
     # join each window's pieces, freeing them as it goes
     return below, [tuple(map(np.concatenate, kept.pop(0))) for _ in range(len(kept))]
@@ -214,14 +232,14 @@ def simulate_three_body(
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise InputError("checkpoints must be sorted descending")
 
-    # block b draws from Generator(Philox(SeedSequence((seed, b)))): first
-    # its Poisson initial counts, then its waits
+    # block b draws from default_rng(SeedSequence((seed, b))), a PCG64
+    # stream: first its Poisson initial counts, then its waits
     n, N0 = ensemble.n_traj, ensemble.N0
     rows = _BLOCK_EVENTS // (N0 // 3 + 1)  # >= 1 by the N0 cap
     streams = []
     for b, lo in enumerate(range(0, n, rows)):
         key = np.random.SeedSequence((ensemble.seed, b))
-        streams.append((np.random.Generator(np.random.Philox(key)), lo, min(n, lo + rows)))
+        streams.append((np.random.default_rng(key), lo, min(n, lo + rows)))
     if ensemble.distribution == "poisson":
         N0s = np.concatenate([rng.poisson(N0, size=hi - lo) for rng, lo, hi in streams])
     else:
@@ -264,33 +282,14 @@ def simulate_three_body(
 
     points = []
     for j, (eta, m) in enumerate(zip(etas, ms)):
-        if m > total_events:
-            points.append(
-                FanoPoint(
-                    eta=eta,
-                    eta_actual=float((S0 - 3.0 * total_events) / n / N0),
-                    mean_N=float((S0 - 3.0 * total_events) / n),
-                    F=float("nan"),
-                    stderr_F=float("nan"),
-                    exhausted=True,
-                    samples=None,
-                )
-            )
-            continue
-        samples = N0s - 3 * counts[m]
-        mean = samples.mean()
-        F, stderr = _fano_bootstrap(samples, (ensemble.seed, 0xB00C, j), 200)
-        points.append(
-            FanoPoint(
-                eta=eta,
-                eta_actual=float(mean / N0),
-                mean_N=float(mean),
-                F=F,
-                stderr_F=stderr,
-                exhausted=False,
-                samples=samples,
-            )
-        )
+        if m > total_events:  # exhausted: every trajectory is below 3 atoms
+            samples, mean, F, stderr = None, (S0 - 3.0 * total_events) / n, np.nan, np.nan
+        else:
+            samples = N0s - 3 * counts[m]
+            mean = samples.mean()
+            F, stderr = _fano_bootstrap(samples, (ensemble.seed, 0xB00C, j), 200)
+        points.append(FanoPoint(eta=eta, eta_actual=float(mean / N0), mean_N=float(mean), F=F,
+                                stderr_F=stderr, exhausted=samples is None, samples=samples))
     return FanoCurve(
         points=tuple(points),
         N0=N0,

@@ -163,9 +163,10 @@ def test_multi_block_run_is_reproducible():
 
 
 def test_block_stream_layout_and_empty_rows():
-    # block 0 draws its Poisson initial counts first from Philox keyed on
-    # (seed, 0); with N0 = 3 many rows start below 3 atoms and have no events
-    block0 = np.random.Generator(np.random.Philox(np.random.SeedSequence((8, 0))))
+    # block 0 draws its Poisson initial counts first from default_rng (PCG64)
+    # keyed on (seed, 0); with N0 = 3 many rows start below 3 atoms and have
+    # no events
+    block0 = np.random.default_rng(np.random.SeedSequence((8, 0)))
     N0s = block0.poisson(3, size=1000)
     assert np.any(N0s < 3)
     curve = _run(n_traj=1000, N0=3, seed=8, etas=(0.8, 0.6))
@@ -214,9 +215,9 @@ def _reference_curve(model, ensemble, etas):
     checkpoint time from one selection over all of them. Returns the
     (samples, F, stderr_F) of each checkpoint, None where exhausted."""
     n, N0, seed = ensemble.n_traj, ensemble.N0, ensemble.seed
-    rows = max(1, 2**20 // (N0 // 3 + 1))
+    rows = 2**20 // (N0 // 3 + 1)
     blocks = [
-        (np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, b)))), lo)
+        (np.random.default_rng(np.random.SeedSequence((seed, b))), lo)
         for b, lo in enumerate(range(0, n, rows))
     ]
     if ensemble.distribution == "poisson":
@@ -231,7 +232,7 @@ def _reference_curve(model, ensemble, etas):
     for g, lo in blocks:
         N, k = N0s[lo : lo + rows], kmax[lo : lo + rows]
         j = np.arange(k.max())
-        waits = g.standard_exponential((N.size, j.size))
+        waits = g.standard_exponential((j.size, N.size)).T
         waits *= inv_rate[np.maximum(N[:, None] - 3 * j, 0)]
         keep = j < k[:, None]
         times.append(np.cumsum(waits, axis=1)[keep])
@@ -301,6 +302,39 @@ def test_missed_windows_regenerate_the_same_draws(monkeypatch):
         _assert_matches_reference(*shape)
         regenerated.append(len(passes) > 1)
     assert any(regenerated)
+
+
+@pytest.mark.parametrize(
+    "n_traj, N0, dist, seed, etas",
+    [
+        (6000, 1000, "poisson", 7, BENCH_ETAS),
+        (200, 30000, "fixed", 8, [0.9, 0.5, 0.1]),
+        # rows below 3 atoms, and a window that misses until it is unbounded
+        (1000, 3, "poisson", 8, [0.8, 0.6]),
+    ],
+)
+def test_early_stop_does_not_change_the_output(monkeypatch, n_traj, N0, dist, seed, etas):
+    # one event per chunk stops drawing as early as the engine can; a chunk
+    # larger than any block here draws every block whole
+    drawn, real = [], fano._counts_at
+
+    def counted(flat, stride, k, t):
+        drawn[-1].append((flat.size, stride * int(np.max(k, initial=0))))
+        return real(flat, stride, k, t)
+
+    monkeypatch.setattr(fano, "_counts_at", counted)
+    curves = []
+    for chunk_values in (1, 2**24):
+        monkeypatch.setattr(fano, "_CHUNK_VALUES", chunk_values)
+        drawn.append([])
+        curves.append(_run(n_traj=n_traj, N0=N0, dist=dist, seed=seed, etas=etas))
+    for p, q in zip(*(c.points for c in curves), strict=True):
+        assert p.samples.tobytes() == q.samples.tobytes()
+        assert (p.F, p.stderr_F) == (q.F, q.stderr_F)
+    early, whole = (np.sum(d, axis=0) for d in drawn)
+    assert whole[0] == whole[1]  # rows x longest row, block by block
+    if (N0, dist) == (1000, "poisson"):
+        assert early[0] < whole[1]
 
 
 def _master_equation_fano(p0, eta):
