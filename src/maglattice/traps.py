@@ -136,6 +136,9 @@ class TransportResult:
 # codes are transient states inside _newton
 _CONVERGED, _SADDLE, _STALLED, _BOUND, _INVALID = range(5)
 _FATES = ("converged", "saddle", "non-converged", "range or box bound", "invalid")
+# the same fates of an index-1 row of the saddle graph, whose _BOUND rows are
+# those retired above z_top (a step to z <= 0 would count there too)
+_SADDLE_FATES = ("converged", "wrong index", "stalled", "retired", "invalid")
 _ACTIVE, _STATIONARY, _ENDED = -1, -2, -3
 # |grad|B|| (T/m) at which a Newton row is stationary, and the most a
 # verified minimum passed to characterize_trap may have
@@ -143,7 +146,7 @@ _GTOL = 1e-8
 _GRAD_TOL = 1e-6
 
 
-def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf):
+def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, z_top=np.inf):
     """Newton-converge every row of x0 (S, 3) onto a stationary point of |B|
     with `index` negative Hessian eigenvalues (0: minimum, 1: saddle).
 
@@ -152,24 +155,30 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf):
     Eigendirections with |lambda| <= 1e-9 max|lambda| are projected out of
     every step, so flat (channel) directions stay put.
 
-    A minimum takes the saddle-free step -V |Lambda|^-1 V^T grad|B|, which
-    moves downhill along negative curvature too, inside a per-row trust
-    radius that starts at `cap`. A step is accepted only if the new point is
-    valid and |B| does not increase (by more than 1e-13 (|B_ext| + |B|),
-    far above its rounding noise); the radius then doubles (up to cap),
-    otherwise it shrinks fourfold. z is clipped into z_bounds and, with
-    xy_box, x and y into a box of that half-width around the row's start,
-    which keeps a tracked trap (transport) from hopping to a lattice copy.
-    A saddle takes the plain projected step -V Lambda^-1 V^T grad|B|, capped
-    at `cap` and always accepted, for at most 30 steps (a minimum: 100).
+    Every row takes the saddle-free step -V |Lambda|^-1 V^T grad|B| with the
+    sign flipped on its `index` lowest modes: a minimum moves downhill along
+    every mode, negative curvature too, and a saddle row follows its lowest
+    eigenvector uphill and goes downhill along the others (eigenvector
+    following: Cerjan & Miller, J. Chem. Phys. 75, 2800 (1981); Baker,
+    J. Comput. Chem. 7, 385 (1986)). The step lies inside a per-row trust
+    radius that starts at `cap`; an accepted step doubles it (up to cap), a
+    rejected one shrinks it fourfold. A minimum accepts a valid trial where
+    |B| does not increase (by more than 1e-13 (|B_ext| + |B|), far above its
+    rounding noise). |B| need not fall along a saddle path, so a saddle row
+    accepts a valid trial where |grad|B|| does not grow. z is clipped into
+    z_bounds and, with xy_box, x and y into a box of that half-width around
+    the row's start, which keeps a tracked trap (transport) from hopping to a
+    lattice copy. A minimum runs at most 100 steps, a saddle 30.
 
     A row converges at |grad|B|| <= _GTOL with exactly `index` eigenvalues
     below -1e-7 max|lambda|. Returns (x, |B|(x), fate), fate per row one of
     _CONVERGED; _SADDLE (stationary, other curvature); _STALLED (iteration
     cap, trust radius below 1e-12 period, or no usable direction); _BOUND
-    (ended on a z bound or the xy box, left z > 0, or moved farther than
-    `guard` from its start); _INVALID (field zero: |B| below
-    1e-6 period |grad|B||, i.e. within about 1e-6 period of a point zero).
+    (ended on a z bound or the xy box, left z > 0, moved farther than
+    `guard` from its start, or retired: above z_top with |B| >= |B_ext|,
+    where no saddle is kept, as soon as it gets there); _INVALID (field
+    zero: |B| below 1e-6 period |grad|B||, i.e. within about 1e-6 period of
+    a point zero).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x = x0.copy()
@@ -186,21 +195,23 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf):
     maxiter = 100 if index == 0 else 30
     b_norm = np.linalg.norm(bias)
     _, _, val, g, H, valid = eval_field_arrays(f, bias, x)
+    gn = np.linalg.norm(g, axis=1)
     for it in range(maxiter + 1):
         act = fate == _ACTIVE
-        gn = np.linalg.norm(g, axis=1)
         # near a point zero |B| ~ |grad|B|| times the distance to it, and
         # a row descending into the cone never meets _GTOL
         zero = ~valid | (val < 1e-6 * f.geometry.period * gn)
         fate[act & zero] = _INVALID
         fate[act & ~zero & (gn <= _GTOL)] = _STATIONARY
+        fate[(fate == _ACTIVE) & (x[:, 2] > z_top) & (val >= b_norm)] = _BOUND
         i = np.flatnonzero(fate == _ACTIVE)
         if it == maxiter or not len(i):
             break
         lam, V = np.linalg.eigh(0.5 * (H[i] + np.transpose(H[i], (0, 2, 1))))
         use = np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
-        curv = np.where(use, np.abs(lam) if index == 0 else lam, 1.0)
+        curv = np.where(use, np.abs(lam), 1.0)
         coef = np.where(use, np.einsum("nji,nj->ni", V, g[i]) / curv, 0.0)
+        coef[:, :index] *= -1
         step = -np.einsum("nij,nj->ni", V, coef)
         sn = np.linalg.norm(step, axis=1)
         big = sn > radius[i]
@@ -216,19 +227,22 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf):
         if not len(i):
             continue
         _, _, v_t, g_t, H_t, valid_t = eval_field_arrays(f, bias, trial)
+        gn_t = np.linalg.norm(g_t, axis=1)
         if index == 0:
             # rounding noise in |B| stays below 2e-15 |B_ext| near the
             # minima of the test patterns; a strict test rejected noise and
             # collapsed the trust radius of rows already at the minimum
             acc = valid_t & (v_t <= val[i] + 1e-13 * (b_norm + val[i]))
-            rej = i[~acc]
-            radius[i[acc]] = np.minimum(2 * radius[i[acc]], cap)
-            radius[rej] /= 4
-            fate[rej[radius[rej] < min_radius]] = _STALLED
         else:
-            acc = np.ones(len(i), dtype=bool)
+            acc = valid_t & (gn_t <= gn[i])
+        rej = i[~acc]
+        radius[i[acc]] = np.minimum(2 * radius[i[acc]], cap)
+        radius[rej] /= 4
+        fate[rej[radius[rej] < min_radius]] = _STALLED
         j = i[acc]
-        x[j], val[j], g[j], H[j], valid[j] = trial[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc]
+        x[j], val[j], g[j], H[j], valid[j], gn[j] = (
+            trial[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc], gn_t[acc]
+        )
 
     on_bound = np.zeros(len(x), dtype=bool)
     if z_bounds is not None:
@@ -246,23 +260,6 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf):
     return x, val, fate
 
 
-def _to_cell(geometry, r):
-    """Map r into the home unit cell (fractional part of in-plane coords)."""
-    A = np.array([geometry.a1, geometry.a2]).T
-    frac = np.linalg.solve(A, r[:2]) % 1.0
-    xy = A @ frac
-    return np.array([xy[0], xy[1], r[2]])
-
-
-def _cell_distance(geometry, ra, rb):
-    """Minimum-image distance between two points, modulo lattice translations."""
-    A = np.array([geometry.a1, geometry.a2]).T
-    dfrac = np.linalg.solve(A, (ra - rb)[:2])
-    dfrac -= np.round(dfrac)
-    dxy = A @ dfrac
-    return float(np.sqrt(dxy @ dxy + (ra[2] - rb[2]) ** 2))
-
-
 def _cell_seeds(geom, n, z_lo, z_hi):
     """(n^3, 3) seed grid: cell-centre fractions (i + 1/2)/n along a1 and a2
     times n heights evenly inside (z_lo, z_hi)."""
@@ -276,21 +273,52 @@ def _distinct(geom, pts):
     """Classes of points equal modulo lattice translations (merge radius
     1e-3 of the period). Returns (reps, cls): one home-cell representative
     per class, the member with smallest (z, x, y), sorted by (z, x, y); and
-    the index into reps of each point."""
+    the index into reps of each point.
+
+    Classes form greedily in input order: a point joins the first
+    representative within the radius (minimum image) and replaces it if
+    smaller, or starts a class. Each point is tested against the current
+    representatives only, so no (n, n) array is built."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    A = np.array([geom.a1, geom.a2]).T
+    # a stack of one-point solves and products gives each point the bits of
+    # its own call; a multi-RHS solve or an einsum is 1 ulp off, and the
+    # representatives are reported
+    A_n = np.broadcast_to(A, (n, 2, 2))
+    frac = np.linalg.solve(A_n, pts[:, :2, None]) % 1.0
+    home = np.column_stack([(A_n @ frac)[:, :, 0], pts[:, 2]])
+    frac = frac[:, :, 0]
     merge_tol = 1e-3 * geom.period
-    reps, cls = [], []
-    for r in (_to_cell(geom, p) for p in pts):
-        for i, q in enumerate(reps):
-            if _cell_distance(geom, r, q) < merge_tol:
-                if (r[2], r[0], r[1]) < (q[2], q[0], q[1]):
-                    reps[i] = r
-                break
+    # elementwise products and a Python sort below: a first BLAS product or
+    # np.lexsort call here raised the peak RSS of a surface run by 0.1-0.5 MB
+    reps, cls = [], np.empty(n, dtype=int)
+    for p in range(n):
+        d = frac[reps] - frac[p]
+        d -= np.round(d)
+        dxy = d[:, :1] * geom.a1 + d[:, 1:] * geom.a2
+        dist = np.hypot(np.linalg.norm(dxy, axis=1), home[reps, 2] - home[p, 2])
+        hit = np.flatnonzero(dist < merge_tol)
+        if len(hit):
+            i = hit[0]
+            r, q = home[p], home[reps[i]]
+            if (r[2], r[0], r[1]) < (q[2], q[0], q[1]):
+                reps[i] = p
         else:
             i = len(reps)
-            reps.append(r)
-        cls.append(i)
-    order = sorted(range(len(reps)), key=lambda i: (reps[i][2], reps[i][0], reps[i][1]))
-    return [reps[i] for i in order], np.argsort(order)[np.array(cls, dtype=int)]
+            reps.append(p)
+        cls[p] = i
+    order = sorted(range(len(reps)), key=lambda i: tuple(home[reps[i], [2, 0, 1]]))
+    return [home[reps[i]] for i in order], np.argsort(order)[cls]
+
+
+def _log_fates(label, fate, names):
+    """Debug-log how many Newton rows ended with each fate."""
+    counts = np.bincount(fate, minlength=len(names))
+    logger.debug(
+        "%s: %d seeds: %s", label, len(fate),
+        ", ".join(f"{n} {name}" for n, name in zip(counts, names)),
+    )
 
 
 def find_trap_minima(
@@ -321,11 +349,7 @@ def find_trap_minima(
     geom = f.geometry
     seeds = _cell_seeds(geom, grid_seed_n, z_min, z_max)
     x, _, fate = _newton(f, b, seeds, 0, 0.05 * geom.period, z_bounds=(z_min, z_max))
-    counts = np.bincount(fate, minlength=len(_FATES))
-    logger.debug(
-        "find_trap_minima: %d seeds: %s", len(seeds),
-        ", ".join(f"{n} {name}" for n, name in zip(counts, _FATES)),
-    )
+    _log_fates("find_trap_minima", fate, _FATES)
     return _distinct(geom, x[fate == _CONVERGED])[0]
 
 
@@ -337,20 +361,28 @@ def frequencies_from_hessian(hess_mag: np.ndarray, atom: AtomState):
     """Principal trap frequencies from the Hessian of |B| at a minimum.
 
     The potential is V = gF mF muB |B|, so omega_i = sqrt(gF mF muB
-    lambda_i / m) for each Hessian eigenvalue lambda_i. Returns
-    (freqs_Hz descending, axes with matching columns). Slightly negative
-    eigenvalues within numerical noise are clamped to zero; genuinely
-    negative ones raise SaddleError.
+    lambda_i / m) for each Hessian eigenvalue lambda_i. hess_mag is one
+    (3, 3) Hessian or an (n, 3, 3) stack, diagonalized by one batched eigh.
+    Returns (freqs_Hz descending, axes with matching columns), with a
+    leading n axis for a stack. Slightly negative eigenvalues within
+    numerical noise are clamped to zero. A genuinely negative one raises
+    SaddleError for a single Hessian; in a stack, that row's freqs and axes
+    are NaN.
     """
-    H = 0.5 * (hess_mag + hess_mag.T)
-    lam, V = np.linalg.eigh(H)
-    scale = max(np.max(np.abs(lam)), 1e-300)
-    if lam[0] < -1e-7 * scale:
+    H = np.asarray(hess_mag, dtype=float)
+    lam, V = np.linalg.eigh(0.5 * (H + np.swapaxes(H, -1, -2)))
+    scale = np.maximum(np.max(np.abs(lam), axis=-1), 1e-300)
+    saddle = lam[..., 0] < -1e-7 * scale
+    if H.ndim == 2 and saddle:
         raise SaddleError("saddle, not minimum: Hessian has a negative eigenvalue")
-    lam = np.clip(lam, 0.0, None)
-    omega = np.sqrt(atom.mu * lam / atom.mass)
-    order = np.argsort(omega)[::-1]
-    return omega[order] / (2 * np.pi), V[:, order]
+    omega = np.sqrt(atom.mu * np.clip(lam, 0.0, None) / atom.mass)
+    order = np.argsort(omega, axis=-1)[..., ::-1]
+    freqs = np.take_along_axis(omega, order, axis=-1) / (2 * np.pi)
+    axes = np.take_along_axis(V, order[..., None, :], axis=-1)
+    return (
+        np.where(saddle[..., None], np.nan, freqs),
+        np.where(saddle[..., None, None], np.nan, axes),
+    )
 
 
 def characterize_trap(
@@ -416,9 +448,12 @@ def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
     """Minimax barrier of |B| between two minima (possibly translated copies).
 
     Builds the saddle graph of the unit cell (Wales, Energy Landscapes, CUP
-    2003) from `_newton` alone. One index-1 descent over the cell seed grid,
-    at heights up to z_top = max(z_i, z_j) + 3/k_min, finds the saddles
-    below the escape value |B_ext|. One index-0 descent from both sides of
+    2003) from `_newton` alone. One index-1 descent over the 6^3 cell seed
+    grid, at heights up to z_top = max(z_i, z_j) + 3/k_min, finds the
+    saddles below the escape value |B_ext|: each row follows its lowest
+    Hessian eigenvector uphill inside a trust radius of at most 0.1 period,
+    and a row above z_top with |B| >= |B_ext|, where no saddle is kept, is
+    retired as soon as it gets there. One index-0 descent from both sides of
     each saddle's unstable axis finds the two minima or field zeros it
     joins. Saddles are then added in ascending height to a union-find over
     those nodes in a 5 x 5 window of cell translates around r_i; the first
@@ -453,7 +488,8 @@ def _barriers(f, b, r_i, goals) -> list:
     if f.nmodes:
         z_top = max(r_i[2], *(r_j[2] for r_j in goals)) + 3.0 / f.k_min
         seeds = _cell_seeds(geom, 6, geom.period / 50, z_top)
-        x, val, fate = _newton(f, b, seeds, 1, 0.05 * geom.period)
+        x, val, fate = _newton(f, b, seeds, 1, 0.1 * geom.period, z_top=z_top)
+        _log_fates("saddle graph", fate, _SADDLE_FATES)
         keep = (fate == _CONVERGED) & (x[:, 2] <= z_top) & (val < np.linalg.norm(b))
         saddles = np.array(_distinct(geom, x[keep])[0]).reshape(-1, 3)
     else:
@@ -799,11 +835,7 @@ def transport_trajectory(
     def snapshot(step, bvec, pos):
         _, _, Bm, _, H, valid = eval_field_arrays(f, bvec, pos)
         fr = np.full((len(pos), 3), np.nan)
-        for i in range(len(pos)):
-            try:
-                fr[i], _ = frequencies_from_hessian(H[i], atom)
-            except (SaddleError, ValueError):
-                pass
+        fr[valid] = frequencies_from_hessian(H[valid], atom)[0]
         return TransportSnapshot(
             step=step, bias=bvec.copy(), positions=pos.copy(),
             B_IP=np.where(valid, Bm, np.nan), freqs=fr,

@@ -1,12 +1,16 @@
+import itertools
 import logging
 import re
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from maglattice import constants as const
-from maglattice.lattice import eval_field, fourier_from_pattern
+from maglattice import traps
+from maglattice.lattice import LatticeGeometry, eval_field, eval_field_arrays, fourier_from_pattern
 from maglattice.patterns import windmill, z_edge_band
 from maglattice.traps import (
     BiasField,
@@ -197,6 +201,93 @@ def test_lattice_covariance_under_pattern_translation():
         assert min(dists) < 1e-3 * period
 
 
+def _to_cell_loop(A, r):
+    xy = A @ (np.linalg.solve(A, r[:2]) % 1.0)
+    return np.array([xy[0], xy[1], r[2]])
+
+
+def _cell_distance_loop(A, ra, rb):
+    dfrac = np.linalg.solve(A, (ra - rb)[:2])
+    dfrac -= np.round(dfrac)
+    dxy = A @ dfrac
+    return float(np.sqrt(dxy @ dxy + (ra[2] - rb[2]) ** 2))
+
+
+def _distinct_loop(geom, pts):
+    """The greedy loop of one solve per point and per representative that
+    `traps._distinct` replaced, kept as its oracle."""
+    A = np.array([geom.a1, geom.a2]).T
+    merge_tol = 1e-3 * geom.period
+    reps, cls = [], []
+    for r in (_to_cell_loop(A, p) for p in pts):
+        for i, q in enumerate(reps):
+            if _cell_distance_loop(A, r, q) < merge_tol:
+                if (r[2], r[0], r[1]) < (q[2], q[0], q[1]):
+                    reps[i] = r
+                break
+        else:
+            i = len(reps)
+            reps.append(r)
+        cls.append(i)
+    order = sorted(range(len(reps)), key=lambda i: (reps[i][2], reps[i][0], reps[i][1]))
+    return [reps[i] for i in order], np.argsort(order)[np.array(cls, dtype=int)]
+
+
+DISTINCT_GEOMETRIES = {
+    "square": LatticeGeometry.from_primitives([1e-6, 0.0], [0.0, 1e-6]),
+    "hexagonal": LatticeGeometry.from_primitives([1e-6, 0.0], [0.5e-6, np.sqrt(3) / 2 * 1e-6]),
+}
+
+
+@st.composite
+def clustered_points(draw):
+    """(geometry name, points): lattice-translated copies of up to four
+    centres, each copy moved by up to one merge radius per axis, so the
+    members of a cluster straddle the radius."""
+    name = draw(st.sampled_from(sorted(DISTINCT_GEOMETRIES)))
+    geom = DISTINCT_GEOMETRIES[name]
+    a = np.array([geom.a1, geom.a2])
+    unit = st.floats(-1.0, 1.0)
+    centres = draw(st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 2.0)),
+        min_size=1, max_size=4,
+    ))
+    n = draw(st.integers(0, 24))
+    members = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(centres) - 1), st.integers(-3, 3), st.integers(-3, 3),
+            st.tuples(unit, unit, unit),
+        ),
+        min_size=n, max_size=n,
+    ))
+    pts = [
+        np.append((np.array(centres[c][:2]) + (n1, n2)) @ a, centres[c][2] * 1e-6)
+        + 1e-3 * geom.period * np.array(off)
+        for c, n1, n2, off in members
+    ]
+    return name, np.array(pts).reshape(-1, 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=clustered_points())
+@example(case=("square", np.empty((0, 3))))
+@example(case=("hexagonal", np.array([[1.7e-6, -0.4e-6, 0.5e-6]])))
+def test_distinct_matches_greedy_loop(case):
+    name, pts = case
+    geom = DISTINCT_GEOMETRIES[name]
+    A = np.array([geom.a1, geom.a2]).T
+    tol = 1e-3 * geom.period
+    home = [_to_cell_loop(A, p) for p in pts]
+    # at exactly the merge radius the two roundings of a distance may differ
+    pairs = itertools.combinations(home, 2)
+    assume(all(abs(_cell_distance_loop(A, a, b) - tol) > 1e-9 * tol for a, b in pairs))
+    reps, cls = traps._distinct(geom, pts)
+    reps_loop, cls_loop = _distinct_loop(geom, pts)
+    assert len(reps) == len(reps_loop)
+    assert all(np.array_equal(r, q) for r, q in zip(reps, reps_loop))
+    assert np.array_equal(cls, cls_loop)
+
+
 # ----------------------------------------------------------------------
 # characterize_trap
 
@@ -216,6 +307,26 @@ def test_frequencies_from_synthetic_quadratic(rb87):
 def test_frequencies_reject_saddle(rb87):
     with pytest.raises(SaddleError):
         frequencies_from_hessian(np.diag([1e9, -1e9, 1e9]), rb87)
+
+
+def test_frequencies_of_a_stack_match_single_calls(rb87):
+    # one batched eigh gives each row the bits of its own call; a saddle
+    # row is NaN where a single call raises
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.normal(size=(5, 3, 3)))[0]
+    lam = rng.uniform(0.0, 4e9, (5, 3))
+    lam[2, 0] = -1e9
+    H = Q @ (lam[:, :, None] * np.swapaxes(Q, 1, 2))
+    freqs, axes = frequencies_from_hessian(H, rb87)
+    assert freqs.shape == (5, 3) and axes.shape == (5, 3, 3)
+    for i in range(5):
+        if i == 2:
+            assert np.all(np.isnan(freqs[i])) and np.all(np.isnan(axes[i]))
+            with pytest.raises(SaddleError):
+                frequencies_from_hessian(H[i], rb87)
+        else:
+            f_i, axes_i = frequencies_from_hessian(H[i], rb87)
+            assert np.array_equal(freqs[i], f_i) and np.array_equal(axes[i], axes_i)
 
 
 def test_characterize_stripe_trap(stripe_expansion, rb87):
@@ -420,6 +531,61 @@ def test_barrier_scans_ask_for_order_0(monkeypatch):
     assert calls[0] == KernelCall(2, 0, False)
     assert calls[-1] == KernelCall(256, 0, False)
     assert all(c.order == 2 for c in calls[1:-1])
+
+
+def test_saddle_rows_near_windmill_saddle_converge_to_it(windmill_expansion):
+    # the a2 saddle of test_barrier_symmetry_and_saddle: seeds up to 0.05
+    # period from it along each axis follow its unstable axis back onto it
+    f, bias = windmill_expansion, np.array([-1e-3, 0.0, 0.0])
+    r0 = find_trap_minima(f, bias, (0.15e-6, 1.4e-6), grid_seed_n=5)[0]
+    saddle = barrier_heights(f, bias, r0, r0 + np.array([0.0, 1e-6, 0.0])).saddle
+    offsets = 0.05e-6 * np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    x, _, fate = traps._newton(f, bias, saddle + offsets, 1, 0.1e-6)
+    assert np.all(fate == traps._CONVERGED)
+    assert np.all(np.linalg.norm(x - saddle, axis=1) < 1e-12)
+
+
+def test_saddle_row_retires_above_z_top(windmill_expansion, monkeypatch):
+    # no saddle is kept above z_top with |B| >= |B_ext|: a row there ends
+    # on the kernel call that put it there
+    f, bias = windmill_expansion, np.array([-1e-3, 0.0, 0.0])
+    line = np.column_stack([np.linspace(0.0, 1e-6, 64), np.full(64, 0.3e-6), np.full(64, 3e-6)])
+    B_mag = eval_field_arrays(f, bias, line, order=0)[2]
+    assert B_mag.max() >= np.linalg.norm(bias)
+    start = line[[np.argmax(B_mag)]]
+    calls = count_kernel_calls(monkeypatch)
+    x, _, fate = traps._newton(f, bias, start, 1, 0.1e-6, z_top=2e-6)
+    assert len(calls) == 1
+    assert fate[0] == traps._BOUND and np.array_equal(x, start)
+    # below z_top the same row steps on
+    calls.clear()
+    traps._newton(f, bias, start, 1, 0.1e-6, z_top=4e-6)
+    assert len(calls) > 1
+
+
+# kernel rows of the index-1 and index-0 descents of one saddle graph: on the
+# demos/01 band no saddle joins the sites, on the tuner band one does;
+# measured 2900-3415 (5700-6200 with plain Newton steps on saddle rows)
+MAX_GRAPH_ROWS = 3600
+
+
+@pytest.mark.parametrize(
+    "notch, deg, z_max", [(0.25, 16, 1.3e-6), (0.25, 18, 1.3e-6), (0.25, 20, 1.3e-6), (0.10, 8, 1.5e-6)]
+)
+def test_saddle_graph_kernel_rows_bounded(monkeypatch, caplog, notch, deg, z_max):
+    f = z_edge_band_expansion(notch)
+    bias = in_plane(1.2e-3, deg)
+    r0 = find_trap_minima(f, bias, (0.1e-6, z_max), grid_seed_n=5)[0]
+    calls = count_kernel_calls(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="maglattice.traps"):
+        barrier_heights(f, bias, r0, r0 + np.array([1e-6, 0.0, 0.0]))
+    assert sum(c.points for c in calls if c.in_newton) <= MAX_GRAPH_ROWS
+    (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("saddle graph")]
+    head, tail = msg.split(": ", 1)[1].split(": ")
+    assert head == "216 seeds"
+    counts = {name: int(n) for n, name in (part.split(" ", 1) for part in tail.split(", "))}
+    assert list(counts) == ["converged", "wrong index", "stalled", "retired", "invalid"]
+    assert sum(counts.values()) == 216 and counts["retired"] > 0
 
 
 def record_evaluations(monkeypatch):
