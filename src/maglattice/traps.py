@@ -42,6 +42,10 @@ class TuneUnreachableError(RuntimeError):
         self.best = best
 
 
+# a BiasField's magnitude stays below this bound (T), at atom-chip scale
+_BIAS_MAX = 0.1
+
+
 @dataclass(frozen=True)
 class BiasField:
     """Uniform external bias field (T). Sanity-bounded to atom-chip scale."""
@@ -54,8 +58,8 @@ class BiasField:
             raise InputError("bias must be a 3-vector")
         if not np.all(np.isfinite(b)):
             raise InputError("bias components must be finite")
-        if np.linalg.norm(b) >= 0.1:
-            raise InputError("bias magnitude must be < 0.1 T")
+        if np.linalg.norm(b) >= _BIAS_MAX:
+            raise InputError(f"bias magnitude must be < {_BIAS_MAX:g} T")
         object.__setattr__(self, "B_ext", b)
 
 
@@ -135,7 +139,7 @@ class TransportResult:
 # fates of a Newton row, named in _FATES for the debug log; the negative
 # codes are transient states inside _newton
 _CONVERGED, _SADDLE, _STALLED, _BOUND, _INVALID = range(5)
-_FATES = ("converged", "saddle", "non-converged", "range or box bound", "invalid")
+_FATES = ("converged", "saddle", "non-converged", "range or guard bound", "invalid")
 # the same fates of an index-1 row of the saddle graph, whose _BOUND rows are
 # those retired above z_top (a step to z <= 0 would count there too)
 _SADDLE_FATES = ("converged", "wrong index", "stalled", "retired", "invalid")
@@ -146,7 +150,7 @@ _GTOL = 1e-8
 _GRAD_TOL = 1e-6
 
 
-def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, z_top=np.inf):
+def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     """Newton-converge every row of x0 (S, 3) onto a stationary point of |B|
     with `index` negative Hessian eigenvalues (0: minimum, 1: saddle).
 
@@ -166,29 +170,23 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, z
     |B| does not increase (by more than 1e-13 (|B_ext| + |B|), far above its
     rounding noise). |B| need not fall along a saddle path, so a saddle row
     accepts a valid trial where |grad|B|| does not grow. z is clipped into
-    z_bounds and, with xy_box, x and y into a box of that half-width around
-    the row's start, which keeps a tracked trap (transport) from hopping to a
-    lattice copy. A minimum runs at most 100 steps, a saddle 30.
+    z_bounds. A row whose trial lies farther than `guard` from its start
+    ends there, which keeps a tracked trap (transport) or saddle (the tuner's
+    polish) from hopping to a lattice copy. A minimum runs at most 100
+    steps, a saddle 30.
 
     A row converges at |grad|B|| <= _GTOL with exactly `index` eigenvalues
     below -1e-7 max|lambda|. Returns (x, |B|(x), fate), fate per row one of
     _CONVERGED; _SADDLE (stationary, other curvature); _STALLED (iteration
     cap, trust radius below 1e-12 period, or no usable direction); _BOUND
-    (ended on a z bound or the xy box, left z > 0, moved farther than
-    `guard` from its start, or retired: above z_top with |B| >= |B_ext|,
-    where no saddle is kept, as soon as it gets there); _INVALID (field
-    zero: |B| below 1e-6 period |grad|B||, i.e. within about 1e-6 period of
-    a point zero).
+    (ended on a z bound, left z > 0, moved farther than `guard` from its
+    start, or retired: above z_top with |B| >= |B_ext|, where no saddle is
+    kept, as soon as it gets there); _INVALID (field zero: |B| below 1e-6
+    period |grad|B||, i.e. within about 1e-6 period of a point zero).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x = x0.copy()
-    lo = np.full_like(x0, -np.inf)
-    hi = np.full_like(x0, np.inf)
-    if z_bounds is not None:
-        lo[:, 2], hi[:, 2] = z_bounds
-    if xy_box is not None:
-        lo[:, :2] = x0[:, :2] - xy_box
-        hi[:, :2] = x0[:, :2] + xy_box
+    z_lo, z_hi = (-np.inf, np.inf) if z_bounds is None else z_bounds
     fate = np.full(len(x), _ACTIVE)
     radius = np.full(len(x), float(cap))
     min_radius = 1e-12 * f.geometry.period
@@ -216,7 +214,8 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, z
         sn = np.linalg.norm(step, axis=1)
         big = sn > radius[i]
         step[big] *= (radius[i][big] / sn[big])[:, None]
-        trial = np.clip(x[i] + step, lo[i], hi[i])
+        trial = x[i] + step
+        trial[:, 2] = np.clip(trial[:, 2], z_lo, z_hi)
         # a step that leaves the row where it is (no usable direction, or
         # pushing only against a bound) will never move it
         fate[i[np.all(trial == x[i], axis=1)]] = _ENDED
@@ -244,11 +243,7 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, xy_box=None, guard=np.inf, z
             trial[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc], gn_t[acc]
         )
 
-    on_bound = np.zeros(len(x), dtype=bool)
-    if z_bounds is not None:
-        on_bound |= (x[:, 2] <= z_bounds[0] * (1 + 1e-9)) | (x[:, 2] >= z_bounds[1] * (1 - 1e-9))
-    if xy_box is not None:
-        on_bound |= np.max(np.abs(x[:, :2] - x0[:, :2]), axis=1) >= xy_box * (1 - 1e-9)
+    on_bound = (x[:, 2] <= z_lo * (1 + 1e-9)) | (x[:, 2] >= z_hi * (1 - 1e-9))
     ended = (fate == _ACTIVE) | (fate == _ENDED)
     fate[ended] = np.where(on_bound[ended], _BOUND, _STALLED)
     k = np.flatnonzero(fate == _STATIONARY)
@@ -628,8 +623,12 @@ def tune_bias(
     10 % (near a fold, where the channel barrier vanishes, it only crawls),
     when the step falls below 1e-9 |B_ext|, or after maxiter steps. Later
     restarts start from jittered points; deterministic for a given seed.
-    Raises TuneUnreachableError (best attempt attached) if the final cost
-    stays above cost_threshold.
+
+    Returns (BiasField, TrapReport) at the best bias. The report
+    characterizes the minimum the search tracked there, mapped to the home
+    cell. Raises TuneUnreachableError if the final cost stays above
+    cost_threshold; its best attempt is that bias and report, the report
+    None if that restart never located a trap.
     """
     b0 = _bias_vec(initial)
     if f.nmodes == 0:
@@ -653,13 +652,6 @@ def tune_bias(
         "channels_along_a2": {"along": a2_shift},
     }[objective.mode]
     state = {"r_prev": None, "r_anchor": None, "saddles": {}}
-
-    def full_search(bvec):
-        minima = find_trap_minima(f, bvec, (z_lo, z_hi), grid_seed_n=4)
-        if not minima:
-            return None
-        # prefer the minimum closest to the target height
-        return min(minima, key=lambda r: abs(r[2] - objective.target_z))
 
     def locate(bvec):
         """(r, |B|(r)) of the minimum near the previous one, or None.
@@ -707,64 +699,73 @@ def tune_bias(
         return zip(*(hops[label] for label in shifts))
 
     def evaluate(bvec):
-        """(cost, R, dR/dB_ext) at bvec; R, dR/dB_ext None at a sentinel cost."""
-        if np.linalg.norm(bvec) >= 0.1:
-            return 1e6, None, None
+        """(cost, R, dR/dB_ext, r) at bvec: r the minimum located there or
+        None; R, dR/dB_ext None at a sentinel cost."""
+        if np.linalg.norm(bvec) >= _BIAS_MAX:
+            return 1e6, None, None, None
         found = locate(bvec)
         if found is None:
             state["r_prev"] = None
-            return 1e5, None, None
+            return 1e5, None, None, None
         r, B_mag = found
         state["r_prev"] = r
         if B_mag < 1e-7:  # Majorana-adjacent, useless trap
-            return 1e4, None, None
+            return 1e4, None, None, r
         res, jac = _residuals(f, objective, bvec, r, *tracked_barriers(bvec, r, B_mag))
-        return float(res @ res), res, jac
+        return float(res @ res), res, jac, r
 
     def gauss_newton(x):
-        """(x, cost, steps, cost evaluations, halvings, stop reason)."""
-        c, res, jac = evaluate(x)
+        """(x, cost, r, steps, cost evaluations, halvings, stop reason), r the
+        minimum at the last accepted x."""
+        c, res, jac, r = evaluate(x)
         steps, evals, halvings = 0, 1, 0
         stalled = res is None
         while not (c < _GN_COST_TOL or stalled or steps == maxiter):
             dx = -jac.T @ _sym_solve(jac @ jac.T, res[:, None])[:, 0]
             dx *= min(1.0, _GN_STEP_CAP * np.linalg.norm(x) / max(np.linalg.norm(dx), 1e-300))
             while np.linalg.norm(dx) > _GN_MIN_STEP * np.linalg.norm(x):
-                c_t, res_t, jac_t = evaluate(x + dx)
+                c_t, res_t, jac_t, r_t = evaluate(x + dx)
                 evals += 1
                 if res_t is not None and c_t < c:
                     steps += 1
                     stalled = not c_t < _GN_STALL * c
-                    x, c, res, jac = x + dx, c_t, res_t, jac_t
+                    x, c, res, jac, r = x + dx, c_t, res_t, jac_t, r_t
                     break
                 dx /= 2
                 halvings += 1
             else:
                 stalled = True
         reason = "converged" if c < _GN_COST_TOL else "stalled" if stalled else "maxiter"
-        return x, c, steps, evals, halvings, reason
+        return x, c, r, steps, evals, halvings, reason
 
     rng = np.random.default_rng(seed)
     best = None
     for attempt in range(restarts):
         x0 = b0 if attempt == 0 else b0 * (1 + 0.15 * rng.standard_normal(3))
-        if np.linalg.norm(x0) >= 0.1:
+        if np.linalg.norm(x0) >= _BIAS_MAX:
             # the normals are drawn anyway, so later restarts keep their starts
-            logger.debug("tune_bias restart %d skipped: jittered start |B| >= 0.1 T", attempt)
+            logger.debug(
+                "tune_bias restart %d skipped: jittered start |B| >= %g T", attempt, _BIAS_MAX
+            )
             continue
         state["r_prev"] = None
-        state["r_anchor"] = full_search(x0)
+        # the minimum closest to the target height anchors the restart
+        state["r_anchor"] = min(
+            find_trap_minima(f, x0, (z_lo, z_hi), grid_seed_n=4),
+            key=lambda r: abs(r[2] - objective.target_z),
+            default=None,
+        )
         state["saddles"] = {}
         if state["r_anchor"] is None:
             continue
-        x, c, steps, evals, halvings, reason = gauss_newton(x0)
+        x, c, r, steps, evals, halvings, reason = gauss_newton(x0)
         logger.debug(
             "tune_bias restart %d: start (%.6g, %.6g, %.6g) mT, %d Gauss-Newton steps, "
             "%d cost evaluations, %d halvings, cost %.3e, %s",
             attempt, *(x0 * 1e3), steps, evals, halvings, c, reason,
         )
         if best is None or c < best[1]:
-            best = (x, c)
+            best = (x, c, r)
         if best[1] < cost_threshold:
             break
 
@@ -773,16 +774,11 @@ def tune_bias(
             "objective unreachable: no trap found at any restart point",
             best=(BiasField(b0), None),
         )
-    x_best, fun_best = best
-    state["r_prev"] = None
-    state["r_anchor"] = full_search(x_best)
-    found = locate(x_best)
-    if found is None:
-        raise TuneUnreachableError(
-            "objective unreachable: no trap at best-found bias",
-            best=(BiasField(x_best), None),
-        )
-    report = characterize_trap(f, x_best, found[0], atom)
+    x_best, fun_best, r_best = best
+    report = None
+    if r_best is not None:
+        # reported in the home cell, like the minima of find_trap_minima
+        report = characterize_trap(f, x_best, _distinct(geom, r_best)[0][0], atom)
     if not fun_best < cost_threshold:  # a NaN cost never reaches the objective
         raise TuneUnreachableError(
             f"objective unreachable: best cost {fun_best:.3e} >= {cost_threshold:.1e}",
@@ -806,10 +802,9 @@ def transport_trajectory(
 
     Minima found at the first bias are followed step to step by one
     lockstep Newton descent over all tracked traps, each started at its
-    previous position and boxed in x and y to a quarter lattice period
-    around it. A step whose descent fails for any trap, or moves one
-    farther than a quarter period, loses tracking and truncates the
-    trajectory (lost_at_step).
+    previous position and guarded to a quarter lattice period around it. A
+    step whose descent fails for any trap, a trap's step beyond the guard
+    included, loses tracking and truncates the trajectory (lost_at_step).
 
     Raises InputError unless the schedule has at least two steps, each a
     valid bias, and every step changes the bias by less than a tenth of its
@@ -825,7 +820,6 @@ def transport_trajectory(
     geom = f.geometry
     if z_range is None:
         z_range = (geom.period / 50, 3 * geom.period)
-    guard = geom.period / 4
 
     positions = find_trap_minima(f, vecs[0], z_range, grid_seed_n=grid_seed_n)
     if not positions:
@@ -845,9 +839,9 @@ def transport_trajectory(
     lost_at = None
     for step in range(1, len(vecs)):
         x, _, fate = _newton(
-            f, vecs[step], positions, 0, 0.05 * geom.period, z_bounds=z_range, xy_box=guard
+            f, vecs[step], positions, 0, 0.05 * geom.period, z_bounds=z_range, guard=geom.period / 4
         )
-        if np.any(fate != _CONVERGED) or np.any(np.linalg.norm(x - positions, axis=1) > guard):
+        if np.any(fate != _CONVERGED):
             lost_at = step
             break
         positions = x

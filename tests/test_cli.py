@@ -433,12 +433,21 @@ def test_tune_bias_cli(workdir):
     # default threshold stops early, so this only checks plumbing, not the
     # tuning quality
     write_band_config(workdir, "config.json")
-    rc = run_cli(workdir, "tune-bias", "--target-z-nm", "1215", "--mode", "symmetric")
-    report = json.loads((workdir / "report.json").read_text())
-    assert rc == 0
+    outputs = []
+    for _ in range(2):
+        rc = run_cli(workdir, "tune-bias", "--target-z-nm", "1215", "--mode", "symmetric")
+        assert rc == 0
+        outputs.append((workdir / "report.json").read_bytes())
+    # the same seed gives the same bytes
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
     assert report["payload"]["reached"]
     assert "bias_mT" in report["payload"]
-    assert report["payload"]["trap"]["position_nm"][2] == pytest.approx(1215, rel=0.1)
+    x, y, z = report["payload"]["trap"]["position_nm"]
+    assert z == pytest.approx(1215, rel=0.1)
+    # reported in the home cell: fractional coordinates in [0, 1) of the
+    # 1000 nm square lattice
+    assert 0 <= x / 1000 < 1 and 0 <= y / 1000 < 1
 
 
 IMPORT_GUARD = """

@@ -154,11 +154,11 @@ def test_search_logs_seed_fates(stripe_expansion, caplog):
     head, tail = msg.split(": ", 1)[1].split(": ")
     assert head == "216 seeds"
     counts = {name: int(n) for n, name in (part.split(" ", 1) for part in tail.split(", "))}
-    assert list(counts) == ["converged", "saddle", "non-converged", "range or box bound", "invalid"]
+    assert list(counts) == ["converged", "saddle", "non-converged", "range or guard bound", "invalid"]
     assert sum(counts.values()) == 216
     # seeds on the x = 3/4 symmetry line, where the lattice field adds to
     # the bias, climb to z_max
-    assert counts["converged"] > 0 and counts["range or box bound"] > 0
+    assert counts["converged"] > 0 and counts["range or guard bound"] > 0
     assert len(minima) <= counts["converged"]
 
 
@@ -773,6 +773,22 @@ def test_transport_lost_when_trap_leaves_range(stripe_expansion):
         assert np.allclose(snap.positions[:, 2], z, atol=0.1e-9)
 
 
+def test_newton_guard_ends_a_row_that_travels_too_far(stripe_expansion):
+    # the stripe minimum lies 0.2 period along x from this start: a guard of
+    # 0.1 period ends the descent on its way there, one of 0.3 period does not
+    from maglattice import traps
+
+    f = stripe_expansion
+    period = f.geometry.period
+    bias = stripe_bias()
+    start = np.array([0.45 * period, 0.0, stripe_zstar(f, bias[0])])
+    for guard, fate in ((0.1 * period, traps._BOUND), (0.3 * period, traps._CONVERGED)):
+        x, _, fates = traps._newton(f, bias, start, 0, 0.05 * period, guard=guard)
+        assert fates[0] == fate
+        assert np.linalg.norm(x[0] - start) <= guard
+    assert abs(x[0, 0] - 0.25 * period) < 1e-3 * period
+
+
 def test_transport_validation(stripe_expansion):
     with pytest.raises(ValueError, match="at least 2"):
         transport_trajectory(stripe_expansion, [stripe_bias()])
@@ -797,24 +813,32 @@ def test_tune_target_beyond_decay_unreachable(stripe_expansion, rb87):
         tune_bias(stripe_expansion, objective, rb87, stripe_bias(), seed=0)
 
 
-def test_tune_unreachable_best_is_bias_field(stripe_expansion, rb87, monkeypatch):
-    # the final re-search at the best bias finds nothing: the error must
-    # still carry the best bias as a BiasField, like every other exit
+def test_tune_reports_the_tracked_minimum(stripe_expansion, rb87, monkeypatch):
+    # one restart searches the cell once; the report at the best bias
+    # characterizes the minimum the search tracked there, also when the cost
+    # never reaches the threshold
     from maglattice import traps
 
     calls = []
     real = traps.find_trap_minima
 
-    def second_call_empty(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs) if len(calls) == 1 else []
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(traps, "find_trap_minima", second_call_empty)
+    monkeypatch.setattr(traps, "find_trap_minima", counted)
     objective = TuneObjective(target_z=stripe_zstar(stripe_expansion, -2e-3))
-    with pytest.raises(traps.TuneUnreachableError, match="best-found bias") as exc:
-        traps.tune_bias(stripe_expansion, objective, rb87, stripe_bias(), restarts=1, maxiter=5)
-    assert len(calls) == 2
-    assert isinstance(exc.value.best[0], BiasField)
+    with pytest.raises(traps.TuneUnreachableError, match="best cost") as exc:
+        traps.tune_bias(
+            stripe_expansion, objective, rb87, stripe_bias(), restarts=1, maxiter=5,
+            cost_threshold=0.0,
+        )
+    assert len(calls) == 1
+    bias, report = exc.value.best
+    assert isinstance(bias, BiasField) and isinstance(report, traps.TrapReport)
+    assert np.array_equal(report.bias, bias.B_ext)
+    grad = eval_field(stripe_expansion, bias.B_ext, report.r0).grad_mag
+    assert np.linalg.norm(grad) <= traps._GRAD_TOL
 
 
 def test_tune_skips_restart_outside_bias_bound(stripe_expansion, rb87, monkeypatch):
