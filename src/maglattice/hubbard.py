@@ -29,12 +29,15 @@ class HubbardParams:
     E_R: float  # J
     U: float  # J
     J_tun: float  # J
-    superexchange: float  # J_tun^2 / U, J
-    U_over_J: float
 
-    def __post_init__(self):
-        if abs(self.superexchange * self.U - self.J_tun**2) > 1e-12 * self.J_tun**2:
-            raise ValueError("superexchange must equal J^2/U")
+    @property
+    def superexchange(self) -> float:
+        """J_tun^2 / U, J."""
+        return self.J_tun * self.J_tun / self.U
+
+    @property
+    def U_over_J(self) -> float:
+        return self.U / self.J_tun
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,6 @@ def hubbard_sinusoidal(d: float, s: float, atom: AtomState) -> HubbardParams:
         E_R=er,
         U=U,
         J_tun=J,
-        superexchange=J * J / U,
-        U_over_J=U / J,
     )
 
 

@@ -13,7 +13,7 @@ A brute-force dipole sum over occupied grid cells is included as an
 independent cross-check of the expansion.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,33 +34,27 @@ class BelowFilmError(InputError):
 class LatticeGeometry:
     """Primitive lattice vectors a1, a2 (m) and reciprocals K1, K2 (rad/m).
 
-    Satisfies Ki . aj = 2 pi delta_ij.
+    K1, K2 are derived from a1, a2 and satisfy Ki . aj = 2 pi delta_ij.
     """
 
     a1: np.ndarray
     a2: np.ndarray
-    K1: np.ndarray
-    K2: np.ndarray
+    K1: np.ndarray = field(init=False)
+    K2: np.ndarray = field(init=False)
 
     @classmethod
     def from_primitives(cls, a1, a2) -> "LatticeGeometry":
-        a1 = np.asarray(a1, dtype=float)
-        a2 = np.asarray(a2, dtype=float)
-        cross = a1[0] * a2[1] - a1[1] * a2[0]
-        if abs(cross) <= 0.0:
-            raise InputError("a1, a2 must be linearly independent")
-        # rows of 2*pi*inv([a1; a2]) transposed give K1, K2
-        A = np.array([[a1[0], a1[1]], [a2[0], a2[1]]])
-        K = 2 * np.pi * np.linalg.inv(A).T
-        return cls(a1=a1, a2=a2, K1=K[0], K2=K[1])
+        return cls(a1, a2)
 
     def __post_init__(self):
-        for Ki, name_i in ((self.K1, "K1"), (self.K2, "K2")):
-            for aj, dij in ((self.a1, name_i == "K1"), (self.a2, name_i == "K2")):
-                want = 2 * np.pi if dij else 0.0
-                got = float(np.dot(Ki, aj))
-                if abs(got - want) > 1e-12 * 2 * np.pi:
-                    raise InputError("reciprocal vectors do not satisfy Ki.aj = 2 pi delta_ij")
+        a1 = np.asarray(self.a1, dtype=float)
+        a2 = np.asarray(self.a2, dtype=float)
+        if abs(a1[0] * a2[1] - a1[1] * a2[0]) <= 0.0:
+            raise InputError("a1, a2 must be linearly independent")
+        # rows of 2*pi*inv([a1; a2]) transposed give K1, K2
+        K = 2 * np.pi * np.linalg.inv(np.array([a1, a2])).T
+        for name, value in (("a1", a1), ("a2", a2), ("K1", K[0]), ("K2", K[1])):
+            object.__setattr__(self, name, value)
 
     @property
     def cell_area(self) -> float:
@@ -109,28 +103,19 @@ class FourierExpansion:
     geometry: LatticeGeometry
     n: np.ndarray  # integer index along K1
     m: np.ndarray  # integer index along K2
-    k_vec: np.ndarray  # (nmode, 2) rad/m
-    k_mag: np.ndarray  # (nmode,) rad/m
     C: np.ndarray
     S: np.ndarray
     prefactor: float  # mu0 * film_h * M0 / 2, tesla meter
-    truncation_threshold: float
-    explicitly_kept: np.ndarray = field(default=None)  # bool per mode
+    k_vec: np.ndarray = field(init=False)  # (nmode, 2) rad/m, n K1 + m K2
+    k_mag: np.ndarray = field(init=False)  # (nmode,) rad/m, |k_vec|
 
     def __post_init__(self):
-        if self.explicitly_kept is None:
-            object.__setattr__(
-                self, "explicitly_kept", np.zeros(len(self.n), dtype=bool)
-            )
-        kk = np.linalg.norm(self.k_vec, axis=1)
-        if not np.allclose(kk, self.k_mag, rtol=1e-12, atol=0.0):
-            raise ValueError("k_mag inconsistent with k_vec")
         if np.any((np.asarray(self.n) == 0) & (np.asarray(self.m) == 0)):
             raise ValueError("the (0, 0) mode contributes no field and is excluded")
-        amp = np.hypot(self.C, self.S)
-        bad = (amp < self.truncation_threshold) & ~self.explicitly_kept
-        if np.any(bad):
-            raise ValueError("modes below threshold must be flagged explicitly_kept")
+        g = self.geometry
+        k_vec = np.outer(self.n, g.K1) + np.outer(self.m, g.K2)
+        object.__setattr__(self, "k_vec", k_vec)
+        object.__setattr__(self, "k_mag", np.linalg.norm(k_vec, axis=1))
 
     @property
     def nmodes(self) -> int:
@@ -228,7 +213,7 @@ def fourier_from_pattern(
     geom = pattern.geometry
     order_x = min(max_order, (Nx - 1) // 2)
     order_y = min(max_order, (Ny - 1) // 2)
-    ns, ms, kvecs, Cs, Ss, kept_flags = [], [], [], [], [], []
+    ns, ms, Cs, Ss = [], [], [], []
     for (n, m) in _representative_indices(order_x, order_y):
         # k . rho = 2 pi (n fx + m fy) in fractional coordinates
         phx = np.exp(-2j * np.pi * n * fx)
@@ -236,42 +221,29 @@ def fourier_from_pattern(
         c = (phx @ f @ phy) / (Nx * Ny)
         C = 2.0 * c.real
         S = -2.0 * c.imag
-        amp = np.hypot(C, S)
-        forced = (n, m) in keep or (-n, -m) in keep
-        if amp < threshold and not forced:
+        if np.hypot(C, S) < threshold and (n, m) not in keep and (-n, -m) not in keep:
             continue
         ns.append(n)
         ms.append(m)
-        kvecs.append(n * geom.K1 + m * geom.K2)
         Cs.append(C)
         Ss.append(S)
-        kept_flags.append(forced and amp < threshold)
 
     if not ns:
         raise NoStructureError("pattern has no spatial structure")
 
-    kvecs = np.array(kvecs)
-    kmag = np.linalg.norm(kvecs, axis=1)
-    Cs = np.array(Cs)
-    Ss = np.array(Ss)
-    if thickness_correction:
-        kh = kmag * pattern.film_h
-        corr = (1.0 - np.exp(-kh)) / kh
-        Cs = Cs * corr
-        Ss = Ss * corr
-
-    return FourierExpansion(
+    out = FourierExpansion(
         geometry=geom,
         n=np.array(ns, dtype=int),
         m=np.array(ms, dtype=int),
-        k_vec=kvecs,
-        k_mag=kmag,
-        C=Cs,
-        S=Ss,
+        C=np.array(Cs),
+        S=np.array(Ss),
         prefactor=0.5 * const.mu0 * pattern.film_h * pattern.M0,
-        truncation_threshold=threshold,
-        explicitly_kept=np.array(kept_flags, dtype=bool),
     )
+    if thickness_correction:
+        kh = out.k_mag * pattern.film_h
+        corr = (1.0 - np.exp(-kh)) / kh
+        out = replace(out, C=out.C * corr, S=out.S * corr)
+    return out
 
 
 def _check_z(z):

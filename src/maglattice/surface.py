@@ -4,8 +4,9 @@ Covers the non-retarded Van der Waals attraction (C3 coefficient, trap
 shift, critical frequency), WKB tunneling through the barrier to the
 surface, Johnson-noise spin-flip lifetimes of a conductive coating, the
 oscillator/thermal length scales, and the tip field-enhancement factor.
-Everything is a closed form except the WKB quadrature; a root-finding
-oracle backs the linearized trap-shift formula.
+Everything is a closed form, the WKB integral included (exact on the
+linear interpolant of a sampled profile); a root-finding oracle backs the
+linearized trap-shift formula.
 """
 
 from dataclasses import dataclass, replace
@@ -114,7 +115,11 @@ def vdw_trap_shift(omega: float, z0: float, C3: float, atom: AtomState):
     """
     if omega <= 0 or z0 <= 0:
         raise ValueError("omega and z0 must be positive")
-    _warn_retardation(z0, atom)
+    if z0 > 2 * atom.lambda_bar:
+        raise ValueError(
+            "retardation regime: z0 exceeds twice the reduced wavelength; "
+            "the non-retarded C3 form does not apply"
+        )
     shift = -3.0 * C3 / (atom.mass * omega**2 * z0**4)
     return shift, bool(abs(shift) / z0 < 256.0 / 3125.0)
 
@@ -170,77 +175,39 @@ def omega_crit(z0: float, C3: float, atom: AtomState):
     return float(strict), {"shift_small": float(base), "curvature": float(2.0 * base)}
 
 
-def _warn_retardation(z0: float, atom: AtomState):
-    if z0 > 2 * atom.lambda_bar:
-        raise ValueError(
-            "retardation regime: z0 exceeds twice the reduced wavelength; "
-            "the non-retarded C3 form does not apply"
-        )
-
-
 def wkb_log_transmission(profile: PotentialProfile1D, atom: AtomState):
     """log10 of the WKB transmission through the classically forbidden region,
 
         T = exp(-2 integral sqrt(2 m (V - E)) / hbar dz).
 
-    The integrand is evaluated on the sampled profile (linear interpolation,
-    turning points located by interpolation) with composite Simpson on >= 512
-    panels per forbidden interval and a Richardson consistency check.
+    V is the linear interpolant of the samples, so the integral is exact:
+    on a segment where u = V - E runs linearly from u0 to u1, with a, b the
+    square roots of max(u0, 0), max(u1, 0), the forbidden part of length L
+    (dz, or dz (a^2 + b^2) / |u1 - u0| past a turning point) contributes
+    (2/3) L (a^2 + ab + b^2) / (a + b). This form stays accurate where
+    u1 - u0 is a few ulps, unlike (u1^1.5 - u0^1.5) / (u1 - u0).
     Returns (log10_T, flags); log10_T = 0 with flags['no_barrier'] when V
     never exceeds E. Multiple forbidden intervals contribute additively and
     set flags['multiple_barriers'].
     """
-    z = profile.z
-    V = profile.V
-    E = profile.E
-    above = V > E
+    u = profile.V - profile.E
+    above = u > 0
     if not np.any(above):
         return 0.0, {"no_barrier": True, "multiple_barriers": False}
 
-    # locate forbidden intervals with interpolated turning points
-    intervals = []
-    i = 0
-    n = len(z)
-    while i < n:
-        if above[i]:
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            if i == 0:
-                za = z[0]
-            else:
-                t = (E - V[i - 1]) / (V[i] - V[i - 1])
-                za = z[i - 1] + t * (z[i] - z[i - 1])
-            if j == n - 1:
-                zb = z[-1]
-            else:
-                t = (V[j] - E) / (V[j] - V[j + 1])
-                zb = z[j] + t * (z[j + 1] - z[j])
-            intervals.append((za, zb))
-            i = j + 1
-        else:
-            i += 1
-
-    def kappa(zz):
-        v = np.interp(zz, z, V)
-        return np.sqrt(np.clip(2.0 * atom.mass * (v - E), 0.0, None)) / const.hbar
-
-    def simpson_integral(za, zb, panels):
-        zz = np.linspace(za, zb, 2 * panels + 1)
-        kk = kappa(zz)
-        h = (zb - za) / (2 * panels)
-        return h / 3.0 * (kk[0] + kk[-1] + 4 * kk[1::2].sum() + 2 * kk[2:-1:2].sum())
-
-    total = 0.0
-    for za, zb in intervals:
-        coarse = simpson_integral(za, zb, 512)
-        fine = simpson_integral(za, zb, 1024)
-        # Richardson check: fourth-order extrapolation must be consistent
-        total += fine + (fine - coarse) / 15.0
+    r = np.sqrt(np.clip(u, 0.0, None))
+    a, b = r[:-1], r[1:]
+    L = np.diff(profile.z)
+    turn = above[:-1] != above[1:]
+    L[turn] *= (a * a + b * b)[turn] / np.abs(np.diff(u)[turn])
+    ab = a + b
+    seg = np.divide(a * a + a * b + b * b, ab, out=np.zeros_like(ab), where=ab > 0)
+    total = 2.0 / 3.0 * np.sqrt(2.0 * atom.mass) / const.hbar * np.sum(L * seg)
     log10_T = -2.0 * total * np.log10(np.e)
+    rising_edges = int(above[0]) + np.count_nonzero(above[1:] & ~above[:-1])
     return float(log10_T), {
         "no_barrier": False,
-        "multiple_barriers": len(intervals) > 1,
+        "multiple_barriers": bool(rising_edges > 1),
     }
 
 

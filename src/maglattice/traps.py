@@ -796,7 +796,6 @@ def transport_trajectory(
     schedule: list,
     z_range: tuple | None = None,
     atom: AtomState | None = None,
-    grid_seed_n: int = 6,
 ) -> TransportResult:
     """Track trap minima through a schedule of bias fields.
 
@@ -821,7 +820,7 @@ def transport_trajectory(
     if z_range is None:
         z_range = (geom.period / 50, 3 * geom.period)
 
-    positions = find_trap_minima(f, vecs[0], z_range, grid_seed_n=grid_seed_n)
+    positions = find_trap_minima(f, vecs[0], z_range)
     if not positions:
         raise ValueError("no minima at the first schedule step")
     positions = np.array(positions)

@@ -18,17 +18,13 @@ def single_mode_expansion(period=1e-6, prefactor=2.105e-8, C=1.0, S=0.0):
     sqrt(C^2+S^2) * exp(-k z), a vector rotating with x at fixed |b|.
     """
     geom = LatticeGeometry.from_primitives([period, 0.0], [0.0, period])
-    k = 2 * np.pi / period
     return FourierExpansion(
         geometry=geom,
         n=np.array([1]),
         m=np.array([0]),
-        k_vec=np.array([[k, 0.0]]),
-        k_mag=np.array([k]),
         C=np.array([float(C)]),
         S=np.array([float(S)]),
         prefactor=prefactor,
-        truncation_threshold=0.0,
     )
 
 

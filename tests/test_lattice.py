@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maglattice import constants as const
+from maglattice.errors import InputError
 from maglattice.lattice import (
     BelowFilmError,
     FourierExpansion,
@@ -35,7 +36,9 @@ def test_geometry_reciprocal_identity():
 
 
 def test_geometry_degenerate_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
+        LatticeGeometry([1e-6, 0.0], [2e-6, 0.0])
+    with pytest.raises(InputError):
         LatticeGeometry.from_primitives([1e-6, 0.0], [2e-6, 0.0])
 
 
@@ -90,12 +93,20 @@ def test_uniform_pattern_has_no_structure():
 
 def test_mode_bookkeeping_invariants():
     f = fourier_from_pattern(stripes(1e-6, nx=64, ny=8), max_order=5)
-    # (0,0) excluded, k_mag consistent, one representative per pair
+    # (0,0) excluded, one representative per pair
     assert not np.any((f.n == 0) & (f.m == 0))
-    assert np.allclose(np.linalg.norm(f.k_vec, axis=1), f.k_mag, rtol=1e-12)
     seen = set(zip(f.n.tolist(), f.m.tolist()))
     assert not any((-n, -m) in seen for n, m in seen)
     assert f.prefactor == pytest.approx(0.5 * const.mu0 * 300e-9 * 670e3, rel=1e-12)
+
+
+def test_mode_wavevectors_follow_indices_on_oblique_lattice():
+    geom = LatticeGeometry([1.3e-6, 0.2e-6], [-0.1e-6, 0.9e-6])
+    pat = MagnetizationPattern(geom, windmill(1e-6, n=16).occupancy, M0=670e3, film_h=300e-9)
+    f = fourier_from_pattern(pat, max_order=3)
+    assert np.any((f.n != 0) & (f.m != 0))
+    for n, m, k in zip(f.n, f.m, f.k_vec):
+        assert k == pytest.approx(n * geom.K1 + m * geom.K2, rel=1e-12)
 
 
 def test_explicit_keep_flag():
@@ -103,7 +114,6 @@ def test_explicit_keep_flag():
     f = fourier_from_pattern(pat, threshold=0.3, max_order=5, keep=[(3, 0)])
     idx = {(n, m) for n, m in zip(f.n, f.m)}
     assert (3, 0) in idx  # amplitude 2/(3 pi) ~ 0.21 < 0.3, kept by request
-    assert f.explicitly_kept.any()
 
 
 def test_thickness_correction_direction():
@@ -161,12 +171,9 @@ def zero_mode_expansion():
         geometry=square_geometry(1e-6),
         n=np.empty(0, dtype=int),
         m=np.empty(0, dtype=int),
-        k_vec=np.empty((0, 2)),
-        k_mag=np.empty(0),
         C=np.empty(0),
         S=np.empty(0),
         prefactor=1e-8,
-        truncation_threshold=0.0,
     )
 
 

@@ -157,6 +157,21 @@ def test_wkb_triangular_barrier(rb87):
     assert logT == pytest.approx(analytic, rel=0.005)
 
 
+@pytest.mark.parametrize("e_frac", [0.0, 0.3, 0.777])
+def test_wkb_trapezoid_is_exact(rb87, e_frac):
+    # corners on sample nodes, so the linear interpolant is the trapezoid
+    V0 = const.kB * 80e-6
+    ramp, top = 15e-9, 30e-9
+    z = np.linspace(0, 100e-9, 1001)
+    V = V0 * np.clip(np.minimum(z - 20e-9, 80e-9 - z) / ramp, 0.0, 1.0)
+    E = e_frac * V0
+    logT, flags = wkb_log_transmission(PotentialProfile1D(z, V, E), rb87)
+    integral = 2 * ramp * (2 / 3) * (V0 - E) ** 1.5 / V0 + top * np.sqrt(V0 - E)
+    analytic = -2 * np.sqrt(2 * rb87.mass) * integral / const.hbar * np.log10(np.e)
+    assert logT == pytest.approx(analytic, rel=1e-9)
+    assert not flags["no_barrier"] and not flags["multiple_barriers"]
+
+
 def test_wkb_no_barrier(rb87):
     z = np.linspace(0, 100e-9, 512)
     logT, flags = wkb_log_transmission(PotentialProfile1D(z, np.zeros_like(z), 1e-30), rb87)

@@ -61,12 +61,9 @@ def test_zero_modes_no_minima():
         geometry=square_geometry(1e-6),
         n=np.empty(0, dtype=int),
         m=np.empty(0, dtype=int),
-        k_vec=np.empty((0, 2)),
-        k_mag=np.empty(0),
         C=np.empty(0),
         S=np.empty(0),
         prefactor=1e-8,
-        truncation_threshold=0.0,
     )
     assert find_trap_minima(f, stripe_bias(), (0.1e-6, 1e-6)) == []
 
