@@ -1,7 +1,8 @@
-"""Atomic species data and the small set of unit conversions used throughout.
+"""Atomic species data and a small set of unit conversions.
 
-All conversions are linear and invertible; round trips are identity to
-machine precision.
+The conversions are public helpers for scripts and analysis; no module of
+the package calls them. All are linear and invertible; round trips are
+identity to machine precision.
 """
 
 from dataclasses import dataclass
@@ -49,11 +50,6 @@ class AtomState:
             )
 
     @property
-    def magnetic_prefactor(self) -> float:
-        """gF*mF, the linear Zeeman slope in units of muB."""
-        return self.gF * self.mF
-
-    @property
     def mu(self) -> float:
         """Effective magnetic moment gF*mF*muB (J/T)."""
         return self.gF * self.mF * const.muB
@@ -80,14 +76,14 @@ def field_to_temperature(B: float, atom: AtomState) -> float:
     """Zeeman energy of a field magnitude B (T), expressed as a temperature (K)."""
     if B < 0:
         raise ValueError("field magnitude must be >= 0")
-    return atom.magnetic_prefactor * const.muB * B / const.kB
+    return atom.mu * B / const.kB
 
 
 def temperature_to_field(T: float, atom: AtomState) -> float:
     """Inverse of field_to_temperature."""
     if T < 0:
         raise ValueError("temperature must be >= 0")
-    return T * const.kB / (atom.magnetic_prefactor * const.muB)
+    return T * const.kB / atom.mu
 
 
 def energy_to_angular_frequency(E: float) -> float:

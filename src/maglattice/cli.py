@@ -2,9 +2,10 @@
 
 One subcommand per pipeline: field-map, traps, tune-bias, hubbard, surface,
 fano, transport. A single strict JSON config document supplies the pattern,
-geometry, film, bias, atom and material parameters; every run writes
-report.json (plus CSV files where applicable) into --out. Exit codes:
-0 success, 1 input error, 2 physics-level failure.
+geometry, film, bias, atom and material parameters; a run writes
+report.json (plus CSV files where applicable) into --out, and so do the
+physics failures of traps and tune-bias. Exit codes: 0 success, 1 input
+error, 2 physics-level failure.
 
 The library checks every value it is given and raises InputError on one it
 cannot use; this module checks only what the library never sees (config
@@ -245,10 +246,10 @@ def _trap_payload(report) -> dict:
     }
 
 
-def _emit(args, subcommand, config_echo, payload, warnings):
+def _emit(args, config_echo, payload, warnings):
     doc = {
         "tool": f"maglattice {__version__}",
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config_echo,
         "payload": payload,
         "warnings": warnings,
@@ -263,7 +264,9 @@ def _emit(args, subcommand, config_echo, payload, warnings):
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (payload, warnings, failure); main writes
+# report.json unless payload is None, then exits 2 with failure on stderr, or
+# 0 when failure is None
 
 
 def _cmd_field_map(args, cfg: RunConfig):
@@ -280,8 +283,7 @@ def _cmd_field_map(args, cfg: RunConfig):
         "Bmag_min_mT": float(mag.min() * 1e3),
         "Bmag_max_mT": float(mag.max() * 1e3),
     }
-    _emit(args, "field-map", cfg.read, payload, [])
-    return 0
+    return payload, [], None
 
 
 def _search_minima(args, cfg: RunConfig):
@@ -296,16 +298,12 @@ def _search_minima(args, cfg: RunConfig):
 def _cmd_traps(args, cfg: RunConfig):
     f, minima = _search_minima(args, cfg)
     if not minima:
-        _emit(args, "traps", cfg.read, {"traps": []}, ["no minima found"])
-        print("no minima found in the search range", file=sys.stderr)
-        return 2
+        return {"traps": []}, ["no minima found"], "no minima found in the search range"
     reports = [
         characterize_trap(f, cfg.bias, r, cfg.atom, with_barriers=not args.no_barriers)
         for r in minima
     ]
-    payload = {"traps": [_trap_payload(r) for r in reports]}
-    _emit(args, "traps", cfg.read, payload, [])
-    return 0
+    return {"traps": [_trap_payload(r) for r in reports]}, [], None
 
 
 def _cmd_tune_bias(args, cfg: RunConfig):
@@ -321,22 +319,18 @@ def _cmd_tune_bias(args, cfg: RunConfig):
     try:
         bias, report = tune_bias(f, objective, cfg.atom, cfg.bias, seed=cfg.seed)
     except TuneUnreachableError as exc:
-        warn = [str(exc)]
         best_bias, best_report = exc.best
         payload = {"reached": False}
         if best_report is not None:
             payload["best_bias_mT"] = [b * 1e3 for b in np.asarray(best_bias.B_ext)]
             payload["best_trap"] = _trap_payload(best_report)
-        _emit(args, "tune-bias", cfg.read, payload, warn)
-        print(exc, file=sys.stderr)
-        return 2
+        return payload, [str(exc)], str(exc)
     payload = {
         "reached": True,
         "bias_mT": [b * 1e3 for b in bias.B_ext],
         "trap": _trap_payload(report),
     }
-    _emit(args, "tune-bias", cfg.read, payload, [])
-    return 0
+    return payload, [], None
 
 
 def _cmd_hubbard(args, cfg: RunConfig):
@@ -367,16 +361,13 @@ def _cmd_hubbard(args, cfg: RunConfig):
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(f"{row[c]:.9g}" for c in cols) + "\n")
-    payload = {"j_over_u": args.j_over_u, "rows": rows, "csv": "hubbard.csv"}
-    _emit(args, "hubbard", cfg.read, payload, [])
-    return 0
+    return {"j_over_u": args.j_over_u, "rows": rows, "csv": "hubbard.csv"}, [], None
 
 
 def _cmd_surface(args, cfg: RunConfig):
     f, minima = _search_minima(args, cfg)
     if not minima:
-        print("no minima found in the search range", file=sys.stderr)
-        return 2
+        return None, [], "no minima found in the search range"
     if not 0 <= args.trap_index < len(minima):
         raise InputError(
             f"--trap-index {args.trap_index} out of range ({len(minima)} traps)"
@@ -386,7 +377,7 @@ def _cmd_surface(args, cfg: RunConfig):
     )
     budget = surface_budget(f, cfg.bias, report, cfg.atom, cfg.material)
     payload = {
-        "trap": _trap_payload(budget.report),
+        "trap": _trap_payload(report),
         "C3_Jm3": budget.C3,
         "z0_nm": budget.z0 * 1e9,
         "omega_z_kHz": budget.omega_z / (2 * np.pi) / 1e3,
@@ -406,8 +397,7 @@ def _cmd_surface(args, cfg: RunConfig):
     warnings = []
     if not budget.vdw_pass:
         warnings.append("VdW destroys trap: omega_z below omega_crit")
-    _emit(args, "surface", cfg.read, payload, warnings)
-    return 0
+    return payload, warnings, None
 
 
 def _cmd_fano(args, cfg: RunConfig):
@@ -440,8 +430,7 @@ def _cmd_fano(args, cfg: RunConfig):
         ],
     }
     warnings = [f"checkpoint eta={p.eta} exhausted" for p in curve.points if p.exhausted]
-    _emit(args, "fano", cfg.read, payload, warnings)
-    return 0
+    return payload, warnings, None
 
 
 def _cmd_transport(args, cfg: RunConfig):
@@ -481,8 +470,7 @@ def _cmd_transport(args, cfg: RunConfig):
             for s in result.snapshots
         ],
     }
-    _emit(args, "transport", cfg.read, payload, warnings)
-    return 0
+    return payload, warnings, None
 
 
 # ----------------------------------------------------------------------
@@ -574,7 +562,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = _at_least(0, _integer)(args.seed, "--seed")
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.handler(args, cfg)
+        payload, warnings, failure = args.handler(args, cfg)
+        if payload is not None:
+            _emit(args, cfg.read, payload, warnings)
+        if failure is None:
+            return 0
+        print(failure, file=sys.stderr)
+        return 2
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

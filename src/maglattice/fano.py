@@ -46,13 +46,10 @@ class LossModel:
     """
 
     rate_constant: float
-    event_loss: int = 3
 
     def __post_init__(self):
         if not (np.isfinite(self.rate_constant) and self.rate_constant > 0):
             raise InputError("rate_constant must be positive and finite")
-        if self.event_loss != 3:
-            raise InputError("only three-body events are modeled")
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ class TrajectoryEnsemble:
             raise InputError(f"seed must be >= 0 (got {self.seed})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FanoPoint:
     eta: float  # requested surviving fraction
     eta_actual: float  # realized mean(N)/N0 at the checkpoint

@@ -40,7 +40,7 @@ class HubbardParams:
         return self.U / self.J_tun
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandResult:
     s: float
     n_plane_waves: int

@@ -30,7 +30,7 @@ class BelowFilmError(InputError):
     """Raised when a field evaluation point is not above the film (z <= 0)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeGeometry:
     """Primitive lattice vectors a1, a2 (m) and reciprocals K1, K2 (rad/m).
 
@@ -66,7 +66,7 @@ class LatticeGeometry:
         return max(float(np.hypot(*self.a1)), float(np.hypot(*self.a2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagnetizationPattern:
     """Binary occupancy of one unit cell of film.
 
@@ -91,9 +91,9 @@ class MagnetizationPattern:
             raise InputError("film thickness must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierExpansion:
-    """Truncated mode list of the scalar potential.
+    """Truncated mode list of the scalar potential, at least one mode long.
 
     One representative per +/- mode pair is stored; the (-n, -m) partner
     carries (C, -S) and is accounted for implicitly, i.e. the sum over the
@@ -110,6 +110,8 @@ class FourierExpansion:
     k_mag: np.ndarray = field(init=False)  # (nmode,) rad/m, |k_vec|
 
     def __post_init__(self):
+        if not len(self.n):
+            raise NoStructureError("pattern has no spatial structure")
         if np.any((np.asarray(self.n) == 0) & (np.asarray(self.m) == 0)):
             raise ValueError("the (0, 0) mode contributes no field and is excluded")
         g = self.geometry
@@ -124,7 +126,7 @@ class FourierExpansion:
     @property
     def k_min(self) -> float:
         """Smallest retained wavenumber; sets the field decay length 1/k_min."""
-        return float(np.min(self.k_mag)) if self.nmodes else np.inf
+        return float(np.min(self.k_mag))
 
     @cached_property
     def _kernel_tables(self):
@@ -140,7 +142,7 @@ class FourierExpansion:
         return table[:, _EVEN], table[:, ~_EVEN], self.k_mag * np.hypot(self.C, self.S)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSample:
     """Field, Jacobian and |B| Hessian at one point.
 
@@ -172,7 +174,6 @@ def fourier_from_pattern(
     pattern: MagnetizationPattern,
     threshold: float = 1e-4,
     max_order: int = 16,
-    keep: list | None = None,
     thickness_correction: bool = False,
 ) -> FourierExpansion:
     """Fourier-expand the normalized occupancy of a pattern.
@@ -183,24 +184,22 @@ def fourier_from_pattern(
     exact for the sampled pattern and cheap at desk scale.
 
     Args:
-        threshold: modes with sqrt(C^2 + S^2) below this are dropped unless
-            listed in ``keep``.
+        threshold: modes with sqrt(C^2 + S^2) below this are dropped.
         max_order: retain |n|, |m| <= max_order. Orders are additionally
             clamped below the grid Nyquist limit (|n| < Nx/2, |m| < Ny/2)
             since anything beyond is an alias of a lower mode.
-        keep: optional list of (n, m) pairs retained regardless of amplitude.
         thickness_correction: multiply each mode by (1 - exp(-k h)) / (k h),
             the finite-thickness correction to the thin-film limit. Off by
             default; the thin-film form is the documented convention.
 
     Raises:
-        NoStructureError: if no mode survives (uniform pattern).
+        NoStructureError: from FourierExpansion, if no mode survives
+            (a uniform pattern, or every amplitude below threshold).
     """
     if max_order < 1:
         raise InputError("max_order must be >= 1")
     if threshold < 0:
         raise InputError("threshold must be >= 0")
-    keep = set(tuple(p) for p in keep) if keep else set()
 
     occ = np.asarray(pattern.occupancy, dtype=float)
     Nx, Ny = occ.shape
@@ -221,15 +220,12 @@ def fourier_from_pattern(
         c = (phx @ f @ phy) / (Nx * Ny)
         C = 2.0 * c.real
         S = -2.0 * c.imag
-        if np.hypot(C, S) < threshold and (n, m) not in keep and (-n, -m) not in keep:
+        if np.hypot(C, S) < threshold:
             continue
         ns.append(n)
         ms.append(m)
         Cs.append(C)
         Ss.append(S)
-
-    if not ns:
-        raise NoStructureError("pattern has no spatial structure")
 
     out = FourierExpansion(
         geometry=geom,

@@ -9,7 +9,7 @@ linear interpolant of a sampled profile); a root-finding oracle backs the
 linearized trap-shift formula.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class TrapDestroyedError(ValueError):
     """Surface attraction removed the trapping minimum."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialProfile1D:
     """Sampled 1-D potential V(z) and the particle energy E (all SI)."""
 
@@ -78,7 +78,6 @@ class SurfaceBudget:
     gamma_spinflip: float  # 1/s
     tau_johnson: float  # s
     epsilon_factor: float
-    report: TrapReport  # input report with vdw_valid filled in
 
 
 def c3_coefficient(atom: AtomState, epsilon_factor: float) -> float:
@@ -231,7 +230,7 @@ def skin_depth(omega: float, sigma: float) -> float:
     return np.sqrt(2.0 / (const.mu0 * omega * sigma))
 
 
-def johnson_rate_scaled(d: float, t: float, C0: float = 88e-6):
+def johnson_rate_scaled(d: float, t: float, C0: float = MaterialParams.johnson_C0):
     """Johnson-noise spin-flip rate scaled from measured chip lifetimes,
 
         Gamma = (4 + 8/3)^(-1) C0 / (d (1 + d/t)),
@@ -390,5 +389,4 @@ def surface_budget(
         gamma_spinflip=rate,
         tau_johnson=tau,
         epsilon_factor=material.epsilon_factor,
-        report=replace(trap, vdw_valid=bool(vdw_pass)),
     )

@@ -46,7 +46,7 @@ class TuneUnreachableError(RuntimeError):
 _BIAS_MAX = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasField:
     """Uniform external bias field (T). Sanity-bounded to atom-chip scale."""
 
@@ -67,7 +67,7 @@ def _bias_vec(bias) -> np.ndarray:
     return (bias if isinstance(bias, BiasField) else BiasField(bias)).B_ext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrapReport:
     """Everything we know about one trap minimum."""
 
@@ -81,7 +81,6 @@ class TrapReport:
     omega_over_larmor: float
     larmor_healthy: bool
     bias: np.ndarray  # T, for provenance
-    vdw_valid: bool | None = None  # filled in by the surface module
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,14 @@ class TuneObjective:
             raise InputError(f"unknown tune mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarrierResult:
     height: float  # T above the lower of the two minima
     coarse: bool  # True when no saddle joins them: a straight-line scan
     saddle: np.ndarray | None  # the joining saddle (home cell); None if coarse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportSnapshot:
     step: int
     bias: np.ndarray
@@ -155,7 +154,8 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     with `index` negative Hessian eigenvalues (0: minimum, 1: saddle).
 
     All rows run in lockstep: an iteration is one kernel call on the rows
-    still active and one batched eigh of their symmetrized Hessians.
+    still active and one batched eigh of their Hessians, which the kernel
+    returns bit-symmetric.
     Eigendirections with |lambda| <= 1e-9 max|lambda| are projected out of
     every step, so flat (channel) directions stay put.
 
@@ -205,7 +205,7 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
         i = np.flatnonzero(fate == _ACTIVE)
         if it == maxiter or not len(i):
             break
-        lam, V = np.linalg.eigh(0.5 * (H[i] + np.transpose(H[i], (0, 2, 1))))
+        lam, V = np.linalg.eigh(H[i])
         use = np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
         curv = np.where(use, np.abs(lam), 1.0)
         coef = np.where(use, np.einsum("nji,nj->ni", V, g[i]) / curv, 0.0)
@@ -248,7 +248,7 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     fate[ended] = np.where(on_bound[ended], _BOUND, _STALLED)
     k = np.flatnonzero(fate == _STATIONARY)
     if len(k):
-        lam = np.linalg.eigvalsh(0.5 * (H[k] + np.transpose(H[k], (0, 2, 1))))
+        lam = np.linalg.eigvalsh(H[k])
         scale = np.maximum(np.max(np.abs(lam), axis=1, keepdims=True), 1e-300)
         saddle = np.sum(lam < -1e-7 * scale, axis=1) != index
         fate[k] = np.where(saddle, _SADDLE, np.where(on_bound[k], _BOUND, _CONVERGED))
@@ -338,8 +338,6 @@ def find_trap_minima(
         raise InputError(f"need 0 < z_min < z_max < inf (got {z_min:g} and {z_max:g} m)")
     if grid_seed_n < 4:
         raise InputError(f"grid_seed_n must be >= 4 (got {grid_seed_n})")
-    if f.nmodes == 0:
-        return []
 
     geom = f.geometry
     seeds = _cell_seeds(geom, grid_seed_n, z_min, z_max)
@@ -370,10 +368,9 @@ def frequencies_from_hessian(hess_mag: np.ndarray, atom: AtomState):
     saddle = lam[..., 0] < -1e-7 * scale
     if H.ndim == 2 and saddle:
         raise SaddleError("saddle, not minimum: Hessian has a negative eigenvalue")
+    # omega rises with lambda, and eigh returns lambda ascending
     omega = np.sqrt(atom.mu * np.clip(lam, 0.0, None) / atom.mass)
-    order = np.argsort(omega, axis=-1)[..., ::-1]
-    freqs = np.take_along_axis(omega, order, axis=-1) / (2 * np.pi)
-    axes = np.take_along_axis(V, order[..., None, :], axis=-1)
+    freqs, axes = omega[..., ::-1] / (2 * np.pi), V[..., ::-1]
     return (
         np.where(saddle[..., None], np.nan, freqs),
         np.where(saddle[..., None, None], np.nan, axes),
@@ -400,7 +397,7 @@ def characterize_trap(
     r0 = np.asarray(r0, dtype=float)
     s = eval_field(f, b, r0)
     B_mag, g = s.B_mag, s.grad_mag
-    if not s.hessian_valid or B_mag <= 0.0:
+    if not s.hessian_valid:
         raise MajoranaError("field zero at trap position (Majorana point)")
     if np.linalg.norm(g) > _GRAD_TOL:
         raise ValueError(
@@ -480,18 +477,15 @@ def _barriers(f, b, r_i, goals) -> list:
     results = [None] * len(goals)
 
     geom = f.geometry
-    if f.nmodes:
-        z_top = max(r_i[2], *(r_j[2] for r_j in goals)) + 3.0 / f.k_min
-        seeds = _cell_seeds(geom, 6, geom.period / 50, z_top)
-        x, val, fate = _newton(f, b, seeds, 1, 0.1 * geom.period, z_top=z_top)
-        _log_fates("saddle graph", fate, _SADDLE_FATES)
-        keep = (fate == _CONVERGED) & (x[:, 2] <= z_top) & (val < np.linalg.norm(b))
-        saddles = np.array(_distinct(geom, x[keep])[0]).reshape(-1, 3)
-    else:
-        saddles = np.empty((0, 3))
+    z_top = max(r_i[2], *(r_j[2] for r_j in goals)) + 3.0 / f.k_min
+    seeds = _cell_seeds(geom, 6, geom.period / 50, z_top)
+    x, val, fate = _newton(f, b, seeds, 1, 0.1 * geom.period, z_top=z_top)
+    _log_fates("saddle graph", fate, _SADDLE_FATES)
+    keep = (fate == _CONVERGED) & (x[:, 2] <= z_top) & (val < np.linalg.norm(b))
+    saddles = np.array(_distinct(geom, x[keep])[0]).reshape(-1, 3)
     if len(saddles):
         _, _, s_val, _, s_H, _ = eval_field_arrays(f, b, saddles)
-        unstable = np.linalg.eigh(0.5 * (s_H + np.transpose(s_H, (0, 2, 1))))[1][:, :, 0]
+        unstable = np.linalg.eigh(s_H)[1][:, :, 0]
         step = 0.01 * geom.period * unstable
         e, _, e_fate = _newton(
             f, b, np.concatenate([saddles + step, saddles - step]), 0, 0.05 * geom.period
@@ -578,7 +572,7 @@ def _bias_derivatives(f, b, r, tops, scanned):
     adding grad|B|(p)^T dr/dB_ext."""
     B, J, B_mag, g, H, _ = eval_field_arrays(f, b, np.vstack([r, *tops]))
     unit = B / B_mag[:, None]
-    dr = -_sym_solve(0.5 * (H[0] + H[0].T), J[0].T / B_mag[0])
+    dr = -_sym_solve(H[0], J[0].T / B_mag[0])
     dh = unit[1:] - unit[0] + np.asarray(scanned)[:, None] * (g[1:] @ dr)
     return dr, dh
 
@@ -631,8 +625,6 @@ def tune_bias(
     None if that restart never located a trap.
     """
     b0 = _bias_vec(initial)
-    if f.nmodes == 0:
-        raise ValueError("expansion has no modes")
     k1 = f.k_min
     if k1 * objective.target_z >= 20:
         raise TuneUnreachableError(

@@ -629,6 +629,14 @@ def test_physics_errors_are_not_input_errors():
         assert issubclass(cls, ValueError) and not issubclass(cls, InputError)
 
 
+# (payload, warnings) of the report a physics failure still writes, by
+# subcommand (warnings None: the stderr line); the others write none
+FAILURE_REPORTS = {
+    "traps": ({"traps": []}, ["no minima found"]),
+    "tune-bias": ({"reached": False}, None),
+}
+
+
 @pytest.mark.parametrize(
     "argv, bias",
     [
@@ -648,6 +656,18 @@ def test_physics_errors_exit_2(workdir, capsys, argv, bias):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and not err.startswith(("input error", "config error"))
+    expected = FAILURE_REPORTS.get(argv[0])
+    report = workdir / "report.json"
+    if expected is None:
+        assert not report.exists()
+    else:
+        doc = json.loads(report.read_text())
+        assert doc["subcommand"] == argv[0]
+        assert doc["payload"] == expected[0]
+        if expected[1] is not None:
+            assert doc["warnings"] == expected[1]
+        else:
+            assert doc["warnings"] == [err.strip()]
 
 
 @pytest.mark.parametrize(

@@ -36,8 +36,6 @@ def test_loss_model_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             LossModel(rate_constant=bad)
-    with pytest.raises(ValueError):
-        LossModel(rate_constant=1.0, event_loss=2)
 
 
 def test_ensemble_validation():

@@ -344,16 +344,12 @@ def test_budget_flags_vdw_destruction(rb87):
     ok = surface_budget(f, bias, rep, rb87, MaterialParams())
     assert ok.omega_z > ok.omega_crit
     assert ok.vdw_pass
-    assert ok.report.vdw_valid is True
 
     # softer trap at the same height: the surface attraction wins
     f, bias, rep = _soft_chip(rb87, By=2.0e-4)
     bad = surface_budget(f, bias, rep, rb87, MaterialParams())
     assert bad.omega_z < bad.omega_crit
     assert not bad.vdw_pass
-    assert bad.report.vdw_valid is False
-    # the original report is untouched (placeholder still unset)
-    assert rep.vdw_valid is None
 
 
 def test_budget_aggregates_consistently(rb87):

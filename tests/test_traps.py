@@ -53,21 +53,6 @@ def test_bias_field_validation():
 # find_trap_minima
 
 
-def test_zero_modes_no_minima():
-    from maglattice.lattice import FourierExpansion
-    from maglattice.patterns import square_geometry
-
-    f = FourierExpansion(
-        geometry=square_geometry(1e-6),
-        n=np.empty(0, dtype=int),
-        m=np.empty(0, dtype=int),
-        C=np.empty(0),
-        S=np.empty(0),
-        prefactor=1e-8,
-    )
-    assert find_trap_minima(f, stripe_bias(), (0.1e-6, 1e-6)) == []
-
-
 def test_stripe_minima_match_closed_form(stripe_expansion):
     f = stripe_expansion
     bias = stripe_bias()
