@@ -140,7 +140,8 @@ class TransportResult:
 _CONVERGED, _SADDLE, _STALLED, _BOUND, _INVALID = range(5)
 _FATES = ("converged", "saddle", "non-converged", "range or guard bound", "invalid")
 # the same fates of an index-1 row of the saddle graph, whose _BOUND rows are
-# those retired above z_top (a step to z <= 0 would count there too)
+# those retired above z_top, whatever their |B| (a step to z <= 0 would count
+# there too)
 _SADDLE_FATES = ("converged", "wrong index", "stalled", "retired", "invalid")
 _ACTIVE, _STATIONARY, _ENDED = -1, -2, -3
 # |grad|B|| (T/m) at which a Newton row is stationary, and the most a
@@ -170,38 +171,43 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     |B| does not increase (by more than 1e-13 (|B_ext| + |B|), far above its
     rounding noise). |B| need not fall along a saddle path, so a saddle row
     accepts a valid trial where |grad|B|| does not grow. z is clipped into
-    z_bounds. A row whose trial lies farther than `guard` from its start
-    ends there, which keeps a tracked trap (transport) or saddle (the tuner's
-    polish) from hopping to a lattice copy. A minimum runs at most 100
-    steps, a saddle 30.
+    z_bounds. A row whose trial lies farther than `guard` from its start x0
+    ends there, which keeps a tracked trap (transport, started at its
+    predicted position) or saddle (the tuner's polish) from hopping to a
+    lattice copy. A minimum runs at most 100 steps, a saddle 30.
 
     A row converges at |grad|B|| <= _GTOL with exactly `index` eigenvalues
-    below -1e-7 max|lambda|. Returns (x, |B|(x), fate), fate per row one of
-    _CONVERGED; _SADDLE (stationary, other curvature); _STALLED (iteration
-    cap, trust radius below 1e-12 period, or no usable direction); _BOUND
-    (ended on a z bound, left z > 0, moved farther than `guard` from its
-    start, or retired: above z_top with |B| >= |B_ext|, where no saddle is
-    kept, as soon as it gets there); _INVALID (field zero: |B| below 1e-6
-    period |grad|B||, i.e. within about 1e-6 period of a point zero).
+    below -1e-7 max|lambda|. Returns (x, |B|(x), fate, J, H, valid): fate
+    per row one of _CONVERGED; _SADDLE (stationary, other curvature);
+    _STALLED (iteration cap, trust radius below 1e-12 period, or no usable
+    direction); _BOUND (ended on a z bound, left z > 0, moved farther than
+    `guard` from its start, or retired: above z_top, where no saddle is
+    kept, as soon as it gets there, whatever its |B|); _INVALID (field zero:
+    |B| below 1e-6 period |grad|B||, i.e. within about 1e-6 period of a
+    point zero). J = dB/dr, H = Hess|B| and the kernel's valid flag are
+    those of each row's last accepted evaluation, at x, so a caller needs no
+    kernel call of its own there (transport's snapshots and its next
+    predictor read them).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x = x0.copy()
     z_lo, z_hi = (-np.inf, np.inf) if z_bounds is None else z_bounds
     fate = np.full(len(x), _ACTIVE)
     radius = np.full(len(x), float(cap))
-    min_radius = 1e-12 * f.geometry.period
+    period = f.geometry.period
+    min_radius = 1e-12 * period
     maxiter = 100 if index == 0 else 30
     b_norm = np.linalg.norm(bias)
-    _, _, val, g, H, valid = eval_field_arrays(f, bias, x)
+    _, J, val, g, H, valid = eval_field_arrays(f, bias, x)
     gn = np.linalg.norm(g, axis=1)
     for it in range(maxiter + 1):
         act = fate == _ACTIVE
         # near a point zero |B| ~ |grad|B|| times the distance to it, and
         # a row descending into the cone never meets _GTOL
-        zero = ~valid | (val < 1e-6 * f.geometry.period * gn)
+        zero = ~valid | (val < 1e-6 * period * gn)
         fate[act & zero] = _INVALID
         fate[act & ~zero & (gn <= _GTOL)] = _STATIONARY
-        fate[(fate == _ACTIVE) & (x[:, 2] > z_top) & (val >= b_norm)] = _BOUND
+        fate[(fate == _ACTIVE) & (x[:, 2] > z_top)] = _BOUND
         i = np.flatnonzero(fate == _ACTIVE)
         if it == maxiter or not len(i):
             break
@@ -225,7 +231,7 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
         i, trial = i[go], trial[go]
         if not len(i):
             continue
-        _, _, v_t, g_t, H_t, valid_t = eval_field_arrays(f, bias, trial)
+        _, J_t, v_t, g_t, H_t, valid_t = eval_field_arrays(f, bias, trial)
         gn_t = np.linalg.norm(g_t, axis=1)
         if index == 0:
             # rounding noise in |B| stays below 2e-15 |B_ext| near the
@@ -239,8 +245,8 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
         radius[rej] /= 4
         fate[rej[radius[rej] < min_radius]] = _STALLED
         j = i[acc]
-        x[j], val[j], g[j], H[j], valid[j], gn[j] = (
-            trial[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc], gn_t[acc]
+        x[j], J[j], val[j], g[j], H[j], valid[j], gn[j] = (
+            trial[acc], J_t[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc], gn_t[acc]
         )
 
     on_bound = (x[:, 2] <= z_lo * (1 + 1e-9)) | (x[:, 2] >= z_hi * (1 - 1e-9))
@@ -252,7 +258,7 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
         scale = np.maximum(np.max(np.abs(lam), axis=1, keepdims=True), 1e-300)
         saddle = np.sum(lam < -1e-7 * scale, axis=1) != index
         fate[k] = np.where(saddle, _SADDLE, np.where(on_bound[k], _BOUND, _CONVERGED))
-    return x, val, fate
+    return x, val, fate, J, H, valid
 
 
 def _cell_seeds(geom, n, z_lo, z_hi):
@@ -341,7 +347,7 @@ def find_trap_minima(
 
     geom = f.geometry
     seeds = _cell_seeds(geom, grid_seed_n, z_min, z_max)
-    x, _, fate = _newton(f, b, seeds, 0, 0.05 * geom.period, z_bounds=(z_min, z_max))
+    x, _, fate, *_ = _newton(f, b, seeds, 0, 0.05 * geom.period, z_bounds=(z_min, z_max))
     _log_fates("find_trap_minima", fate, _FATES)
     return _distinct(geom, x[fate == _CONVERGED])[0]
 
@@ -444,8 +450,8 @@ def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
     grid, at heights up to z_top = max(z_i, z_j) + 3/k_min, finds the
     saddles below the escape value |B_ext|: each row follows its lowest
     Hessian eigenvector uphill inside a trust radius of at most 0.1 period,
-    and a row above z_top with |B| >= |B_ext|, where no saddle is kept, is
-    retired as soon as it gets there. One index-0 descent from both sides of
+    and a row above z_top, where no saddle is kept, is retired as soon as it
+    gets there, whatever its |B|. One index-0 descent from both sides of
     each saddle's unstable axis finds the two minima or field zeros it
     joins. Saddles are then added in ascending height to a union-find over
     those nodes in a 5 x 5 window of cell translates around r_i; the first
@@ -479,7 +485,7 @@ def _barriers(f, b, r_i, goals) -> list:
     geom = f.geometry
     z_top = max(r_i[2], *(r_j[2] for r_j in goals)) + 3.0 / f.k_min
     seeds = _cell_seeds(geom, 6, geom.period / 50, z_top)
-    x, val, fate = _newton(f, b, seeds, 1, 0.1 * geom.period, z_top=z_top)
+    x, val, fate, *_ = _newton(f, b, seeds, 1, 0.1 * geom.period, z_top=z_top)
     _log_fates("saddle graph", fate, _SADDLE_FATES)
     keep = (fate == _CONVERGED) & (x[:, 2] <= z_top) & (val < np.linalg.norm(b))
     saddles = np.array(_distinct(geom, x[keep])[0]).reshape(-1, 3)
@@ -487,7 +493,7 @@ def _barriers(f, b, r_i, goals) -> list:
         _, _, s_val, _, s_H, _ = eval_field_arrays(f, b, saddles)
         unstable = np.linalg.eigh(s_H)[1][:, :, 0]
         step = 0.01 * geom.period * unstable
-        e, _, e_fate = _newton(
+        e, _, e_fate, *_ = _newton(
             f, b, np.concatenate([saddles + step, saddles - step]), 0, 0.05 * geom.period
         )
         reached = (e_fate == _CONVERGED) | (e_fate == _INVALID)
@@ -555,24 +561,30 @@ def _line_scan(f, b, r0, shift, n=96):
 
 
 def _sym_solve(A, rhs):
-    """A^+ rhs for a symmetric A, eigenvalues below 1e-9 of the largest
-    dropped as in `_newton`. By eigh: a first lstsq call adds 0.3 MB of RSS."""
+    """A^+ rhs for a symmetric A, or for a stack of them and of rhs, the
+    eigenvalues below 1e-9 of each A's largest dropped as in `_newton`. By
+    eigh: a first lstsq call adds 0.3 MB of RSS."""
     lam, V = np.linalg.eigh(A)
-    lam = np.where(np.abs(lam) > 1e-9 * np.max(np.abs(lam)), lam, np.inf)
-    return V @ ((V.T @ rhs) / lam[:, None])
+    lam = np.where(np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=-1, keepdims=True), lam, np.inf)
+    return V @ ((np.swapaxes(V, -1, -2) @ rhs) / lam[..., None])
+
+
+def _tangent(J, B_mag, H):
+    """dr/dB_ext, (n, 3, 3), at n minima from their kernel arrays J = dB/dr,
+    |B| and H = Hess|B|. The implicit function theorem on grad|B| = J^T B^
+    = 0 gives -H^-1 J^T (I - B^ B^^T)/|B| = -H^-1 J^T/|B| there, flat
+    directions projected out."""
+    return -_sym_solve(H, np.swapaxes(J, -1, -2) / B_mag[:, None, None])
 
 
 def _bias_derivatives(f, b, r, tops, scanned):
     """(dr/dB_ext, dh/dB_ext) at the minimum r for hops topping out at `tops`
-    (`scanned`: priced by a line scan), from one order-2 kernel call. The
-    implicit function theorem on grad|B| = J^T B^ = 0 gives dr/dB_ext =
-    -H^-1 J^T (I - B^ B^^T)/|B| = -H^-1 J^T/|B| at r (H = Hess|B|, flat
-    directions projected out; J = dB/dr). A saddle s is stationary:
-    dh/dB_ext = B^(s) - B^(r). A scan's top p = r + t shift rides on r,
-    adding grad|B|(p)^T dr/dB_ext."""
+    (`scanned`: priced by a line scan), from one order-2 kernel call; dr/dB_ext
+    is `_tangent`'s. A saddle s is stationary: dh/dB_ext = B^(s) - B^(r). A
+    scan's top p = r + t shift rides on r, adding grad|B|(p)^T dr/dB_ext."""
     B, J, B_mag, g, H, _ = eval_field_arrays(f, b, np.vstack([r, *tops]))
     unit = B / B_mag[:, None]
-    dr = -_sym_solve(H[0], J[0].T / B_mag[0])
+    dr = _tangent(J[:1], B_mag[:1], H[:1])[0]
     dh = unit[1:] - unit[0] + np.asarray(scanned)[:, None] * (g[1:] @ dr)
     return dr, dh
 
@@ -654,7 +666,7 @@ def tune_bias(
         for r in (state["r_prev"], state["r_anchor"]):
             if r is None:
                 continue
-            x, val, fate = _newton(f, bvec, r, 0, 0.05 * geom.period, z_bounds=(z_lo, z_hi))
+            x, val, fate, *_ = _newton(f, bvec, r, 0, 0.05 * geom.period, z_bounds=(z_lo, z_hi))
             if fate[0] == _CONVERGED:
                 return x[0], val[0]
         return None
@@ -671,7 +683,7 @@ def tune_bias(
                 missed.append(label)
             elif not isinstance(cached, str):
                 reach = 0.6 * np.linalg.norm(shift)
-                x, val, fate = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
+                x, val, fate, *_ = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
                 if fate[0] == _CONVERGED:
                     state["saddles"][label] = x[0]
                     hops[label] = (max(float(val[0] - B_IP), 0.0), x[0], False)
@@ -792,10 +804,16 @@ def transport_trajectory(
     """Track trap minima through a schedule of bias fields.
 
     Minima found at the first bias are followed step to step by one
-    lockstep Newton descent over all tracked traps, each started at its
-    previous position and guarded to a quarter lattice period around it. A
-    step whose descent fails for any trap, a trap's step beyond the guard
-    included, loses tracking and truncates the trajectory (lost_at_step).
+    lockstep Newton descent over all tracked traps, a predictor-corrector
+    continuation (Allgower & Georg, Introduction to Numerical Continuation
+    Methods, SIAM 2003, ch. 2): each trap starts from its previous position
+    moved along the bias tangent dr/dB_ext (`_tangent`, from the kernel
+    arrays the previous descent ended on) by the bias change, with z clipped
+    into z_range, and the descent is guarded to a quarter lattice period
+    around that predicted start. A step whose descent fails for any trap, a
+    trap's step beyond the guard included, loses tracking and truncates the
+    trajectory (lost_at_step); the fates of that step's rows are logged at
+    debug level.
 
     Raises InputError unless the schedule has at least two steps, each a
     valid bias, and every step changes the bias by less than a tenth of its
@@ -817,8 +835,7 @@ def transport_trajectory(
         raise ValueError("no minima at the first schedule step")
     positions = np.array(positions)
 
-    def snapshot(step, bvec, pos):
-        _, _, Bm, _, H, valid = eval_field_arrays(f, bvec, pos)
+    def snapshot(step, bvec, pos, Bm, H, valid):
         fr = np.full((len(pos), 3), np.nan)
         fr[valid] = frequencies_from_hessian(H[valid], atom)[0]
         return TransportSnapshot(
@@ -826,15 +843,19 @@ def transport_trajectory(
             B_IP=np.where(valid, Bm, np.nan), freqs=fr,
         )
 
-    snaps = [snapshot(0, vecs[0], positions)]
+    _, J, Bm, _, H, valid = eval_field_arrays(f, vecs[0], positions)
+    snaps = [snapshot(0, vecs[0], positions, Bm, H, valid)]
     lost_at = None
     for step in range(1, len(vecs)):
-        x, _, fate = _newton(
-            f, vecs[step], positions, 0, 0.05 * geom.period, z_bounds=z_range, guard=geom.period / 4
+        start = positions + _tangent(J, Bm, H) @ (vecs[step] - vecs[step - 1])
+        start[:, 2] = np.clip(start[:, 2], *z_range)
+        x, Bm, fate, J, H, valid = _newton(
+            f, vecs[step], start, 0, 0.05 * geom.period, z_bounds=z_range, guard=geom.period / 4
         )
         if np.any(fate != _CONVERGED):
             lost_at = step
+            _log_fates(f"transport step {step}", fate, _FATES)
             break
         positions = x
-        snaps.append(snapshot(step, vecs[step], positions))
+        snaps.append(snapshot(step, vecs[step], positions, Bm, H, valid))
     return TransportResult(snapshots=snaps, lost_at_step=lost_at)

@@ -475,7 +475,7 @@ def test_square_islands_barrier_through_field_zero(rb87):
     r0 = find_trap_minima(f, bias, (0.1e-6, 1.5e-6), grid_seed_n=5)[0]
     res = barrier_heights(f, bias, r0, r0 + np.array([0.0, 1e-6, 0.0]))
     v = np.linalg.eigh(eval_field(f, bias, res.saddle).hessian_mag)[1][:, 0]
-    _, val, fate = traps._newton(f, bias, [res.saddle + 1e-8 * v, res.saddle - 1e-8 * v], 0, 5e-8)
+    _, val, fate, *_ = traps._newton(f, bias, [res.saddle + 1e-8 * v, res.saddle - 1e-8 * v], 0, 5e-8)
     assert sorted(fate) == [traps._CONVERGED, traps._INVALID]
     assert np.min(val) < 1e-8
 
@@ -522,27 +522,28 @@ def test_saddle_rows_near_windmill_saddle_converge_to_it(windmill_expansion):
     r0 = find_trap_minima(f, bias, (0.15e-6, 1.4e-6), grid_seed_n=5)[0]
     saddle = barrier_heights(f, bias, r0, r0 + np.array([0.0, 1e-6, 0.0])).saddle
     offsets = 0.05e-6 * np.array(list(itertools.product((-1, 0, 1), repeat=3)))
-    x, _, fate = traps._newton(f, bias, saddle + offsets, 1, 0.1e-6)
+    x, _, fate, *_ = traps._newton(f, bias, saddle + offsets, 1, 0.1e-6)
     assert np.all(fate == traps._CONVERGED)
     assert np.all(np.linalg.norm(x - saddle, axis=1) < 1e-12)
 
 
 def test_saddle_row_retires_above_z_top(windmill_expansion, monkeypatch):
-    # no saddle is kept above z_top with |B| >= |B_ext|: a row there ends
-    # on the kernel call that put it there
+    # no saddle is kept above z_top: a row there ends on the kernel call that
+    # put it there, above |B_ext| and below it alike
     f, bias = windmill_expansion, np.array([-1e-3, 0.0, 0.0])
     line = np.column_stack([np.linspace(0.0, 1e-6, 64), np.full(64, 0.3e-6), np.full(64, 3e-6)])
     B_mag = eval_field_arrays(f, bias, line, order=0)[2]
-    assert B_mag.max() >= np.linalg.norm(bias)
-    start = line[[np.argmax(B_mag)]]
+    assert B_mag.min() < np.linalg.norm(bias) <= B_mag.max()
     calls = count_kernel_calls(monkeypatch)
-    x, _, fate = traps._newton(f, bias, start, 1, 0.1e-6, z_top=2e-6)
-    assert len(calls) == 1
-    assert fate[0] == traps._BOUND and np.array_equal(x, start)
-    # below z_top the same row steps on
-    calls.clear()
-    traps._newton(f, bias, start, 1, 0.1e-6, z_top=4e-6)
-    assert len(calls) > 1
+    for start in (line[[np.argmax(B_mag)]], line[[np.argmin(B_mag)]]):
+        calls.clear()
+        x, _, fate, *_ = traps._newton(f, bias, start, 1, 0.1e-6, z_top=2e-6)
+        assert len(calls) == 1
+        assert fate[0] == traps._BOUND and np.array_equal(x, start)
+        # below z_top the same row steps on
+        calls.clear()
+        traps._newton(f, bias, start, 1, 0.1e-6, z_top=4e-6)
+        assert len(calls) > 1
 
 
 # kernel rows of the index-1 and index-0 descents of one saddle graph: on the
@@ -722,6 +723,34 @@ def test_transport_closed_loop(stripe_expansion):
     assert np.allclose(disp[:, 1:], 0.0, atol=1e-3 * period)
 
 
+def test_transport_reuses_the_descents_kernel_arrays(stripe_expansion, rb87, monkeypatch):
+    # each snapshot reports the arrays its step's descent ended on, the same
+    # bits as a fresh kernel call there; after the initial search a step
+    # costs at most 4 kernel calls (measured 5 without the bias tangent) and
+    # the first snapshot one
+    f = stripe_expansion
+    n = 75
+    angles = np.linspace(0, 2 * np.pi, n)
+    schedule = [np.array([-2e-3 * np.cos(a), 0.5e-3, 2e-3 * np.sin(a)]) for a in angles]
+    calls = count_kernel_calls(monkeypatch)
+    searched, real_search = [], traps.find_trap_minima
+
+    def search(*args, **kwargs):
+        out = real_search(*args, **kwargs)
+        searched.append(len(calls))
+        return out
+
+    monkeypatch.setattr(traps, "find_trap_minima", search)
+    out = transport_trajectory(f, schedule, z_range=(0.02e-6, 1.5e-6), atom=rb87)
+    assert out.lost_at_step is None and len(out.snapshots) == n
+    (after_search,) = searched
+    assert len(calls) - after_search <= 1 + 4 * (n - 1)
+    for snap in out.snapshots:
+        _, _, B_mag, _, H, _ = eval_field_arrays(f, snap.bias, snap.positions)
+        assert np.array_equal(snap.B_IP, B_mag)
+        assert np.array_equal(snap.freqs, frequencies_from_hessian(H, rb87)[0])
+
+
 def test_transport_rotation_moves_traps_monotonically(stripe_expansion):
     # rotating the in-plane/vertical bias angle walks the minima along x:
     # half a turn moves them by half a lattice period
@@ -740,19 +769,50 @@ def test_transport_rotation_moves_traps_monotonically(stripe_expansion):
     assert abs(xs[-1] - xs[0]) == pytest.approx(0.5e-6, rel=1e-3)
 
 
-def test_transport_lost_when_trap_leaves_range(stripe_expansion):
+def test_transport_lost_when_trap_leaves_range(stripe_expansion, caplog):
     # weakening B_x lifts the stripe trap ~8 nm per step; the step whose
-    # trap lies above z_max ends its descent on the bound and loses tracking
+    # trap lies above z_max ends its descent on the bound and loses tracking,
+    # and the debug log gives the fates of that step's rows
     f = stripe_expansion
     schedule = [stripe_bias(Bx=-2e-3 * 0.95**s) for s in range(20)]
     zstar = np.array([stripe_zstar(f, b[0]) for b in schedule])
     z_max = 0.75e-6
-    out = transport_trajectory(f, schedule, z_range=(0.05e-6, z_max))
+    with caplog.at_level(logging.DEBUG, logger="maglattice.traps"):
+        out = transport_trajectory(f, schedule, z_range=(0.05e-6, z_max))
     lost = int(np.argmax(zstar > z_max))
     assert out.lost_at_step == lost == 11
     assert len(out.snapshots) == lost
     for snap, z in zip(out.snapshots, zstar):
         assert np.allclose(snap.positions[:, 2], z, atol=0.1e-9)
+    (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("transport step")]
+    assert msg.startswith("transport step 11: ")
+    head, tail = msg.split(": ", 1)[1].split(": ")
+    rows = len(out.snapshots[0].positions)
+    assert head == f"{rows} seeds"
+    counts = {name: int(n) for n, name in (part.split(" ", 1) for part in tail.split(", "))}
+    assert counts["range or guard bound"] > 0 and sum(counts.values()) == rows
+
+
+def test_tangent_matches_stripe_closed_form(stripe_expansion):
+    # the stripe trap sits at z* = ln(prefactor k/|B_x|)/k, so dz*/dB_x =
+    # -1/(k B_x); the whole tangent matches central differences of the
+    # converged minimum, and the flat channel axis y does not move
+    f = stripe_expansion
+    bias = stripe_bias()
+    r0 = find_trap_minima(f, bias, (0.05e-6, 1.2e-6), grid_seed_n=4)[0]
+
+    def minimum(b):
+        x, _, fate, *_ = traps._newton(f, b, r0, 0, 0.05 * f.geometry.period)
+        assert fate[0] == traps._CONVERGED
+        return x[0]
+
+    _, B_mag, fate, J, H, _ = traps._newton(f, bias, r0, 0, 0.05 * f.geometry.period)
+    assert fate[0] == traps._CONVERGED
+    (dr,) = traps._tangent(J, B_mag, H)
+    assert dr[2, 0] == pytest.approx(-1 / (f.k_mag[0] * bias[0]), rel=1e-6)
+    numeric = central_difference(minimum, bias)
+    assert np.linalg.norm(dr - numeric) <= 1e-6 * np.linalg.norm(numeric)
+    assert np.all(np.abs(dr[1]) <= 1e-12 * np.linalg.norm(dr))
 
 
 def test_newton_guard_ends_a_row_that_travels_too_far(stripe_expansion):
@@ -765,7 +825,7 @@ def test_newton_guard_ends_a_row_that_travels_too_far(stripe_expansion):
     bias = stripe_bias()
     start = np.array([0.45 * period, 0.0, stripe_zstar(f, bias[0])])
     for guard, fate in ((0.1 * period, traps._BOUND), (0.3 * period, traps._CONVERGED)):
-        x, _, fates = traps._newton(f, bias, start, 0, 0.05 * period, guard=guard)
+        x, _, fates, *_ = traps._newton(f, bias, start, 0, 0.05 * period, guard=guard)
         assert fates[0] == fate
         assert np.linalg.norm(x[0] - start) <= guard
     assert abs(x[0, 0] - 0.25 * period) < 1e-3 * period
@@ -879,7 +939,7 @@ def tuner_hops(f, bias, r_guess):
     (escape-limited there) as (height, top point)."""
     from maglattice import traps
 
-    x, val, fate = traps._newton(f, bias, r_guess, 0, 0.05 * f.geometry.period)
+    x, val, fate, *_ = traps._newton(f, bias, r_guess, 0, 0.05 * f.geometry.period)
     assert fate[0] == traps._CONVERGED
     r = x[0]
     a1, a2 = (np.append(a, 0.0) for a in (f.geometry.a1, f.geometry.a2))
