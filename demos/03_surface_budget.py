@@ -37,7 +37,7 @@ f = ml.fourier_from_pattern(pat, threshold=1e-4, max_order=7)
 bias = np.array([-14e-3, 2e-3, 0.0])
 minima = ml.find_trap_minima(f, bias, (20e-9, 180e-9), grid_seed_n=5)
 report = ml.characterize_trap(f, bias, minima[0], rb, with_barriers=False)
-budget = surface_budget(f, bias, report, rb, MaterialParams())
+budget = surface_budget(f, report, rb, MaterialParams())
 
 print(f"\nstripe chip trap: z0 = {budget.z0 * 1e9:.1f} nm, "
       f"omega_z/2pi = {budget.omega_z / 2 / np.pi / 1e6:.2f} MHz")

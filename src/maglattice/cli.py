@@ -49,7 +49,6 @@ from .traps import (
 
 @dataclass
 class RunConfig:
-    pattern_path: str | None
     occupancy: np.ndarray | None
     a1: np.ndarray  # m
     a2: np.ndarray  # m
@@ -225,7 +224,7 @@ def parse_config(path) -> RunConfig:
 
     # relative to the config's directory; an absolute path is kept as is
     occupancy = None if pattern_path is None else load_pbm(p.parent / pattern_path)
-    return RunConfig(pattern_path=pattern_path, occupancy=occupancy, read=read, **fields)
+    return RunConfig(occupancy=occupancy, read=read, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +374,7 @@ def _cmd_surface(args, cfg: RunConfig):
     report = characterize_trap(
         f, cfg.bias, minima[args.trap_index], cfg.atom, with_barriers=False
     )
-    budget = surface_budget(f, cfg.bias, report, cfg.atom, cfg.material)
+    budget = surface_budget(f, report, cfg.atom, cfg.material)
     payload = {
         "trap": _trap_payload(report),
         "C3_Jm3": budget.C3,

@@ -17,7 +17,7 @@ from . import constants as const
 from .atom import AtomState
 from .errors import InputError
 from .lattice import FourierExpansion, eval_field_arrays
-from .traps import TrapReport, _bias_vec
+from .traps import TrapReport
 
 
 class TrapDestroyedError(ValueError):
@@ -321,19 +321,17 @@ _PROFILE_SAMPLES = 2048
 
 def vertical_profile(
     f: FourierExpansion,
-    bias,
     trap: TrapReport,
     atom: AtomState,
     C3: float,
 ) -> PotentialProfile1D:
     """V(z) = gF mF muB |B(x0, y0, z)| - C3/z^3 on the vertical line through
     the trap, sampled at _PROFILE_SAMPLES heights from _PROFILE_Z_FLOOR, with
-    E = V(z0) + hbar omega_z / 2 (zero point along z)."""
-    b = _bias_vec(bias)
+    E = V(z0) + hbar omega_z / 2 (zero point along z), at the trap's bias."""
     x0, y0, z0 = trap.r0
     z = np.linspace(_PROFILE_Z_FLOOR, max(4 * z0, z0 + 2e-7), _PROFILE_SAMPLES)
     pts = np.column_stack([np.full_like(z, x0), np.full_like(z, y0), z])
-    _, _, B_mag, _, _, _ = eval_field_arrays(f, b, pts, order=0)
+    _, _, B_mag, _, _, _ = eval_field_arrays(f, trap.bias, pts, order=0)
     V = atom.mu * B_mag - C3 / z**3
     # frequency along the surface normal: project principal axes on z
     iz = int(np.argmax(np.abs(trap.axes[2, :])))
@@ -344,7 +342,6 @@ def vertical_profile(
 
 def surface_budget(
     f: FourierExpansion,
-    bias,
     trap: TrapReport,
     atom: AtomState,
     material: MaterialParams = MaterialParams(),
@@ -366,7 +363,7 @@ def surface_budget(
     vdw_pass = omega_z > w_crit
     shift, lin_ok = vdw_trap_shift(omega_z, z0, C3, atom)
 
-    profile = vertical_profile(f, bias, trap, atom, C3)
+    profile = vertical_profile(f, trap, atom, C3)
     log10_T, wkb_flags = wkb_log_transmission(profile, atom)
 
     spin_flip_omega = atom.gF * const.muB * trap.B_IP / const.hbar

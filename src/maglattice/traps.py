@@ -170,11 +170,11 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     rejected one shrinks it fourfold. A minimum accepts a valid trial where
     |B| does not increase (by more than 1e-13 (|B_ext| + |B|), far above its
     rounding noise). |B| need not fall along a saddle path, so a saddle row
-    accepts a valid trial where |grad|B|| does not grow. z is clipped into
-    z_bounds. A row whose trial lies farther than `guard` from its start x0
-    ends there, which keeps a tracked trap (transport, started at its
-    predicted position) or saddle (the tuner's polish) from hopping to a
-    lattice copy. A minimum runs at most 100 steps, a saddle 30.
+    accepts a valid trial where |grad|B|| does not grow. The start x0 and
+    every trial have z clipped into z_bounds. A row whose trial lies farther
+    than `guard` from x0 ends there, which keeps a tracked trap (transport,
+    started at its predicted position) or saddle (the tuner's polish) from
+    hopping to a lattice copy. A minimum runs at most 100 steps, a saddle 30.
 
     A row converges at |grad|B|| <= _GTOL with exactly `index` eigenvalues
     below -1e-7 max|lambda|. Returns (x, |B|(x), fate, J, H, valid): fate
@@ -189,9 +189,10 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     kernel call of its own there (transport's snapshots and its next
     predictor read them).
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    x = x0.copy()
     z_lo, z_hi = (-np.inf, np.inf) if z_bounds is None else z_bounds
+    x0 = np.array(x0, dtype=float, ndmin=2)
+    x0[:, 2] = np.clip(x0[:, 2], z_lo, z_hi)
+    x = x0.copy()
     fate = np.full(len(x), _ACTIVE)
     radius = np.full(len(x), float(cap))
     period = f.geometry.period
@@ -590,9 +591,11 @@ def _bias_derivatives(f, b, r, tops, scanned):
 
 
 def _residuals(f, objective, b, r, heights, tops, scanned):
-    """(R, dR/dB_ext) of the tuner at the minimum r from its hops (+a1 and
-    +a2, or along the channel): R = ((z - target_z)/target_z, sqrt(w) a), a
-    the asymmetry (b1 - b2)/(b1 + b2) or the channel barrier over |B_ext|."""
+    """(R, dR/dB_ext, dr/dB_ext) of the tuner at the minimum r from its hops
+    (+a1 and +a2, or along the channel): R = ((z - target_z)/target_z,
+    sqrt(w) a), a the asymmetry (b1 - b2)/(b1 + b2) or the channel barrier
+    over |B_ext|. dr/dB_ext is `_tangent`'s, which predicts the next trial's
+    minimum."""
     dr, dh = _bias_derivatives(f, b, r, tops, scanned)
     zt = objective.target_z
     if objective.mode == "symmetric_barriers":
@@ -606,7 +609,7 @@ def _residuals(f, objective, b, r, heights, tops, scanned):
         nb = max(np.linalg.norm(b), 1e-300)
         a, da = along / nb, dh[0] / nb - along * b / nb**3
     sw = np.sqrt(objective.weighting)
-    return np.array([(r[2] - zt) / zt, sw * a]), np.vstack([dr[2] / zt, sw * da])
+    return np.array([(r[2] - zt) / zt, sw * a]), np.vstack([dr[2] / zt, sw * da]), dr
 
 
 def tune_bias(
@@ -629,6 +632,13 @@ def tune_bias(
     10 % (near a fold, where the channel barrier vanishes, it only crawls),
     when the step falls below 1e-9 |B_ext|, or after maxiter steps. Later
     restarts start from jittered points; deterministic for a given seed.
+
+    Minima are sought at z in (target_z/4, min(4 target_z, 19.9/k_min)). A
+    restart anchors on the 4^3 `find_trap_minima` minimum closest to
+    target_z. A cost evaluation is at most one index-0 `_newton` descent,
+    transport's predictor-corrector: the first from the anchor, each later
+    trial x + dx from the last accepted minimum plus its tangent dr/dB_ext
+    times dx (z clipped into that range), with no fallback start.
 
     Returns (BiasField, TrapReport) at the best bias. The report
     characterizes the minimum the search tracked there, mapped to the home
@@ -655,21 +665,7 @@ def tune_bias(
         "channels_along_a1": {"along": a1_shift},
         "channels_along_a2": {"along": a2_shift},
     }[objective.mode]
-    state = {"r_prev": None, "r_anchor": None, "saddles": {}}
-
-    def locate(bvec):
-        """(r, |B|(r)) of the minimum near the previous one, or None.
-
-        Inside the search loop only warm-started descents run; the grid
-        multistart happens once per restart (see below), otherwise a single
-        trial would cost as much as a full search."""
-        for r in (state["r_prev"], state["r_anchor"]):
-            if r is None:
-                continue
-            x, val, fate, *_ = _newton(f, bvec, r, 0, 0.05 * geom.period, z_bounds=(z_lo, z_hi))
-            if fate[0] == _CONVERGED:
-                return x[0], val[0]
-        return None
+    saddles = {}  # per restart: label -> last saddle, or "line"
 
     def tracked_barriers(bvec, r0, B_IP):
         """(heights, top points, scanned flags) of the barriers from the
@@ -678,14 +674,14 @@ def tune_bias(
         stay on the cheap straight-line scan, topped at its argmax."""
         hops, missed = {}, []
         for label, shift in shifts.items():
-            cached = state["saddles"].get(label)
+            cached = saddles.get(label)
             if cached is None:
                 missed.append(label)
             elif not isinstance(cached, str):
                 reach = 0.6 * np.linalg.norm(shift)
                 x, val, fate, *_ = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
                 if fate[0] == _CONVERGED:
-                    state["saddles"][label] = x[0]
+                    saddles[label] = x[0]
                     hops[label] = (max(float(val[0] - B_IP), 0.0), x[0], False)
                 else:
                     missed.append(label)
@@ -694,7 +690,7 @@ def tune_bias(
             for label, res in zip(missed, _barriers(f, bvec, r0, goals)):
                 # an escape-limited direction costs the same 96-point scan
                 # on every evaluation, so the cost has no jump at a cache miss
-                state["saddles"][label] = "line" if res.coarse else res.saddle
+                saddles[label] = "line" if res.coarse else res.saddle
                 if not res.coarse:
                     hops[label] = (res.height, res.saddle, False)
         for label in [label for label in shifts if label not in hops]:
@@ -702,38 +698,36 @@ def tune_bias(
             hops[label] = (top - B_IP, p, True)
         return zip(*(hops[label] for label in shifts))
 
-    def evaluate(bvec):
-        """(cost, R, dR/dB_ext, r) at bvec: r the minimum located there or
-        None; R, dR/dB_ext None at a sentinel cost."""
+    def evaluate(bvec, start):
+        """(cost, R, dR/dB_ext, r, dr/dB_ext) at bvec, r the minimum reached
+        from `start` or None; R, dR/dB_ext and dr/dB_ext None at a sentinel."""
         if np.linalg.norm(bvec) >= _BIAS_MAX:
-            return 1e6, None, None, None
-        found = locate(bvec)
-        if found is None:
-            state["r_prev"] = None
-            return 1e5, None, None, None
-        r, B_mag = found
-        state["r_prev"] = r
+            return 1e6, None, None, None, None
+        x, val, fate, *_ = _newton(f, bvec, start, 0, 0.05 * geom.period, z_bounds=(z_lo, z_hi))
+        if fate[0] != _CONVERGED:
+            return 1e5, None, None, None, None
+        r, B_mag = x[0], val[0]
         if B_mag < 1e-7:  # Majorana-adjacent, useless trap
-            return 1e4, None, None, r
-        res, jac = _residuals(f, objective, bvec, r, *tracked_barriers(bvec, r, B_mag))
-        return float(res @ res), res, jac, r
+            return 1e4, None, None, r, None
+        res, jac, dr = _residuals(f, objective, bvec, r, *tracked_barriers(bvec, r, B_mag))
+        return float(res @ res), res, jac, r, dr
 
-    def gauss_newton(x):
-        """(x, cost, r, steps, cost evaluations, halvings, stop reason), r the
-        minimum at the last accepted x."""
-        c, res, jac, r = evaluate(x)
+    def gauss_newton(x, r):
+        """(x, cost, r, steps, cost evaluations, halvings, stop reason) from
+        the bias x and its anchor r; r the minimum at the last accepted x."""
+        c, res, jac, r, dr = evaluate(x, r)
         steps, evals, halvings = 0, 1, 0
         stalled = res is None
         while not (c < _GN_COST_TOL or stalled or steps == maxiter):
             dx = -jac.T @ _sym_solve(jac @ jac.T, res[:, None])[:, 0]
             dx *= min(1.0, _GN_STEP_CAP * np.linalg.norm(x) / max(np.linalg.norm(dx), 1e-300))
             while np.linalg.norm(dx) > _GN_MIN_STEP * np.linalg.norm(x):
-                c_t, res_t, jac_t, r_t = evaluate(x + dx)
+                c_t, res_t, jac_t, r_t, dr_t = evaluate(x + dx, r + dr @ dx)
                 evals += 1
                 if res_t is not None and c_t < c:
                     steps += 1
                     stalled = not c_t < _GN_STALL * c
-                    x, c, res, jac, r = x + dx, c_t, res_t, jac_t, r_t
+                    x, c, res, jac, r, dr = x + dx, c_t, res_t, jac_t, r_t, dr_t
                     break
                 dx /= 2
                 halvings += 1
@@ -752,17 +746,15 @@ def tune_bias(
                 "tune_bias restart %d skipped: jittered start |B| >= %g T", attempt, _BIAS_MAX
             )
             continue
-        state["r_prev"] = None
-        # the minimum closest to the target height anchors the restart
-        state["r_anchor"] = min(
+        anchor = min(
             find_trap_minima(f, x0, (z_lo, z_hi), grid_seed_n=4),
             key=lambda r: abs(r[2] - objective.target_z),
             default=None,
         )
-        state["saddles"] = {}
-        if state["r_anchor"] is None:
+        if anchor is None:
             continue
-        x, c, r, steps, evals, halvings, reason = gauss_newton(x0)
+        saddles.clear()
+        x, c, r, steps, evals, halvings, reason = gauss_newton(x0, anchor)
         logger.debug(
             "tune_bias restart %d: start (%.6g, %.6g, %.6g) mT, %d Gauss-Newton steps, "
             "%d cost evaluations, %d halvings, cost %.3e, %s",
@@ -848,7 +840,6 @@ def transport_trajectory(
     lost_at = None
     for step in range(1, len(vecs)):
         start = positions + _tangent(J, Bm, H) @ (vecs[step] - vecs[step - 1])
-        start[:, 2] = np.clip(start[:, 2], *z_range)
         x, Bm, fate, J, H, valid = _newton(
             f, vecs[step], start, 0, 0.05 * geom.period, z_bounds=z_range, guard=geom.period / 4
         )

@@ -188,7 +188,7 @@ def test_wkb_rectangular_and_chip_scenario(rb87):
     minima = ml.find_trap_minima(f, bias, (20e-9, 200e-9), grid_seed_n=5)
     trap = ml.characterize_trap(f, bias, minima[0], rb87, with_barriers=False)
     z80_ok = abs(trap.r0[2] - 80e-9) < 2e-9
-    prof = vertical_profile(f, bias, trap, rb87, ml.c3_coefficient(rb87, 0.85))
+    prof = vertical_profile(f, trap, rb87, ml.c3_coefficient(rb87, 0.85))
     log10_T, flags = ml.wkb_log_transmission(prof, rb87)
     ok = rect_ok and z80_ok and not flags["no_barrier"] and log10_T <= -100
     assert report("WKB: rectangular (0.5%), chip log10 T <= -100", ok,

@@ -83,7 +83,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.atom.mass == 1.44316e-25  # rb87 default
     assert cfg.M0 == pytest.approx(670e3)
     assert cfg.film_h == pytest.approx(300e-9)
-    assert cfg.pattern_path is None
+    assert cfg.read["pattern"] is None
 
 
 def test_missing_bias_is_an_error(tmp_path):

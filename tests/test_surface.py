@@ -333,21 +333,21 @@ def _soft_chip(rb87, By):
     bias = np.array([-3.8e-4, By, 0.0])
     minima = ml.find_trap_minima(f, bias, (20e-9, 220e-9), grid_seed_n=5)
     rep = ml.characterize_trap(f, bias, minima[0], rb87, with_barriers=False)
-    return f, bias, rep
+    return f, rep
 
 
 def test_budget_flags_vdw_destruction(rb87):
     from maglattice.surface import surface_budget
 
     # stiff enough Ioffe floor: omega_z above omega_crit, trap survives
-    f, bias, rep = _soft_chip(rb87, By=0.5e-4)
-    ok = surface_budget(f, bias, rep, rb87, MaterialParams())
+    f, rep = _soft_chip(rb87, By=0.5e-4)
+    ok = surface_budget(f, rep, rb87, MaterialParams())
     assert ok.omega_z > ok.omega_crit
     assert ok.vdw_pass
 
     # softer trap at the same height: the surface attraction wins
-    f, bias, rep = _soft_chip(rb87, By=2.0e-4)
-    bad = surface_budget(f, bias, rep, rb87, MaterialParams())
+    f, rep = _soft_chip(rb87, By=2.0e-4)
+    bad = surface_budget(f, rep, rb87, MaterialParams())
     assert bad.omega_z < bad.omega_crit
     assert not bad.vdw_pass
 
@@ -355,9 +355,9 @@ def test_budget_flags_vdw_destruction(rb87):
 def test_budget_aggregates_consistently(rb87):
     from maglattice.surface import johnson_rate_scaled, surface_budget
 
-    f, bias, rep = _soft_chip(rb87, By=0.5e-4)
+    f, rep = _soft_chip(rb87, By=0.5e-4)
     mat = MaterialParams()
-    budget = surface_budget(f, bias, rep, rb87, mat)
+    budget = surface_budget(f, rep, rb87, mat)
     # C3 and skin depth match the standalone closed forms
     assert budget.C3 == pytest.approx(c3_coefficient(rb87, mat.epsilon_factor), rel=1e-12)
     expected_sf = rb87.gF * 9.2740100783e-24 * rep.B_IP / (1.054571817e-34)

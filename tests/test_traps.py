@@ -668,6 +668,65 @@ def test_tuner_builds_one_graph_per_bias_and_r0(rb87, tuner_lattice, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "objective, start",
+    [
+        (TuneObjective(target_z=1.215e-6), in_plane(1.2e-3, 8)),
+        # 4 of its 7 trials are rejected halvings
+        (
+            TuneObjective(target_z=1.46e-6, mode="channels_along_a2", weighting=1e4),
+            in_plane(0.5e-3, 2),
+        ),
+    ],
+    ids=["symmetric", "channel"],
+)
+def test_tuner_trials_descend_once_from_the_predicted_start(
+    rb87, tuner_lattice, monkeypatch, caplog, objective, start
+):
+    # the tuner tracks its minimum like transport: every cost evaluation is
+    # one single-row index-0 descent, the first from the restart's anchor and
+    # every later one from the last accepted minimum r + dr dx (dr =
+    # dr/dB_ext there, dx the bias step), z clipped into the tuner's range
+    period = tuner_lattice.geometry.period
+    z_lo, z_hi = objective.target_z / 4, min(4 * objective.target_z, 19.9 / tuner_lattice.k_min)
+    descents, evaluated = [], {}
+    real_newton, real_residuals = traps._newton, traps._residuals
+
+    def newton(f, bias, x0, index, *args, **kwargs):
+        out = real_newton(f, bias, x0, index, *args, **kwargs)
+        if index == 0 and np.ndim(x0) == 1:
+            descents.append((np.array(bias), np.array(x0)))
+        return out
+
+    def residuals(f, objective, b, r, *hops):
+        res, jac, dr = real_residuals(f, objective, b, r, *hops)
+        evaluated[len(descents) - 1] = (float(res @ res), r.copy(), dr)
+        return res, jac, dr
+
+    monkeypatch.setattr(traps, "_newton", newton)
+    monkeypatch.setattr(traps, "_residuals", residuals)
+    with caplog.at_level(logging.DEBUG, logger="maglattice.traps"):
+        try:
+            tune_bias(tuner_lattice, objective, rb87, start, restarts=1, maxiter=6)
+        except TuneUnreachableError:
+            pass
+    (m,) = [m for m in map(TUNE_LOG.match, (r.getMessage() for r in caplog.records)) if m]
+    assert len(descents) == int(m[6]) > 1
+    assert all(np.linalg.norm(b) < traps._BIAS_MAX for b, _ in descents)
+
+    def clipped(x):
+        return np.append(x[:2], np.clip(x[2], z_lo, z_hi))
+
+    cost, r, dr = evaluated[0]
+    accepted = descents[0][0]
+    for k, (b, x0) in enumerate(descents[1:], 1):
+        predicted = clipped(r + dr @ (b - accepted))
+        assert np.max(np.abs(clipped(x0) - predicted)) <= 1e-12 * period
+        if k in evaluated and evaluated[k][0] < cost:
+            cost, r, dr = evaluated[k]
+            accepted = b
+
+
+@pytest.mark.parametrize(
     "deg, r0",
     [
         (0, [9.571559318486913e-07, 5.053340834529368e-07, 4.634247733299639e-07]),
