@@ -17,16 +17,20 @@ Trajectories are simulated in blocks of about 2**20 events, each drawn
 from its own PCG64 stream (numpy's default_rng) seeded with
 SeedSequence((seed, block index)), so results do not depend on execution
 order. The mean-field law brackets each checkpoint time with a window, and
-one pass over the blocks, dropping each once read, keeps every trajectory's
-count of events below the window and the event times inside it; the
-checkpoint time is selected among those. A block's waits are drawn
-event-major, and drawing stops once every trajectory is past the last
-window. A window that missed, which the counts show exactly, is widened and
-the blocks are drawn again from the same streams. The bootstrap resamples
-counts over the distinct values.
+one pass over the blocks keeps every trajectory's count of events below the
+window and the event times inside it; the checkpoint time is selected among
+those. The pass draws the blocks on up to 3 threads, one per core, each
+holding one block at a time and dropping it once read, and joins what they
+keep in block order, so every output is the same on any number of cores. A
+block's waits are drawn event-major, and drawing stops once every
+trajectory is past the last window. A window that missed, which the counts
+show exactly, is widened and the blocks are drawn again from the same
+streams. The bootstrap resamples counts over the distinct values.
 """
 
 import copy
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,7 @@ from .errors import InputError
 _WINDOW = 0.02  # a checkpoint window's first half-width, relative to its time
 _BLOCK_EVENTS = 2**20  # about this many events per block of trajectories
 _CHUNK_VALUES = 2**17  # about this many waits per chunk drawn from a block
+_MAX_WORKERS = 3  # threads per block pass; each holds a block of up to 2**20 waits
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,11 @@ class TrajectoryEnsemble:
     into blocks of 2**20 // (N0 // 3 + 1) rows, about 2**20 events. Each
     block draws its initial counts, then its waits up to the last checkpoint
     window, from its own PCG64 stream seeded with (seed, block index), so
-    results do not depend on execution order. N0 must be below 3 * 2**20:
-    from there on that is 0 rows, one trajectory alone holding 2**20 events
-    or more (and the mean-wait table grows with N0).
+    results do not depend on execution order or on how many threads draw
+    the blocks. N0 must be below 3 * 2**20: from there on that is 0 rows,
+    one trajectory alone holding 2**20 events or more (and the mean-wait
+    table grows with N0). n_traj must be below 2**31, since the engine
+    stores each kept event's trajectory index as int32.
     """
 
     n_traj: int
@@ -74,6 +81,8 @@ class TrajectoryEnsemble:
     def __post_init__(self):
         if self.n_traj < 100:
             raise InputError("need at least 100 trajectories")
+        if self.n_traj >= 2**31:
+            raise InputError(f"n_traj must be below 2**31 (got {self.n_traj})")
         if self.N0 < 3:
             raise InputError("N0 must be at least 3")
         if self.N0 // 3 + 1 > _BLOCK_EVENTS:
@@ -163,51 +172,93 @@ def _counts_at(flat, stride, k, t):
     return pos
 
 
-def _block_pass(streams, N0s, mean_wait, windows):
-    """One pass over the blocks, holding one block of event times at a time.
+def _workers(blocks):
+    """Threads for a pass over blocks: one per usable core, at most one per
+    block, and at most _MAX_WORKERS."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, blocks, _MAX_WORKERS)
 
-    A block draws its waits event-major, (events, rows), in chunks of about
-    _CHUNK_VALUES waits from a copy of its stream, so every pass draws the
-    same waits; row i's event times are the running sum down column i of its
-    first N0s[i] // 3 waits. Drawing stops once every row is out of events
-    or past the highest window edge: what is drawn is a prefix of the
-    stream, whatever the chunk size. For each window (t_lo, t_hi], returns
-    every row's number of events at or below t_lo, and the event times
-    inside the window with their row index.
+
+def _block_pass(streams, N0s, mean_wait, windows):
+    """One pass over the blocks on W = _workers(len(streams)) threads, each
+    holding one block of event times at a time.
+
+    Thread w draws blocks w, w + W, ... into its own buffer; W = 1 draws
+    them all inline and starts no thread. A block draws its waits
+    event-major, (events, rows), in chunks of about _CHUNK_VALUES waits from
+    a copy of its stream, so every pass draws the same waits; row i's event
+    times are the running sum down column i of its first N0s[i] // 3 waits.
+    The draws, the scaling and the running sum release the GIL. Drawing
+    stops once every row is out of events or past the highest window edge
+    t_stop. What is drawn is a prefix of the stream whatever the chunk size,
+    so the chunk holding the block's mean-field stop event (the first event
+    whose mean time for the block's largest N0 passes t_stop) ends there, and
+    the chunks after it are an eighth as long. For each window (t_lo, t_hi],
+    returns every row's number of events at or below t_lo, and the event
+    times inside the window with their row index, joined in block order
+    whatever W is. A worker's exception is raised once every thread has
+    joined.
     """
     t = np.asarray(windows, dtype=float)[:, :, None]
     t_stop = t.max()  # a row past it has drawn every event any window needs
     below = np.zeros((len(t), N0s.size), dtype=np.int64)
-    kept = [([], []) for _ in t]
-    buffer = np.empty(streams[0][2] * mean_wait.shape[1])  # sized for the first block
-    for stream, lo, hi in streams:
-        rng, rows, k = copy.deepcopy(stream), hi - lo, N0s[lo:hi] // 3
-        step, end, K = max(1, _CHUNK_VALUES // rows), 0, int(k.max())
-        block = buffer[: K * rows].reshape(K, rows)
-        while end < K:
-            start, end = end, min(K, end + step)
-            chunk = block[start:end]
-            rng.standard_exponential(out=chunk)
-            chunk *= mean_wait.T[start:end, N0s[lo:hi]]
-            if start:
-                chunk[0] += block[start - 1]
-            if rows < 256:  # numpy's axis-0 cumsum walks one column at a time,
-                np.cumsum(chunk, axis=0, out=chunk)
-            else:  # so a wide chunk is summed row by row instead
-                for row, prev in zip(chunk[1:], chunk):
-                    row += prev
-            if np.all((k <= end) | (chunk[-1] > t_stop)):
-                break
-        flat = buffer[: end * rows]
-        counts = _counts_at(flat, rows, np.minimum(k, end), t)
-        below[:, lo:hi] = counts[:, 0]
-        for (times, owner), (c_lo, c_hi) in zip(kept, counts):
-            size = c_hi - c_lo
-            first = np.repeat((c_lo - np.cumsum(size) + size) * rows + np.arange(rows), size)
-            times.append(flat[np.arange(first.size) * rows + first])
-            owner.append(np.repeat(np.arange(lo, hi), size))
-    # join each window's pieces, freeing them as it goes
-    return below, [tuple(map(np.concatenate, kept.pop(0))) for _ in range(len(kept))]
+    kept = [[None] * len(streams) for _ in t]  # each window's (times, owner) per block
+    W = _workers(len(streams))
+
+    def draw(w):
+        buffer = np.empty(streams[0][2] * mean_wait.shape[1])  # sized for the first block
+        for b in range(w, len(streams), W):
+            stream, lo, hi = streams[b]
+            rng, rows, k = copy.deepcopy(stream), hi - lo, N0s[lo:hi] // 3
+            step, end, K = max(1, _CHUNK_VALUES // rows), 0, int(k.max())
+            mean_times = np.cumsum(mean_wait[N0s[lo:hi].max(), :K])
+            stop = int(np.searchsorted(mean_times, t_stop, side="right"))
+            block = buffer[: K * rows].reshape(K, rows)
+            while end < K:
+                start, end = end, min(K, end + step)
+                if start <= stop < end:
+                    end, step = stop + 1, max(1, step // 8)
+                chunk = block[start:end]
+                rng.standard_exponential(out=chunk)
+                chunk *= mean_wait.T[start:end, N0s[lo:hi]]
+                if start:
+                    chunk[0] += block[start - 1]
+                if rows < 256:  # numpy's axis-0 cumsum walks one column at a time,
+                    np.cumsum(chunk, axis=0, out=chunk)
+                else:  # so a wide chunk is summed row by row instead
+                    for row, prev in zip(chunk[1:], chunk):
+                        row += prev
+                if np.all((k <= end) | (chunk[-1] > t_stop)):
+                    break
+            flat = buffer[: end * rows]
+            counts = _counts_at(flat, rows, np.minimum(k, end), t)
+            below[:, lo:hi] = counts[:, 0]
+            for pieces, (c_lo, c_hi) in zip(kept, counts):
+                size = c_hi - c_lo
+                first = np.repeat((c_lo - np.cumsum(size) + size) * rows + np.arange(rows), size)
+                pieces[b] = (flat[np.arange(first.size) * rows + first],
+                             np.repeat(np.arange(lo, hi, dtype=np.int32), size))
+
+    errors = [None] * W
+
+    def run(w):
+        try:
+            draw(w)
+        except Exception as exc:  # raised by the caller once every thread has joined
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, W)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in filter(None, errors):
+        raise exc
+    # join each window's pieces in block order, freeing them as it goes
+    return below, [tuple(map(np.concatenate, zip(*kept.pop(0)))) for _ in range(len(kept))]
 
 
 def simulate_three_body(

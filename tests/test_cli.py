@@ -529,6 +529,7 @@ def test_field_map_threads_agree(workdir):
         ("--gamma3", "inf"),
         ("--n0", "100000000000000000000000"),
         ("--dist", "fixed", "--n0", str(3 * 2**20)),
+        ("--ntraj", str(2**31)),
     ],
 )
 def test_fano_input_errors_exit_1(workdir, capsys, bad):

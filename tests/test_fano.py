@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -48,6 +51,11 @@ def test_ensemble_validation():
     for N0 in (3 * 2**20, 10**23):
         with pytest.raises(InputError, match="N0 must be below"):
             TrajectoryEnsemble(n_traj=100, N0=N0, distribution="fixed")
+    # the engine keeps each kept event's trajectory index as int32
+    assert TrajectoryEnsemble(n_traj=2**31 - 1, N0=100).n_traj == 2**31 - 1
+    for n_traj in (2**31, 10**12):
+        with pytest.raises(InputError, match="n_traj must be below 2\\*\\*31"):
+            TrajectoryEnsemble(n_traj=n_traj, N0=100)
 
 
 def test_fano_from_samples_poisson():
@@ -195,10 +203,12 @@ def test_count_bootstrap_matches_index_bootstrap(kind):
     assert mean_counted == pytest.approx(np.mean(indexed), rel=0.10)
 
 
-def test_event_time_memory_bound():
+def test_event_time_memory_bound(monkeypatch):
     # 2000 x N0=30000 fixed holds 2e7 event times (160 MB), but the engine
-    # keeps one block of about 2**20 waits, its temporaries and the times
-    # near each checkpoint: the bound does not grow with n_traj
+    # keeps one block of about 2**20 waits and its temporaries per thread,
+    # and the times near each checkpoint: with as many threads as the engine
+    # ever starts, the bound does not grow with n_traj
+    monkeypatch.setattr(fano, "_workers", lambda blocks: min(blocks, fano._MAX_WORKERS))
     tracemalloc.start()
     try:
         _run(n_traj=2000, N0=30000, dist="fixed", seed=9)
@@ -269,22 +279,69 @@ def _assert_matches_reference(n_traj, N0, dist, seed, etas, gamma=1.0):
         if ref is not None:
             assert p.samples.tobytes() == ref[0].tobytes()
             assert (p.F, p.stderr_F) == ref[1:]
+    return curve
 
 
 BENCH_ETAS = [round(0.9 - 0.05 * i, 2) for i in range(9)]
+BENCH_SHAPES = [(6000, 1000, "poisson", BENCH_ETAS), (200, 30000, "fixed", [0.9, 0.5, 0.1])]
 
 
 @pytest.mark.parametrize("seed", [7, 11, 12])
-@pytest.mark.parametrize(
-    "n_traj, N0, dist, etas",
-    [(6000, 1000, "poisson", BENCH_ETAS), (200, 30000, "fixed", [0.9, 0.5, 0.1])],
-)
+@pytest.mark.parametrize("n_traj, N0, dist, etas", BENCH_SHAPES)
 def test_streamed_engine_matches_reference(monkeypatch, n_traj, N0, dist, seed, etas):
     # the two benchmark shapes at a tenth of their trajectories: every
     # window hits, so the blocks are drawn once
     passes = _count_passes(monkeypatch)
     _assert_matches_reference(n_traj, N0, dist, seed, etas)
     assert passes == [len(etas)]
+
+
+@pytest.mark.parametrize("n_traj, N0, dist, etas", BENCH_SHAPES)
+def test_thread_count_does_not_change_the_output(monkeypatch, n_traj, N0, dist, etas):
+    # each shape spans two blocks, so 5 threads leave three without a block;
+    # a short switch interval interleaves the threads' Python steps finely
+    samples = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for W in (1, 2, 5):
+            monkeypatch.setattr(fano, "_workers", lambda blocks, W=W: W)
+            curve = _assert_matches_reference(n_traj, N0, dist, 7, etas)
+            samples.append([p.samples.tobytes() for p in curve.points])
+    finally:
+        sys.setswitchinterval(interval)
+    assert samples[0] == samples[1] == samples[2]
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("W", [1, 3])
+def test_worker_failure_is_raised_after_every_thread_joins(monkeypatch, W):
+    # 1248 x N0=30000 spans twelve blocks. The fourth block to count its
+    # events raises; after that, the threads other than the caller's wait
+    # before each block they count, so they are still running whenever the
+    # caller finishes its own blocks
+    lock, calls, real = threading.Lock(), [], fano._counts_at
+
+    def failing(*args):
+        with lock:
+            calls.append(None)
+            n = len(calls)
+        if n == 4:
+            raise _Boom("block failed")
+        if n > 4 and threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(fano, "_workers", lambda blocks: W)
+    monkeypatch.setattr(fano, "_counts_at", failing)
+    before = threading.active_count()
+    with pytest.raises(_Boom, match="block failed"):
+        _run(n_traj=1248, N0=30000, dist="fixed", seed=5, etas=(0.9, 0.5))
+    assert threading.active_count() == before
+    assert (len(calls) > 4) == (W > 1)  # only other threads count blocks after the failure
 
 
 def test_missed_windows_regenerate_the_same_draws(monkeypatch):
@@ -313,7 +370,8 @@ def test_missed_windows_regenerate_the_same_draws(monkeypatch):
 )
 def test_early_stop_does_not_change_the_output(monkeypatch, n_traj, N0, dist, seed, etas):
     # one event per chunk stops drawing as early as the engine can; a chunk
-    # larger than any block here draws every block whole
+    # larger than any block draws a block in at most two chunks, up to its
+    # mean-field stop event and then to its end, and here every block needs both
     drawn, real = [], fano._counts_at
 
     def counted(flat, stride, k, t):
@@ -333,6 +391,22 @@ def test_early_stop_does_not_change_the_output(monkeypatch, n_traj, N0, dist, se
     assert whole[0] == whole[1]  # rows x longest row, block by block
     if (N0, dist) == (1000, "poisson"):
         assert early[0] < whole[1]
+
+
+def test_probe_stops_drawing_near_its_last_window(monkeypatch):
+    # the bench memory probe, 2000 x N0=30000 fixed: one event per chunk
+    # draws 1.81e7 of its 2e7 waits at seed 8; the default chunks end at each
+    # block's mean-field stop event and go on an eighth as long
+    drawn, real = [], fano._counts_at
+
+    def counted(flat, stride, k, t):
+        drawn.append(flat.size)
+        return real(flat, stride, k, t)
+
+    monkeypatch.setattr(fano, "_counts_at", counted)
+    _run(n_traj=2000, N0=30000, dist="fixed", seed=8, etas=(0.9, 0.5, 0.1))
+    assert len(drawn) == 20
+    assert sum(drawn) <= 1.05 * 1.81e7
 
 
 def _master_equation_fano(p0, eta):
@@ -393,7 +467,7 @@ def test_finite_N_bias_resolved_by_master_equation():
     # At N0 = 90, eta = 0.1 the exact F is 0.6040, 0.004 above the large-N
     # closed form 0.6000. A million trajectories give stderr 0.0008, so the
     # closed form lies outside the 3-stderr band this test accepts. The
-    # engine holds one block of event times, not the run's 3e7.
+    # engine holds one block of event times per thread, not the run's 3e7.
     p = _run(n_traj=10**6, N0=90, dist="fixed", seed=1, etas=(0.1,)).points[0]
     exact = _master_equation_fano(_initial("fixed", 90), p.eta_actual)
     assert p.F == pytest.approx(exact, abs=3 * p.stderr_F)
