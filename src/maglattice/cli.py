@@ -9,7 +9,8 @@ error, 2 physics-level failure.
 
 The library checks every value it is given and raises InputError on one it
 cannot use; this module checks only what the library never sees (config
-types and keys, --d, --eta, --trap-index, the schedule file). main() maps
+types and keys, --d, --eta, --trap-index, the schedule file, field-map's
+largest --n). main() maps
 InputError and OSError to exit 1 and every other ValueError to exit 2.
 """
 
@@ -141,6 +142,11 @@ def _in_unit(si, factor):
 
 _RB87, _MATERIAL = default_rb87(), MaterialParams()
 _MHZ = 2 * np.pi * 1e6  # rad/s per MHz
+# field-map's largest --n. Its 2**24 rows hold about 2.3 GB of arrays (137 B a
+# row, measured at n = 1024) and make a 1.2 GB CSV: about what a workstation
+# holds, and far more points per period than any retained harmonic needs.
+# Unbounded, --n 200000 ended in a numpy MemoryError traceback (596 GiB).
+_MAX_GRID_N = 4096
 
 # Every config key, by section ("" is the top level): the field it sets, its
 # default in the key's own unit (None: required), its check and its factor to
@@ -269,6 +275,8 @@ def _emit(args, config_echo, payload, warnings):
 
 
 def _cmd_field_map(args, cfg: RunConfig):
+    if args.n > _MAX_GRID_N:
+        raise InputError(f"--n must be <= {_MAX_GRID_N} (got {args.n})")
     f, _ = cfg.expansion()
     pts, B = field_on_cell_grid(f, cfg.bias, args.z_nm * 1e-9, args.n)
     csv_path = Path(args.out) / "field_map.csv"

@@ -29,12 +29,12 @@ streams. The bootstrap resamples counts over the distinct values.
 """
 
 import copy
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._cores import usable_cores
 from .errors import InputError
 
 _WINDOW = 0.02  # a checkpoint window's first half-width, relative to its time
@@ -175,8 +175,7 @@ def _counts_at(flat, stride, k, t):
 def _workers(blocks):
     """Threads for a pass over blocks: one per usable core, at most one per
     block, and at most _MAX_WORKERS."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cores or 1, blocks, _MAX_WORKERS)
+    return min(usable_cores(), blocks, _MAX_WORKERS)
 
 
 def _block_pass(streams, N0s, mean_wait, windows):

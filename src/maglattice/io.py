@@ -3,11 +3,22 @@
 Numbers in CSV output carry 9 significant digits with '.' as the decimal
 separator, independent of locale. The field-map writer formats each chunk
 of rows with one '%' call, and on a cell grid, where the coordinate columns
-repeat, it formats each distinct coordinate only once.
+repeat, it formats each distinct coordinate only once. The '%' call holds
+the interpreter lock, so the writer formats on one process per usable core:
+it forks a child for each contiguous range of chunks after the first and
+appends the children's bytes in row order.
 """
+
+import contextlib
+import os
+import shutil
+import tempfile
+import traceback
+from pathlib import Path
 
 import numpy as np
 
+from ._cores import usable_cores
 from .errors import InputError
 
 
@@ -75,29 +86,93 @@ def _fmt9_strings(col: np.ndarray) -> np.ndarray:
     return strings[inverse]
 
 
+def _write_rows(out, pts, B, mag, lo, hi):
+    """Write rows lo <= i < hi to the binary file out, one 2**15-row chunk at
+    a time: each chunk's distinct coordinates go through fmt9 once, then its
+    seven columns go through one '%s,%s,%s,%.9g,...' format call; '%.9g' is
+    fmt9's conversion."""
+    for s in range(lo, hi, _CSV_CHUNK_ROWS):
+        c = slice(s, min(s + _CSV_CHUNK_ROWS, hi))
+        xyz = pts[c] * 1e9
+        cells = np.empty((len(xyz), 7), dtype=object)
+        for j in range(3):
+            cells[:, j] = _fmt9_strings(xyz[:, j])
+        cells[:, 3:6] = B[c] * 1e3
+        cells[:, 6] = mag[c] * 1e3
+        out.write(((_CSV_ROW * len(xyz)) % tuple(cells.ravel().tolist())).encode("ascii"))
+
+
+def _write_rows_and_exit(part, *rows):
+    """_write_rows into part in a forked child, then leave the process.
+
+    The child never returns into the caller's stack (under a test runner
+    that would run every remaining test in the child). The caller sees
+    only the exit status, so a failure's traceback is printed here.
+    """
+    status = 1
+    try:
+        _write_rows(part, *rows)
+        part.flush()
+        status = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
 def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
     """CSV columns x_nm, y_nm, z_nm, Bx_mT, By_mT, Bz_mT, Bmag_mT.
 
-    Rows are written in chunks, so memory stays bounded, and each number
-    reads exactly as fmt9 gives it. In each chunk the three coordinate
-    columns are formatted once per distinct bit pattern (a cell grid repeats
-    every x, y and z many times), then the chunk's seven columns go through
-    one '%s,%s,%s,%.9g,...' format call; '%.9g' is fmt9's conversion.
+    Rows are formatted in chunks of 2**15, so memory stays bounded, and each
+    number reads exactly as fmt9 gives it (see _write_rows). Formatting
+    holds the interpreter lock, so the chunks are split into W = min(usable
+    cores, chunks) contiguous ranges, one per process: W - 1 forked children
+    each write their range to an unlinked temporary file in the CSV's
+    directory, while the caller writes the first range to the CSV, then
+    appends each child's file in row order, a bounded piece at a time. The
+    bytes do not depend on W. W is 1, and nothing is forked, where os.fork
+    does not exist; with no rows the CSV holds the header alone.
+
+    A child that fails makes this raise OSError. On any error every child
+    still running is killed, and each child is reaped before this returns.
+    Python 3.12 and later warn (DeprecationWarning) on fork in a process
+    that runs threads, and a threaded BLAS starts some; the children call no
+    BLAS routine, they only format and write.
     """
     pts = np.asarray(points_m, dtype=float)
     B = np.asarray(B_T, dtype=float)
     mag = np.linalg.norm(B, axis=1)
-    with open(path, "w", newline="") as fh:
-        fh.write("x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT\n")
-        for s in range(0, len(pts), _CSV_CHUNK_ROWS):
-            c = slice(s, s + _CSV_CHUNK_ROWS)
-            xyz = pts[c] * 1e9
-            cells = np.empty((len(xyz), 7), dtype=object)
-            for j in range(3):
-                cells[:, j] = _fmt9_strings(xyz[:, j])
-            cells[:, 3:6] = B[c] * 1e3
-            cells[:, 6] = mag[c] * 1e3
-            fh.write((_CSV_ROW * len(xyz)) % tuple(cells.ravel().tolist()))
+    chunks = -(-len(pts) // _CSV_CHUNK_ROWS)
+    W = min(usable_cores() if hasattr(os, "fork") else 1, max(chunks, 1))
+    bounds = [min(len(pts), chunks * w // W * _CSV_CHUNK_ROWS) for w in range(W + 1)]
+    with open(path, "wb") as out, contextlib.ExitStack() as stack:
+        out.write(b"x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT\n")
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+                 for _ in range(1, W)]
+        children = []  # (pid, part) of each child not yet reaped, in row order
+        try:
+            for w, part in enumerate(parts, 1):
+                pid = os.fork()
+                if pid == 0:
+                    _write_rows_and_exit(part, pts, B, mag, bounds[w], bounds[w + 1])
+                children.append((pid, part))
+            _write_rows(out, pts, B, mag, bounds[0], bounds[1])
+            while children:
+                pid, part = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]  # reaped
+                if status:
+                    raise OSError(f"{path}: the process writing part of it (pid {pid}) "
+                                  f"exited with status {os.waitstatus_to_exitcode(status)}")
+                part.seek(0)
+                shutil.copyfileobj(part, out)
+        finally:
+            if children:
+                from signal import SIGKILL  # not at the top: importing it takes about 1 ms
+
+                for pid, _ in children:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def write_fano_csv(path, curve):

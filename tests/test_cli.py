@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maglattice.io
 from maglattice.atom import default_rb87
 from maglattice.cli import main, parse_config
 from maglattice.errors import InputError
@@ -241,7 +243,32 @@ def test_config_file_missing():
         parse_config("/nonexistent/config.json")
 
 
-def test_field_map_csv_matches_fmt9(tmp_path):
+def _assert_csv_matches_fmt9(tmp_path, monkeypatch, pts, B):
+    """The writer's CSV is fmt9 of every number, with the same bytes whether
+    it writes alone or forks a child per range of chunks."""
+    lines = ["x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT"]
+    for p, b in zip(pts, B):
+        cols = [*(p * 1e9), *(b * 1e3), np.linalg.norm(b) * 1e3]
+        lines.append(",".join(fmt9(c) for c in cols))
+    expected = ("\n".join(lines) + "\n").encode()
+    assert -(-len(pts) // 2**15) == 2  # two chunks: 5 cores are more than there is work for
+
+    def no_fork():
+        raise AssertionError("forked with one process to run")
+
+    for cores, fork in [(1, no_fork), (2, os.fork), (5, os.fork), (5, None)]:
+        with monkeypatch.context() as m:
+            m.setattr(maglattice.io, "usable_cores", lambda: cores)
+            if fork is None:
+                m.delattr(os, "fork")  # a platform without fork writes alone
+            else:
+                m.setattr(os, "fork", fork)
+            write_field_map_csv(tmp_path / "map.csv", pts, B)
+        assert (tmp_path / "map.csv").read_bytes() == expected, (cores, fork)
+    assert sorted(os.listdir(tmp_path)) == ["map.csv"]
+
+
+def test_field_map_csv_matches_fmt9(tmp_path, monkeypatch):
     # more rows than one write chunk; signed zeros, extremes, a non-finite
     # value and 9-digit ties among the numbers
     rng = np.random.default_rng(5)
@@ -251,15 +278,10 @@ def test_field_map_csv_matches_fmt9(tmp_path):
     pts[:4, 0] = [0.0, -0.0, 1e-300, -1.23456789e-9]
     B[:5, 1] = [0.0, -0.0, 1e-299, np.inf, 1.0000000005e-3]
     B[5, :] = 0.0
-    write_field_map_csv(tmp_path / "map.csv", pts, B)
-    lines = ["x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT"]
-    for p, b in zip(pts, B):
-        cols = [*(p * 1e9), *(b * 1e3), np.linalg.norm(b) * 1e3]
-        lines.append(",".join(fmt9(c) for c in cols))
-    assert (tmp_path / "map.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    _assert_csv_matches_fmt9(tmp_path, monkeypatch, pts, B)
 
 
-def test_field_map_csv_matches_fmt9_on_oblique_grid(tmp_path):
+def test_field_map_csv_matches_fmt9_on_oblique_grid(tmp_path, monkeypatch):
     # a hexagonal cell grid of 200^2 rows: one full write chunk and a partial
     # one; in the full chunk x takes 1172 distinct bit patterns (rounding
     # splits equal sums of fx a1 + fy a2), y 200 and z one
@@ -267,12 +289,61 @@ def test_field_map_csv_matches_fmt9_on_oblique_grid(tmp_path):
     occ = (np.random.default_rng(3).random((8, 8)) < 0.5).astype(int)
     f = fourier_from_pattern(MagnetizationPattern(geom, occ, M0=670e3, film_h=50e-9), max_order=3)
     pts, B = field_on_cell_grid(f, [-1e-3, 0.2e-3, 0.0], 4e-7, 200)
-    write_field_map_csv(tmp_path / "map.csv", pts, B)
-    lines = ["x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT"]
-    for p, b in zip(pts, B):
-        cols = [*(p * 1e9), *(b * 1e3), np.linalg.norm(b) * 1e3]
-        lines.append(",".join(fmt9(c) for c in cols))
-    assert (tmp_path / "map.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    _assert_csv_matches_fmt9(tmp_path, monkeypatch, pts, B)
+
+
+def test_field_map_csv_of_no_rows_is_its_header(tmp_path):
+    write_field_map_csv(tmp_path / "map.csv", np.empty((0, 3)), np.empty((0, 3)))
+    assert (tmp_path / "map.csv").read_bytes() == b"x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT\n"
+
+
+def _fail_on(monkeypatch, caller_fails):
+    """Make the CSV writer's formatting fail in the calling process or in its
+    forked child; when the caller fails, the child sleeps 30 s first, so it
+    is still running."""
+    caller, write_rows = os.getpid(), maglattice.io._write_rows
+
+    def write_or_fail(out, *rows):
+        if (os.getpid() == caller) == caller_fails:
+            raise RuntimeError("formatting failed")
+        if caller_fails:
+            time.sleep(30)
+        write_rows(out, *rows)
+
+    monkeypatch.setattr(maglattice.io, "usable_cores", lambda: 2)
+    monkeypatch.setattr(maglattice.io, "_write_rows", write_or_fail)
+
+
+def _assert_no_child_and_no_stray_file(directory, files):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(directory)) == sorted(files)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+def test_field_map_writer_child_failure_is_an_os_error(workdir, capsys, monkeypatch):
+    _fail_on(monkeypatch, caller_fails=False)
+    pts, B = np.zeros((2**15 + 1, 3)), np.ones((2**15 + 1, 3))
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_field_map_csv(workdir / "map.csv", pts, B)
+    _assert_no_child_and_no_stray_file(workdir, ["config.json", "map.csv", "pattern.pbm"])
+    # the CLI maps it to exit 1 and writes no report (200^2 rows: two chunks)
+    rc = run_cli(workdir, "field-map", "--z-nm", "500", "--n", "200")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    _assert_no_child_and_no_stray_file(
+        workdir, ["config.json", "field_map.csv", "map.csv", "pattern.pbm"])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+def test_field_map_writer_caller_failure_kills_its_child(tmp_path, monkeypatch):
+    _fail_on(monkeypatch, caller_fails=True)
+    pts, B = np.zeros((2**15 + 1, 3)), np.ones((2**15 + 1, 3))
+    t = time.perf_counter()
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_field_map_csv(tmp_path / "map.csv", pts, B)
+    assert time.perf_counter() - t < 10  # the child, asleep for 30 s, was killed
+    _assert_no_child_and_no_stray_file(tmp_path, ["map.csv"])
 
 
 # ----------------------------------------------------------------------
@@ -577,6 +648,7 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
         (("tune-bias", "--target-z-nm", "1215"), {"seed": -1}),
         (("traps",), {"geometry": {"a1_nm": [1000.0, 0.0], "a2_nm": [2000.0, 0.0]}}),
         (("traps",), {"pattern": "row.pbm"}),
+        (("field-map", "--z-nm", "500", "--n", "4097"), None),  # one past the largest n
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):
