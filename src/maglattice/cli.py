@@ -11,11 +11,14 @@ The library checks every value it is given and raises InputError on one it
 cannot use; this module checks only what the library never sees (config
 types and keys, --d, --eta, --trap-index, the schedule file, field-map's
 largest --n). main() maps
-InputError and OSError to exit 1 and every other ValueError to exit 2.
+InputError and OSError to exit 1 and every other ValueError to exit 2. A run
+that exits 1 removes the directories it created for --out, with whatever
+it wrote there.
 """
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -565,10 +568,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    created = None
     try:
         if args.seed is not None:
             cfg.seed = _at_least(0, _integer)(args.seed, "--seed")
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out = Path(args.out).absolute()
+        # the topmost directory of --out that this run creates, if any
+        created = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+        out.mkdir(parents=True, exist_ok=True)
         payload, warnings, failure = args.handler(args, cfg)
         if payload is not None:
             _emit(args, cfg.read, payload, warnings)
@@ -577,6 +584,10 @@ def main(argv=None) -> int:
         print(failure, file=sys.stderr)
         return 2
     except (InputError, OSError) as exc:
+        # a rejected run leaves behind no directory it made, nor what the
+        # handler wrote there before it failed
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

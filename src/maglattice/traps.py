@@ -21,7 +21,7 @@ import numpy as np
 from . import constants as const
 from .atom import AtomState, default_rb87
 from .errors import InputError
-from .lattice import FourierExpansion, eval_field, eval_field_arrays
+from .lattice import FourierExpansion, _distinct, _row_norms, eval_field, eval_field_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -156,7 +156,10 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
 
     All rows run in lockstep: an iteration is one kernel call on the rows
     still active and one batched eigh of their Hessians, which the kernel
-    returns bit-symmetric.
+    returns bit-symmetric. Only the active rows' state is kept, in compact
+    arrays in input order, so the kernel and eigh see the same stacks, and
+    each row the same operations, as in a loop over full-size arrays; a row
+    is written to the returned arrays once, when it leaves with its fate.
     Eigendirections with |lambda| <= 1e-9 max|lambda| are projected out of
     every step, so flat (channel) directions stay put.
 
@@ -192,63 +195,91 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     z_lo, z_hi = (-np.inf, np.inf) if z_bounds is None else z_bounds
     x0 = np.array(x0, dtype=float, ndmin=2)
     x0[:, 2] = np.clip(x0[:, 2], z_lo, z_hi)
-    x = x0.copy()
-    fate = np.full(len(x), _ACTIVE)
-    radius = np.full(len(x), float(cap))
+    n = len(x0)
     period = f.geometry.period
     min_radius = 1e-12 * period
+    zero_tol = 1e-6 * period
     maxiter = 100 if index == 0 else 30
     b_norm = np.linalg.norm(bias)
-    _, J, val, g, H, valid = eval_field_arrays(f, bias, x)
-    gn = np.linalg.norm(g, axis=1)
+    # each row's results, written once, when it leaves the active set
+    x, val, fate = np.empty((n, 3)), np.empty(n), np.empty(n, dtype=int)
+    J, H, valid = np.empty((n, 3, 3)), np.empty((n, 3, 3)), np.empty(n, dtype=bool)
+    # the active rows in input order: their indices, starts, positions,
+    # kernel arrays, |grad|B|| and trust radii
+    rows, start, xa = np.arange(n), x0, x0.copy()
+    _, Ja, va, ga, Ha, oka = eval_field_arrays(f, bias, x0)
+    gna = _row_norms(ga)
+    ra = np.full(n, float(cap))
+
+    def leave(out, code):
+        """Write back the active rows flagged in `out` with fate `code` and
+        drop them from the active set."""
+        nonlocal rows, start, xa, Ja, va, ga, Ha, oka, gna, ra
+        k = rows[out]
+        x[k], val[k], J[k], H[k], valid[k], fate[k] = xa[out], va[out], Ja[out], Ha[out], oka[out], code
+        keep = ~out
+        rows, start, xa, Ja, va, ga, Ha, oka, gna, ra = (
+            a[keep] for a in (rows, start, xa, Ja, va, ga, Ha, oka, gna, ra)
+        )
+        return keep
+
     for it in range(maxiter + 1):
-        act = fate == _ACTIVE
         # near a point zero |B| ~ |grad|B|| times the distance to it, and
         # a row descending into the cone never meets _GTOL
-        zero = ~valid | (val < 1e-6 * period * gn)
-        fate[act & zero] = _INVALID
-        fate[act & ~zero & (gn <= _GTOL)] = _STATIONARY
-        fate[(fate == _ACTIVE) & (x[:, 2] > z_top)] = _BOUND
-        i = np.flatnonzero(fate == _ACTIVE)
-        if it == maxiter or not len(i):
+        zero = ~oka | (va < zero_tol * gna)
+        flat = gna <= _GTOL
+        out = zero | flat | (xa[:, 2] > z_top)
+        if out.any():
+            leave(out, np.where(zero, _INVALID, np.where(flat, _STATIONARY, _BOUND))[out])
+        if it == maxiter:
+            leave(np.ones(len(rows), dtype=bool), _ACTIVE)
+        if not len(rows):
             break
-        lam, V = np.linalg.eigh(H[i])
-        use = np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
-        curv = np.where(use, np.abs(lam), 1.0)
-        coef = np.where(use, np.einsum("nji,nj->ni", V, g[i]) / curv, 0.0)
+        lam, V = np.linalg.eigh(Ha)
+        alam = np.abs(lam)
+        use = alam > 1e-9 * alam.max(axis=1, keepdims=True)
+        curv = np.where(use, alam, 1.0)
+        coef = np.where(use, np.einsum("nji,nj->ni", V, ga) / curv, 0.0)
         coef[:, :index] *= -1
         step = -np.einsum("nij,nj->ni", V, coef)
-        sn = np.linalg.norm(step, axis=1)
-        big = sn > radius[i]
-        step[big] *= (radius[i][big] / sn[big])[:, None]
-        trial = x[i] + step
-        trial[:, 2] = np.clip(trial[:, 2], z_lo, z_hi)
+        sn = _row_norms(step)
+        big = sn > ra
+        if big.any():
+            step[big] *= (ra[big] / sn[big])[:, None]
+        trial = xa + step
+        if z_bounds is not None:
+            trial[:, 2] = np.clip(trial[:, 2], z_lo, z_hi)
         # a step that leaves the row where it is (no usable direction, or
-        # pushing only against a bound) will never move it
-        fate[i[np.all(trial == x[i], axis=1)]] = _ENDED
-        left = (trial[:, 2] <= 0) | (np.linalg.norm(trial - x0[i], axis=1) > guard)
-        fate[i[left]] = _BOUND
-        go = fate[i] == _ACTIVE
-        i, trial = i[go], trial[go]
-        if not len(i):
-            continue
-        _, J_t, v_t, g_t, H_t, valid_t = eval_field_arrays(f, bias, trial)
-        gn_t = np.linalg.norm(g_t, axis=1)
+        # pushing only against a bound) will never move it; a row that also
+        # left its guard ends _BOUND
+        stuck = (trial == xa).all(axis=1)
+        left = trial[:, 2] <= 0
+        if guard < np.inf:
+            left |= _row_norms(trial - start) > guard
+        out = stuck | left
+        if out.any():
+            trial = trial[leave(out, np.where(left, _BOUND, _ENDED)[out])]
+            if not len(rows):
+                break
+        _, J_t, v_t, g_t, H_t, ok_t = eval_field_arrays(f, bias, trial)
+        gn_t = _row_norms(g_t)
         if index == 0:
             # rounding noise in |B| stays below 2e-15 |B_ext| near the
             # minima of the test patterns; a strict test rejected noise and
             # collapsed the trust radius of rows already at the minimum
-            acc = valid_t & (v_t <= val[i] + 1e-13 * (b_norm + val[i]))
+            acc = ok_t & (v_t <= va + 1e-13 * (b_norm + va))
         else:
-            acc = valid_t & (gn_t <= gn[i])
-        rej = i[~acc]
-        radius[i[acc]] = np.minimum(2 * radius[i[acc]], cap)
-        radius[rej] /= 4
-        fate[rej[radius[rej] < min_radius]] = _STALLED
-        j = i[acc]
-        x[j], J[j], val[j], g[j], H[j], valid[j], gn[j] = (
-            trial[acc], J_t[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc], gn_t[acc]
+            acc = ok_t & (gn_t <= gna)
+        ra = np.where(acc, np.minimum(2 * ra, cap), ra / 4)
+        if acc.all():
+            xa, Ja, va, ga, Ha, oka, gna = trial, J_t, v_t, g_t, H_t, ok_t, gn_t
+            continue
+        xa[acc], Ja[acc], va[acc], ga[acc], Ha[acc], oka[acc], gna[acc] = (
+            trial[acc], J_t[acc], v_t[acc], g_t[acc], H_t[acc], ok_t[acc], gn_t[acc]
         )
+        stalled = ~acc & (ra < min_radius)
+        if stalled.any():
+            leave(stalled, _STALLED)
 
     on_bound = (x[:, 2] <= z_lo * (1 + 1e-9)) | (x[:, 2] >= z_hi * (1 - 1e-9))
     ended = (fate == _ACTIVE) | (fate == _ENDED)
@@ -269,49 +300,6 @@ def _cell_seeds(geom, n, z_lo, z_hi):
     zs = np.linspace(z_lo, z_hi, n + 2)[1:-1]
     FX, FY, Z = (a.ravel() for a in np.meshgrid(fr, fr, zs, indexing="ij"))
     return np.column_stack([np.outer(FX, geom.a1) + np.outer(FY, geom.a2), Z])
-
-
-def _distinct(geom, pts):
-    """Classes of points equal modulo lattice translations (merge radius
-    1e-3 of the period). Returns (reps, cls): one home-cell representative
-    per class, the member with smallest (z, x, y), sorted by (z, x, y); and
-    the index into reps of each point.
-
-    Classes form greedily in input order: a point joins the first
-    representative within the radius (minimum image) and replaces it if
-    smaller, or starts a class. Each point is tested against the current
-    representatives only, so no (n, n) array is built."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    A = np.array([geom.a1, geom.a2]).T
-    # a stack of one-point solves and products gives each point the bits of
-    # its own call; a multi-RHS solve or an einsum is 1 ulp off, and the
-    # representatives are reported
-    A_n = np.broadcast_to(A, (n, 2, 2))
-    frac = np.linalg.solve(A_n, pts[:, :2, None]) % 1.0
-    home = np.column_stack([(A_n @ frac)[:, :, 0], pts[:, 2]])
-    frac = frac[:, :, 0]
-    merge_tol = 1e-3 * geom.period
-    # elementwise products and a Python sort below: a first BLAS product or
-    # np.lexsort call here raised the peak RSS of a surface run by 0.1-0.5 MB
-    reps, cls = [], np.empty(n, dtype=int)
-    for p in range(n):
-        d = frac[reps] - frac[p]
-        d -= np.round(d)
-        dxy = d[:, :1] * geom.a1 + d[:, 1:] * geom.a2
-        dist = np.hypot(np.linalg.norm(dxy, axis=1), home[reps, 2] - home[p, 2])
-        hit = np.flatnonzero(dist < merge_tol)
-        if len(hit):
-            i = hit[0]
-            r, q = home[p], home[reps[i]]
-            if (r[2], r[0], r[1]) < (q[2], q[0], q[1]):
-                reps[i] = p
-        else:
-            i = len(reps)
-            reps.append(p)
-        cls[p] = i
-    order = sorted(range(len(reps)), key=lambda i: tuple(home[reps[i], [2, 0, 1]]))
-    return [home[reps[i]] for i in order], np.argsort(order)[cls]
 
 
 def _log_fates(label, fate, names):
@@ -370,17 +358,25 @@ def frequencies_from_hessian(hess_mag: np.ndarray, atom: AtomState):
     are NaN.
     """
     H = np.asarray(hess_mag, dtype=float)
-    lam, V = np.linalg.eigh(0.5 * (H + np.swapaxes(H, -1, -2)))
-    scale = np.maximum(np.max(np.abs(lam), axis=-1), 1e-300)
-    saddle = lam[..., 0] < -1e-7 * scale
+    freqs, axes, saddle = _frequencies(np.linalg.eigh(0.5 * (H + np.swapaxes(H, -1, -2))), atom)
     if H.ndim == 2 and saddle:
         raise SaddleError("saddle, not minimum: Hessian has a negative eigenvalue")
+    return freqs, axes
+
+
+def _frequencies(eig, atom):
+    """frequencies_from_hessian's (freqs, axes) from the eigh (lam, V) of a
+    symmetric Hessian or stack, and its saddle flag per Hessian."""
+    lam, V = eig
+    scale = np.maximum(np.max(np.abs(lam), axis=-1), 1e-300)
+    saddle = lam[..., 0] < -1e-7 * scale
     # omega rises with lambda, and eigh returns lambda ascending
     omega = np.sqrt(atom.mu * np.clip(lam, 0.0, None) / atom.mass)
     freqs, axes = omega[..., ::-1] / (2 * np.pi), V[..., ::-1]
     return (
         np.where(saddle[..., None], np.nan, freqs),
         np.where(saddle[..., None, None], np.nan, axes),
+        saddle,
     )
 
 
@@ -561,21 +557,23 @@ def _line_scan(f, b, r0, shift, n=96):
     return float(B_mag[k]), pts[k]
 
 
-def _sym_solve(A, rhs):
+def _sym_solve(A, rhs, eig=None):
     """A^+ rhs for a symmetric A, or for a stack of them and of rhs, the
     eigenvalues below 1e-9 of each A's largest dropped as in `_newton`. By
-    eigh: a first lstsq call adds 0.3 MB of RSS."""
-    lam, V = np.linalg.eigh(A)
+    eigh, or A's eigh (lam, V) when the caller passes it as eig: a first
+    lstsq call adds 0.3 MB of RSS."""
+    lam, V = np.linalg.eigh(A) if eig is None else eig
     lam = np.where(np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=-1, keepdims=True), lam, np.inf)
     return V @ ((np.swapaxes(V, -1, -2) @ rhs) / lam[..., None])
 
 
-def _tangent(J, B_mag, H):
+def _tangent(J, B_mag, H, eig=None):
     """dr/dB_ext, (n, 3, 3), at n minima from their kernel arrays J = dB/dr,
-    |B| and H = Hess|B|. The implicit function theorem on grad|B| = J^T B^
-    = 0 gives -H^-1 J^T (I - B^ B^^T)/|B| = -H^-1 J^T/|B| there, flat
-    directions projected out."""
-    return -_sym_solve(H, np.swapaxes(J, -1, -2) / B_mag[:, None, None])
+    |B| and H = Hess|B| (or H's eigh, eig, if the caller has it). The
+    implicit function theorem on grad|B| = J^T B^ = 0 gives
+    -H^-1 J^T (I - B^ B^^T)/|B| = -H^-1 J^T/|B| there, flat directions
+    projected out."""
+    return -_sym_solve(H, np.swapaxes(J, -1, -2) / B_mag[:, None, None], eig)
 
 
 def _bias_derivatives(f, b, r, tops, scanned):
@@ -827,19 +825,25 @@ def transport_trajectory(
         raise ValueError("no minima at the first schedule step")
     positions = np.array(positions)
 
-    def snapshot(step, bvec, pos, Bm, H, valid):
+    def snapshot(step, bvec, pos, Bm, eig, valid):
+        """The step's snapshot, its frequencies from the eigh (lam, V) of
+        the kernel's bit-symmetric H, which equals frequencies_from_hessian's
+        eigh of (H + H^T)/2 bit for bit."""
         fr = np.full((len(pos), 3), np.nan)
-        fr[valid] = frequencies_from_hessian(H[valid], atom)[0]
+        fr[valid] = _frequencies((eig[0][valid], eig[1][valid]), atom)[0]
         return TransportSnapshot(
             step=step, bias=bvec.copy(), positions=pos.copy(),
             B_IP=np.where(valid, Bm, np.nan), freqs=fr,
         )
 
+    # one eigh of each step's Hessians serves its snapshot and the tangent
+    # that predicts the next step's starts
     _, J, Bm, _, H, valid = eval_field_arrays(f, vecs[0], positions)
-    snaps = [snapshot(0, vecs[0], positions, Bm, H, valid)]
+    eig = np.linalg.eigh(H)
+    snaps = [snapshot(0, vecs[0], positions, Bm, eig, valid)]
     lost_at = None
     for step in range(1, len(vecs)):
-        start = positions + _tangent(J, Bm, H) @ (vecs[step] - vecs[step - 1])
+        start = positions + _tangent(J, Bm, H, eig) @ (vecs[step] - vecs[step - 1])
         x, Bm, fate, J, H, valid = _newton(
             f, vecs[step], start, 0, 0.05 * geom.period, z_bounds=z_range, guard=geom.period / 4
         )
@@ -848,5 +852,6 @@ def transport_trajectory(
             _log_fates(f"transport step {step}", fate, _FATES)
             break
         positions = x
-        snaps.append(snapshot(step, vecs[step], positions, Bm, H, valid))
+        eig = np.linalg.eigh(H)
+        snaps.append(snapshot(step, vecs[step], positions, Bm, eig, valid))
     return TransportResult(snapshots=snaps, lost_at_step=lost_at)

@@ -335,6 +335,42 @@ def test_field_map_writer_child_failure_is_an_os_error(workdir, capsys, monkeypa
         workdir, ["config.json", "field_map.csv", "map.csv", "pattern.pbm"])
 
 
+def run_cli_into(workdir, out, *args):
+    return main(["--config", str(workdir / "config.json"), "--out", str(out), "--no-timestamp", *args])
+
+
+def test_rejected_run_leaves_no_directory_it_created(workdir, capsys, monkeypatch):
+    # --out and its missing parent go when the handler rejects its options
+    rc = run_cli_into(workdir, workdir / "new" / "out", "field-map", "--z-nm", "500", "--n", "200000")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert sorted(os.listdir(workdir)) == ["config.json", "pattern.pbm"]
+    # and with what the handler wrote there before it failed
+    if hasattr(os, "fork"):
+        _fail_on(monkeypatch, caller_fails=False)
+        rc = run_cli_into(workdir, workdir / "new", "field-map", "--z-nm", "500", "--n", "200")
+        assert rc == 1
+        _assert_no_child_and_no_stray_file(workdir, ["config.json", "pattern.pbm"])
+
+
+@pytest.mark.parametrize(
+    "argv, bias, code",
+    [
+        (("hubbard", "--d", "425"), None, 0),
+        (("traps", "--z-min-nm", "400", "--z-max-nm", "1200", "--seeds", "4", "--no-barriers"),
+         [-80.0, 10.0, 0.0], 2),
+    ],
+    ids=["exit-0", "exit-2"],
+)
+def test_run_writes_its_report_into_a_directory_it_created(workdir, argv, bias, code):
+    if bias is not None:
+        doc = json.loads((workdir / "config.json").read_text())
+        (workdir / "config.json").write_text(json.dumps({**doc, "bias_mT": bias}))
+    out = workdir / "new" / "out"
+    assert run_cli_into(workdir, out, *argv) == code
+    assert json.loads((out / "report.json").read_text())["subcommand"] == argv[0]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
 def test_field_map_writer_caller_failure_kills_its_child(tmp_path, monkeypatch):
     _fail_on(monkeypatch, caller_fails=True)
@@ -587,20 +623,22 @@ def test_field_map_threads_agree(workdir):
     assert (workdir / "field_map.csv").read_bytes() == a
 
 
+# explicit ids, each the positional id pytest gave the case, so that a row
+# added anywhere renames no other case; a new row gets an id of its own
 @pytest.mark.parametrize(
     "bad",
     [
-        ("--ntraj", "10"),
-        ("--n0", "2"),
-        ("--eta", "abc"),
-        ("--eta", "0.5,0.9"),
-        ("--eta", "1.5"),
-        ("--gamma3", "-1"),
-        ("--gamma3", "nan"),
-        ("--gamma3", "inf"),
-        ("--n0", "100000000000000000000000"),
-        ("--dist", "fixed", "--n0", str(3 * 2**20)),
-        ("--ntraj", str(2**31)),
+        pytest.param(("--ntraj", "10"), id="bad0"),
+        pytest.param(("--n0", "2"), id="bad1"),
+        pytest.param(("--eta", "abc"), id="bad2"),
+        pytest.param(("--eta", "0.5,0.9"), id="bad3"),
+        pytest.param(("--eta", "1.5"), id="bad4"),
+        pytest.param(("--gamma3", "-1"), id="bad5"),
+        pytest.param(("--gamma3", "nan"), id="bad6"),
+        pytest.param(("--gamma3", "inf"), id="bad7"),
+        pytest.param(("--n0", "100000000000000000000000"), id="bad8"),
+        pytest.param(("--dist", "fixed", "--n0", str(3 * 2**20)), id="bad9"),
+        pytest.param(("--ntraj", str(2**31)), id="bad10"),
     ],
 )
 def test_fano_input_errors_exit_1(workdir, capsys, bad):
@@ -611,44 +649,46 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
     assert not (workdir / "report.json").exists()
 
 
+# explicit ids, each the positional id pytest gave the case, so that a row
+# added anywhere renames no other case; a new row gets an id of its own
 @pytest.mark.parametrize(
     "argv, schedule",
     [
-        (("traps", "--seeds", "2"), None),
-        (("surface", "--seeds", "3"), None),
-        (("traps", "--z-min-nm", "-5"), None),
-        (("traps", "--z-min-nm", "0"), None),
-        (("traps", "--z-min-nm", "500", "--z-max-nm", "100"), None),
-        (("surface", "--z-max-nm", "inf"), None),
-        (("surface", "--z-min-nm", "nan"), None),
-        (("field-map", "--z-nm", "-5"), None),
-        (("field-map", "--z-nm", "nan"), None),
-        (("field-map", "--z-nm", "500", "--n", "0"), None),
-        (("transport", "--schedule-json", "{schedule}"), None),
-        (("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5, 0.0],"),
-        (("transport", "--schedule-json", "{schedule}"), '{"steps": 2}'),
-        (("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5], [-2.0, 0.5]]"),
-        (("transport", "--schedule-json", "{schedule}"), "[[NaN, 0.5, 0.0], [-2.0, 0.5, 0.0]]"),
-        (("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5, 0.0]]"),
-        (("transport", "--steps", "1"), None),
-        (("transport", "--steps", "3", "--degrees", "360"), None),
-        (("tune-bias", "--target-z-nm", "-5"), None),
-        (("tune-bias", "--target-z-nm", "nan"), None),
-        (("tune-bias", "--target-z-nm", "1215", "--weight", "nan"), None),
-        (("tune-bias", "--target-z-nm", "1215", "--weight", "-1"), None),
-        (("hubbard", "--d", "abc"), None),
-        (("hubbard", "--d", "-5"), None),
-        (("hubbard", "--d", "425,inf"), None),
-        (("hubbard", "--d", "425", "--j-over-u", "2"), None),
-        (("hubbard", "--d", "425", "--j-over-u", "nan"), None),
-        (("--seed", "-1", "tune-bias", "--target-z-nm", "1215"), None),
-        (("transport", "--steps", "-1"), None),
+        pytest.param(("traps", "--seeds", "2"), None, id="argv0-None"),
+        pytest.param(("surface", "--seeds", "3"), None, id="argv1-None"),
+        pytest.param(("traps", "--z-min-nm", "-5"), None, id="argv2-None"),
+        pytest.param(("traps", "--z-min-nm", "0"), None, id="argv3-None"),
+        pytest.param(("traps", "--z-min-nm", "500", "--z-max-nm", "100"), None, id="argv4-None"),
+        pytest.param(("surface", "--z-max-nm", "inf"), None, id="argv5-None"),
+        pytest.param(("surface", "--z-min-nm", "nan"), None, id="argv6-None"),
+        pytest.param(("field-map", "--z-nm", "-5"), None, id="argv7-None"),
+        pytest.param(("field-map", "--z-nm", "nan"), None, id="argv8-None"),
+        pytest.param(("field-map", "--z-nm", "500", "--n", "0"), None, id="argv9-None"),
+        pytest.param(("transport", "--schedule-json", "{schedule}"), None, id="argv10-None"),
+        pytest.param(("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5, 0.0],", id="argv11-[[-2.0, 0.5, 0.0],"),
+        pytest.param(("transport", "--schedule-json", "{schedule}"), '{"steps": 2}', id='argv12-{"steps": 2}'),
+        pytest.param(("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5], [-2.0, 0.5]]", id="argv13-[[-2.0, 0.5], [-2.0, 0.5]]"),
+        pytest.param(("transport", "--schedule-json", "{schedule}"), "[[NaN, 0.5, 0.0], [-2.0, 0.5, 0.0]]", id="argv14-[[NaN, 0.5, 0.0], [-2.0, 0.5, 0.0]]"),
+        pytest.param(("transport", "--schedule-json", "{schedule}"), "[[-2.0, 0.5, 0.0]]", id="argv15-[[-2.0, 0.5, 0.0]]"),
+        pytest.param(("transport", "--steps", "1"), None, id="argv16-None"),
+        pytest.param(("transport", "--steps", "3", "--degrees", "360"), None, id="argv17-None"),
+        pytest.param(("tune-bias", "--target-z-nm", "-5"), None, id="argv18-None"),
+        pytest.param(("tune-bias", "--target-z-nm", "nan"), None, id="argv19-None"),
+        pytest.param(("tune-bias", "--target-z-nm", "1215", "--weight", "nan"), None, id="argv20-None"),
+        pytest.param(("tune-bias", "--target-z-nm", "1215", "--weight", "-1"), None, id="argv21-None"),
+        pytest.param(("hubbard", "--d", "abc"), None, id="argv22-None"),
+        pytest.param(("hubbard", "--d", "-5"), None, id="argv23-None"),
+        pytest.param(("hubbard", "--d", "425,inf"), None, id="argv24-None"),
+        pytest.param(("hubbard", "--d", "425", "--j-over-u", "2"), None, id="argv25-None"),
+        pytest.param(("hubbard", "--d", "425", "--j-over-u", "nan"), None, id="argv26-None"),
+        pytest.param(("--seed", "-1", "tune-bias", "--target-z-nm", "1215"), None, id="argv27-None"),
+        pytest.param(("transport", "--steps", "-1"), None, id="argv28-None"),
         # config keys to replace: a negative seed, and values that pass their
         # key's check but fail when the pattern is expanded
-        (("tune-bias", "--target-z-nm", "1215"), {"seed": -1}),
-        (("traps",), {"geometry": {"a1_nm": [1000.0, 0.0], "a2_nm": [2000.0, 0.0]}}),
-        (("traps",), {"pattern": "row.pbm"}),
-        (("field-map", "--z-nm", "500", "--n", "4097"), None),  # one past the largest n
+        pytest.param(("tune-bias", "--target-z-nm", "1215"), {"seed": -1}, id="argv29-schedule29"),
+        pytest.param(("traps",), {"geometry": {"a1_nm": [1000.0, 0.0], "a2_nm": [2000.0, 0.0]}}, id="argv30-schedule30"),
+        pytest.param(("traps",), {"pattern": "row.pbm"}, id="argv31-schedule31"),
+        pytest.param(("field-map", "--z-nm", "500", "--n", "4097"), None, id="argv32-None"),  # one past the largest n
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maglattice import constants as const
-from maglattice import traps
+from maglattice import lattice, traps
 from maglattice.lattice import LatticeGeometry, eval_field, eval_field_arrays, fourier_from_pattern
 from maglattice.patterns import windmill, z_edge_band
 from maglattice.traps import (
@@ -25,6 +25,7 @@ from maglattice.traps import (
     transport_trajectory,
     tune_bias,
 )
+from test_lattice import BIAS, PROPERTY_EXPANSIONS, PROPERTY_SETTINGS, cell_points
 
 
 
@@ -745,6 +746,220 @@ def test_search_ends_rows_at_field_zero(windmill_expansion, monkeypatch, caplog,
     assert np.allclose(minima[0], r0, rtol=0, atol=1e-14)
     (msg,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_trap_minima")]
     assert int(msg.split(", ")[-1].split(" ")[0]) > 0  # invalid
+
+
+# ----------------------------------------------------------------------
+# the lockstep descent and the kernel against the forms they replaced
+
+
+def _eval_field_arrays_scatter(f, bias, points, order=2):
+    """The field kernel before its derivative table was packed: both halves
+    scattered into _DERIVS order by boolean masks, np.linalg.norm and NaN
+    fills on every call. Kept as the oracle of lattice.eval_field_arrays."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    assert np.all(pts[:, 2] > 0.0)
+    bias = np.asarray(bias, dtype=float)
+    d, even = lattice._DERIVS, lattice._EVEN
+    k = np.column_stack([f.k_vec, f.k_mag, np.ones(f.nmodes)])
+    table = f.prefactor * lattice._SIGN * k[:, d[:, 0]] * k[:, d[:, 1]] * k[:, d[:, 2]]
+    u = pts[:, :2] @ f.k_vec.T
+    env = np.exp(-np.outer(pts[:, 2], f.k_mag))
+    cos, sin = np.cos(u), np.sin(u)
+    D = np.empty((len(pts), len(d)))
+    D[:, even] = (env * (f.C * cos + f.S * sin)) @ table[:, even]
+    D[:, ~even] = (env * (f.S * cos - f.C * sin)) @ table[:, ~even]
+    lattice_scale = f.prefactor * (env @ (f.k_mag * np.hypot(f.C, f.S)))
+    B = bias - D[:, :3]
+    B_mag = np.linalg.norm(B, axis=1)
+    valid = B_mag > 1e-10 * (np.linalg.norm(bias) + lattice_scale)
+    if order == 0:
+        return B, None, B_mag, None, None, valid
+    grad = -D[:, lattice._HESS_IDX]
+    third = -D[:, lattice._THIRD_IDX]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad_mag = np.einsum("ni,nij->nj", B, grad) / B_mag[:, None]
+        JTJ = np.einsum("nij,nil->njl", grad, grad)
+        BT = np.einsum("ni,nijl->njl", B, third)
+        hess = (JTJ + BT) / B_mag[:, None, None] - np.einsum(
+            "nj,nl->njl", grad_mag, grad_mag
+        ) / B_mag[:, None, None]
+    grad_mag[~valid] = np.nan
+    hess[~valid] = np.nan
+    return B, grad, B_mag, grad_mag, hess, valid
+
+
+def _newton_loop(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf,
+                 kernel=_eval_field_arrays_scatter):
+    """`traps._newton` before it kept the active rows in compact arrays:
+    every row's state in full-size arrays, updated through index lists.
+    Kept as its oracle."""
+    z_lo, z_hi = (-np.inf, np.inf) if z_bounds is None else z_bounds
+    x0 = np.array(x0, dtype=float, ndmin=2)
+    x0[:, 2] = np.clip(x0[:, 2], z_lo, z_hi)
+    x = x0.copy()
+    fate = np.full(len(x), traps._ACTIVE)
+    radius = np.full(len(x), float(cap))
+    period = f.geometry.period
+    min_radius = 1e-12 * period
+    maxiter = 100 if index == 0 else 30
+    b_norm = np.linalg.norm(bias)
+    _, J, val, g, H, valid = kernel(f, bias, x)
+    gn = np.linalg.norm(g, axis=1)
+    for it in range(maxiter + 1):
+        act = fate == traps._ACTIVE
+        zero = ~valid | (val < 1e-6 * period * gn)
+        fate[act & zero] = traps._INVALID
+        fate[act & ~zero & (gn <= traps._GTOL)] = traps._STATIONARY
+        fate[(fate == traps._ACTIVE) & (x[:, 2] > z_top)] = traps._BOUND
+        i = np.flatnonzero(fate == traps._ACTIVE)
+        if it == maxiter or not len(i):
+            break
+        lam, V = np.linalg.eigh(H[i])
+        use = np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=1, keepdims=True)
+        curv = np.where(use, np.abs(lam), 1.0)
+        coef = np.where(use, np.einsum("nji,nj->ni", V, g[i]) / curv, 0.0)
+        coef[:, :index] *= -1
+        step = -np.einsum("nij,nj->ni", V, coef)
+        sn = np.linalg.norm(step, axis=1)
+        big = sn > radius[i]
+        step[big] *= (radius[i][big] / sn[big])[:, None]
+        trial = x[i] + step
+        trial[:, 2] = np.clip(trial[:, 2], z_lo, z_hi)
+        fate[i[np.all(trial == x[i], axis=1)]] = traps._ENDED
+        left = (trial[:, 2] <= 0) | (np.linalg.norm(trial - x0[i], axis=1) > guard)
+        fate[i[left]] = traps._BOUND
+        go = fate[i] == traps._ACTIVE
+        i, trial = i[go], trial[go]
+        if not len(i):
+            continue
+        _, J_t, v_t, g_t, H_t, valid_t = kernel(f, bias, trial)
+        gn_t = np.linalg.norm(g_t, axis=1)
+        if index == 0:
+            acc = valid_t & (v_t <= val[i] + 1e-13 * (b_norm + val[i]))
+        else:
+            acc = valid_t & (gn_t <= gn[i])
+        rej = i[~acc]
+        radius[i[acc]] = np.minimum(2 * radius[i[acc]], cap)
+        radius[rej] /= 4
+        fate[rej[radius[rej] < min_radius]] = traps._STALLED
+        j = i[acc]
+        x[j], J[j], val[j], g[j], H[j], valid[j], gn[j] = (
+            trial[acc], J_t[acc], v_t[acc], g_t[acc], H_t[acc], valid_t[acc], gn_t[acc]
+        )
+
+    on_bound = (x[:, 2] <= z_lo * (1 + 1e-9)) | (x[:, 2] >= z_hi * (1 - 1e-9))
+    ended = (fate == traps._ACTIVE) | (fate == traps._ENDED)
+    fate[ended] = np.where(on_bound[ended], traps._BOUND, traps._STALLED)
+    k = np.flatnonzero(fate == traps._STATIONARY)
+    if len(k):
+        lam = np.linalg.eigvalsh(H[k])
+        scale = np.maximum(np.max(np.abs(lam), axis=1, keepdims=True), 1e-300)
+        saddle = np.sum(lam < -1e-7 * scale, axis=1) != index
+        fate[k] = np.where(saddle, traps._SADDLE, np.where(on_bound[k], traps._BOUND, traps._CONVERGED))
+    return x, val, fate, J, H, valid
+
+
+def assert_same_bits(new, old):
+    """Equal tuples of arrays (or None), bit for bit, NaN payloads included."""
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        if a is None or b is None:
+            assert a is None and b is None
+            continue
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def _newton_cases(windmill, stripe):
+    """name -> (f, bias, x0, index, cap, keyword arguments) of the descents
+    the search, the saddle graph, the tuner and transport run. Every
+    expansion here has the same 1 um square cell."""
+    band = z_edge_band_expansion(0.25)
+    geom, p = band.geometry, band.geometry.period
+    seeds = traps._cell_seeds
+    zstar = stripe_zstar(stripe, -2e-3)
+    guard_rows = [[fx * p, 0.0, zstar] for fx in (0.1, 0.2, 0.3, 0.45)]
+    return {
+        # index-0 rows on a z range: the demos/01 search, and one whose top
+        # lies below the traps
+        "minimum-z-bounds": (band, in_plane(1.2e-3, 18), seeds(geom, 6, 0.1e-6, 1.3e-6),
+                             0, 0.05 * p, {"z_bounds": (0.1e-6, 1.3e-6)}),
+        "minimum-below-range": (band, in_plane(1.2e-3, 18), seeds(geom, 4, 0.1e-6, 0.4e-6),
+                                0, 0.05 * p, {"z_bounds": (0.1e-6, 0.4e-6)}),
+        # the index-1 saddle graph, its rows retired above z_top
+        "saddle-graph": (band, in_plane(1.2e-3, 18), seeds(geom, 6, p / 50, 1.0e-6),
+                         1, 0.1 * p, {"z_top": 1.0e-6}),
+        # transport's guarded descent: the far rows end on the guard
+        "guard": (stripe, stripe_bias(), guard_rows, 0, 0.05 * p, {"guard": 0.1 * p}),
+        # rows that descend into a point zero of |B|
+        "field-zero": (windmill, in_plane(1e-3, 0), seeds(geom, 5, 0.15e-6, 1.4e-6),
+                       0, 0.05 * p, {"z_bounds": (0.15e-6, 1.4e-6)}),
+        # no minimum: rows wander to the iteration cap
+        "stall-at-cap": (PROPERTY_EXPANSIONS["checkerboard"], np.array([-1e-3, -0.3e-3, 0.0]),
+                         seeds(geom, 6, 50e-9, 1200e-9), 0, 0.05 * p, {"z_bounds": (50e-9, 1200e-9)}),
+    }
+
+
+NEWTON_FATES = {
+    "minimum-z-bounds": {traps._CONVERGED},
+    "minimum-below-range": {traps._BOUND, traps._STALLED},
+    "saddle-graph": {traps._STALLED, traps._BOUND},
+    "guard": {traps._CONVERGED, traps._BOUND},
+    "field-zero": {traps._CONVERGED, traps._INVALID},
+    "stall-at-cap": {traps._STALLED},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_FATES))
+def test_newton_matches_full_array_loop(windmill_expansion, stripe_expansion, name):
+    f, bias, x0, index, cap, kw = _newton_cases(windmill_expansion, stripe_expansion)[name]
+    new = traps._newton(f, bias, x0, index, cap, **kw)
+    assert_same_bits(new, _newton_loop(f, bias, x0, index, cap, **kw))
+    assert NEWTON_FATES[name] <= set(new[2].tolist())
+
+
+def test_newton_unmoved_row_out_of_guard_ends_bound(stripe_expansion, monkeypatch):
+    # a flat Hessian leaves no usable direction, so the trial is the row
+    # itself: it ends _BOUND when it is also out of (a negative) guard, and
+    # _STALLED off the bounds otherwise
+    def flat(kernel):
+        def kernel_with_flat_hessian(f, bias, points, order=2):
+            B, J, B_mag, g, H, valid = kernel(f, bias, points, order=order)
+            return B, J, B_mag, g, np.zeros_like(H), valid
+        return kernel_with_flat_hessian
+
+    monkeypatch.setattr(traps, "eval_field_arrays", flat(traps.eval_field_arrays))
+    f = stripe_expansion
+    x0 = [[0.1e-6, 0.0, 0.5e-6], [0.3e-6, 0.2e-6, 0.7e-6]]
+    for guard, fate in ((-1.0, traps._BOUND), (np.inf, traps._STALLED)):
+        new = traps._newton(f, stripe_bias(), x0, 0, 5e-8, guard=guard)
+        old = _newton_loop(f, stripe_bias(), x0, 0, 5e-8, guard=guard,
+                           kernel=flat(_eval_field_arrays_scatter))
+        assert_same_bits(new, old)
+        assert new[2].tolist() == [fate, fate]
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(sorted(PROPERTY_EXPANSIONS)), pts=cell_points)
+def test_kernel_matches_scattered_table(name, pts):
+    f = PROPERTY_EXPANSIONS[name]
+    for order in (0, 2):
+        assert_same_bits(
+            eval_field_arrays(f, BIAS, pts, order=order),
+            _eval_field_arrays_scatter(f, BIAS, pts, order=order),
+        )
+
+
+def test_kernel_matches_scattered_table_at_a_field_zero(stripe_expansion):
+    # the stripe's lattice field cancels a bias along -x at its trap height:
+    # that row is invalid (NaN-filled) and the others are not
+    f = stripe_expansion
+    pts = np.array([[0.25e-6, 0.0, stripe_zstar(f, -2e-3)], [0.1e-6, 0.3e-6, 0.4e-6], [0.6e-6, 0.0, 0.9e-6]])
+    for order in (0, 2):
+        new = eval_field_arrays(f, [-2e-3, 0.0, 0.0], pts, order=order)
+        assert new[-1].tolist() == [False, True, True]
+        assert_same_bits(new, _eval_field_arrays_scatter(f, [-2e-3, 0.0, 0.0], pts, order=order))
 
 
 # ----------------------------------------------------------------------
