@@ -9,8 +9,8 @@ error, 2 physics-level failure.
 
 The library checks every value it is given and raises InputError on one it
 cannot use; this module checks only what the library never sees (config
-types and keys, --d, --eta, --trap-index, the schedule file, field-map's
-largest --n). main() maps
+types and keys, --d, --eta, --trap-index, the schedule file, the largest
+--n, --seeds and --steps). main() maps
 InputError and OSError to exit 1 and every other ValueError to exit 2. A run
 that exits 1 removes the directories it created for --out, with whatever
 it wrote there.
@@ -150,6 +150,16 @@ _MHZ = 2 * np.pi * 1e6  # rad/s per MHz
 # holds, and far more points per period than any retained harmonic needs.
 # Unbounded, --n 200000 ended in a numpy MemoryError traceback (596 GiB).
 _MAX_GRID_N = 4096
+# traps' and surface's largest --seeds. Its 32**3 seeds took 0.42 GB in the
+# descent (13 kB a seed, about 63 B per retained mode, measured on the
+# demos/01 band at the default truncation: 212 modes) and 4.7 s. Unbounded,
+# --seeds 100000 ended in a numpy MemoryError traceback (7.11 PiB).
+_MAX_SEEDS = 32
+# transport's largest --steps. Its 1e5 steps hold about 1.2 GB of snapshots
+# and payload and write a 170 MB report.json (12 kB and 1.7 kB a step,
+# measured at 4000 steps with 6 traps tracked), in about a minute. Unbounded,
+# --steps 2147483648 ended in a MemoryError traceback (16 GiB).
+_MAX_STEPS = 100_000
 
 # Every config key, by section ("" is the top level): the field it sets, its
 # default in the key's own unit (None: required), its check and its factor to
@@ -298,6 +308,8 @@ def _cmd_field_map(args, cfg: RunConfig):
 
 def _search_minima(args, cfg: RunConfig):
     """The expansion and the minima for traps and surface."""
+    if args.seeds > _MAX_SEEDS:
+        raise InputError(f"--seeds must be <= {_MAX_SEEDS} (got {args.seeds})")
     f, _ = cfg.expansion()
     period = f.geometry.period
     z_lo = args.z_min_nm * 1e-9 if args.z_min_nm is not None else period / 50
@@ -348,9 +360,10 @@ def _cmd_hubbard(args, cfg: RunConfig):
         ds = [float(v) for v in args.d.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"--d must be a comma list of periods in nm ({exc})") from exc
+    # checked in metres: a period that underflows there (1.5e-323 nm) is 0
+    ds = [d * 1e-9 for d in ds]
     if not ds or not all(0 < d < np.inf for d in ds):
         raise InputError(f"--d must list finite positive periods in nm (got {args.d!r})")
-    ds = [d * 1e-9 for d in ds]
     rows = []
     for d in ds:
         s = mott_depth(d, cfg.atom, args.j_over_u)
@@ -444,6 +457,8 @@ def _cmd_fano(args, cfg: RunConfig):
 
 
 def _cmd_transport(args, cfg: RunConfig):
+    if args.steps > _MAX_STEPS:
+        raise InputError(f"--steps must be <= {_MAX_STEPS} (got {args.steps})")
     f, _ = cfg.expansion()
     if args.schedule_json:
         try:

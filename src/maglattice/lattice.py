@@ -176,8 +176,14 @@ class FourierExpansion:
 
     @property
     def k_min(self) -> float:
-        """Smallest retained wavenumber; sets the field decay length 1/k_min."""
-        return float(np.min(self.k_mag))
+        """Smallest retained wavenumber; sets the field decay length 1/k_min.
+        Raises InputError unless it is finite and > 0: |k| underflows to 0
+        when a primitive vector is near the float limit (a1 = 3.1e291 m),
+        and tune_bias and the saddle graph divide by it."""
+        k = float(np.min(self.k_mag))
+        if not 0 < k < np.inf:
+            raise InputError(f"the smallest retained wavenumber must be finite and > 0 (got {k:g} rad/m)")
+        return k
 
     @cached_property
     def _kernel_tables(self):

@@ -165,11 +165,15 @@ def omega_crit(z0: float, C3: float, atom: AtomState):
     Returns (omega_crit, bounds) where bounds maps the weaker estimates to
     their values: 'shift_small' = sqrt(3 C3/(m z0^5)) (trap shift small) and
     'curvature' = 2x that (V'' > 0 at z0). The strict-to-weakest ratio is
-    sqrt(2 (1 + sqrt(6))) ~ 2.63.
+    sqrt(2 (1 + sqrt(6))) ~ 2.63. Raises InputError when m z0^5 is not
+    finite and positive, as when a tiny mass makes it underflow.
     """
     if z0 <= 0:
         raise ValueError("z0 must be positive")
-    base = np.sqrt(3.0 * C3 / (atom.mass * z0**5))
+    scale = atom.mass * z0**5
+    if not 0 < scale < np.inf:
+        raise InputError(f"mass * z0^5 must be finite and > 0 (got {scale:g} kg m^5)")
+    base = np.sqrt(3.0 * C3 / scale)
     strict = np.sqrt(2.0 * (1.0 + np.sqrt(6.0))) * base
     return float(strict), {"shift_small": float(base), "curvature": float(2.0 * base)}
 

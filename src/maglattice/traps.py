@@ -148,9 +148,12 @@ _ACTIVE, _STATIONARY, _ENDED = -1, -2, -3
 # verified minimum passed to characterize_trap may have
 _GTOL = 1e-8
 _GRAD_TOL = 1e-6
+# an accepted Newton step doubles a row's trust radius up to this multiple
+# of the radius it started at
+_RADIUS_GROWTH = 4
 
 
-def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
+def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.inf):
     """Newton-converge every row of x0 (S, 3) onto a stationary point of |B|
     with `index` negative Hessian eigenvalues (0: minimum, 1: saddle).
 
@@ -169,10 +172,11 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     eigenvector uphill and goes downhill along the others (eigenvector
     following: Cerjan & Miller, J. Chem. Phys. 75, 2800 (1981); Baker,
     J. Comput. Chem. 7, 385 (1986)). The step lies inside a per-row trust
-    radius that starts at `cap`; an accepted step doubles it (up to cap), a
-    rejected one shrinks it fourfold. A minimum accepts a valid trial where
-    |B| does not increase (by more than 1e-13 (|B_ext| + |B|), far above its
-    rounding noise). |B| need not fall along a saddle path, so a saddle row
+    radius that starts at `radius`; an accepted step doubles it, up to
+    _RADIUS_GROWTH times that start, and a rejected one shrinks it fourfold
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4). A minimum
+    accepts a valid trial where |B| does not increase (by more than 1e-13
+    (|B_ext| + |B|), far above its rounding noise). |B| need not fall along a saddle path, so a saddle row
     accepts a valid trial where |grad|B|| does not grow. The start x0 and
     every trial have z clipped into z_bounds. A row whose trial lies farther
     than `guard` from x0 ends there, which keeps a tracked trap (transport,
@@ -209,7 +213,8 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
     rows, start, xa = np.arange(n), x0, x0.copy()
     _, Ja, va, ga, Ha, oka = eval_field_arrays(f, bias, x0)
     gna = _row_norms(ga)
-    ra = np.full(n, float(cap))
+    ra = np.full(n, float(radius))
+    r_max = _RADIUS_GROWTH * float(radius)
 
     def leave(out, code):
         """Write back the active rows flagged in `out` with fate `code` and
@@ -270,7 +275,7 @@ def _newton(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf):
             acc = ok_t & (v_t <= va + 1e-13 * (b_norm + va))
         else:
             acc = ok_t & (gn_t <= gna)
-        ra = np.where(acc, np.minimum(2 * ra, cap), ra / 4)
+        ra = np.where(acc, np.minimum(2 * ra, r_max), ra / 4)
         if acc.all():
             xa, Ja, va, ga, Ha, oka, gna = trial, J_t, v_t, g_t, H_t, ok_t, gn_t
             continue
@@ -446,7 +451,7 @@ def barrier_heights(f: FourierExpansion, bias, r_i, r_j) -> BarrierResult:
     2003) from `_newton` alone. One index-1 descent over the 6^3 cell seed
     grid, at heights up to z_top = max(z_i, z_j) + 3/k_min, finds the
     saddles below the escape value |B_ext|: each row follows its lowest
-    Hessian eigenvector uphill inside a trust radius of at most 0.1 period,
+    Hessian eigenvector uphill inside a trust radius that starts at 0.1 period,
     and a row above z_top, where no saddle is kept, is retired as soon as it
     gets there, whatever its |B|. One index-0 descent from both sides of
     each saddle's unstable axis finds the two minima or field zeros it

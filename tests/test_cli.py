@@ -689,6 +689,17 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
         pytest.param(("traps",), {"geometry": {"a1_nm": [1000.0, 0.0], "a2_nm": [2000.0, 0.0]}}, id="argv30-schedule30"),
         pytest.param(("traps",), {"pattern": "row.pbm"}, id="argv31-schedule31"),
         pytest.param(("field-map", "--z-nm", "500", "--n", "4097"), None, id="argv32-None"),  # one past the largest n
+        # a period, a mass and a primitive vector whose derived scale
+        # underflows (to 0 m, 0 kg m^5 and 0 rad/m)
+        pytest.param(("hubbard", "--d", "1.5e-323"), None, id="hubbard-d-underflow"),
+        pytest.param(("surface",), {"atom": {"mass_kg": 3.1e-300}}, id="surface-mass-underflow"),
+        pytest.param(("tune-bias", "--target-z-nm", "1215"), {"geometry": {"a1_nm": [3.1e300, 0.0]}},
+                     id="tune-bias-k-min-underflow"),
+        pytest.param(("traps",), {"geometry": {"a1_nm": [3.1e300, 0.0]}}, id="traps-k-min-underflow"),
+        # one past the largest --seeds and --steps
+        pytest.param(("traps", "--seeds", "33"), None, id="traps-seeds-33"),
+        pytest.param(("surface", "--seeds", "33"), None, id="surface-seeds-33"),
+        pytest.param(("transport", "--steps", "100001"), None, id="transport-steps-100001"),
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):

@@ -788,17 +788,20 @@ def _eval_field_arrays_scatter(f, bias, points, order=2):
     return B, grad, B_mag, grad_mag, hess, valid
 
 
-def _newton_loop(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.inf,
-                 kernel=_eval_field_arrays_scatter):
+def _newton_loop(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.inf,
+                 kernel=_eval_field_arrays_scatter, growth=traps._RADIUS_GROWTH):
     """`traps._newton` before it kept the active rows in compact arrays:
     every row's state in full-size arrays, updated through index lists.
-    Kept as its oracle."""
+    Kept as its oracle. An accepted step doubles a row's trust radius up to
+    `growth` times `radius`; growth 1 is the rule before the radius could
+    grow past its start."""
     z_lo, z_hi = (-np.inf, np.inf) if z_bounds is None else z_bounds
     x0 = np.array(x0, dtype=float, ndmin=2)
     x0[:, 2] = np.clip(x0[:, 2], z_lo, z_hi)
     x = x0.copy()
     fate = np.full(len(x), traps._ACTIVE)
-    radius = np.full(len(x), float(cap))
+    r_max = growth * float(radius)
+    radius = np.full(len(x), float(radius))
     period = f.geometry.period
     min_radius = 1e-12 * period
     maxiter = 100 if index == 0 else 30
@@ -839,7 +842,7 @@ def _newton_loop(f, bias, x0, index, cap, z_bounds=None, guard=np.inf, z_top=np.
         else:
             acc = valid_t & (gn_t <= gn[i])
         rej = i[~acc]
-        radius[i[acc]] = np.minimum(2 * radius[i[acc]], cap)
+        radius[i[acc]] = np.minimum(2 * radius[i[acc]], r_max)
         radius[rej] /= 4
         fate[rej[radius[rej] < min_radius]] = traps._STALLED
         j = i[acc]
@@ -872,7 +875,7 @@ def assert_same_bits(new, old):
 
 
 def _newton_cases(windmill, stripe):
-    """name -> (f, bias, x0, index, cap, keyword arguments) of the descents
+    """name -> (f, bias, x0, index, radius, keyword arguments) of the descents
     the search, the saddle graph, the tuner and transport run. Every
     expansion here has the same 1 um square cell."""
     band = z_edge_band_expansion(0.25)
@@ -913,9 +916,9 @@ NEWTON_FATES = {
 
 @pytest.mark.parametrize("name", sorted(NEWTON_FATES))
 def test_newton_matches_full_array_loop(windmill_expansion, stripe_expansion, name):
-    f, bias, x0, index, cap, kw = _newton_cases(windmill_expansion, stripe_expansion)[name]
-    new = traps._newton(f, bias, x0, index, cap, **kw)
-    assert_same_bits(new, _newton_loop(f, bias, x0, index, cap, **kw))
+    f, bias, x0, index, radius, kw = _newton_cases(windmill_expansion, stripe_expansion)[name]
+    new = traps._newton(f, bias, x0, index, radius, **kw)
+    assert_same_bits(new, _newton_loop(f, bias, x0, index, radius, **kw))
     assert NEWTON_FATES[name] <= set(new[2].tolist())
 
 
@@ -938,6 +941,52 @@ def test_newton_unmoved_row_out_of_guard_ends_bound(stripe_expansion, monkeypatc
                            kernel=flat(_eval_field_arrays_scatter))
         assert_same_bits(new, old)
         assert new[2].tolist() == [fate, fate]
+
+
+@pytest.mark.parametrize("name", ["windmill", "stripe", "band", *sorted(PROPERTY_EXPANSIONS)])
+def test_trust_radius_growth_keeps_minima_and_saddles(windmill_expansion, stripe_expansion,
+                                                      monkeypatch, name):
+    # the trust radius growing past its start changes the path, not the
+    # stationary points: the parent rule (growth 1) finds the same minima and
+    # the same graph saddles, each within 1e-9 of a period
+    if name in PROPERTY_EXPANSIONS:
+        f, bias, z_range, n = PROPERTY_EXPANSIONS[name], BIAS, (50e-9, 1200e-9), 6
+    else:
+        f, bias, z_range, n = {
+            "windmill": (windmill_expansion, np.array([-1e-3, 0.0, 0.0]), (0.15e-6, 1.4e-6), 5),
+            "stripe": (stripe_expansion, stripe_bias(), (0.05e-6, 1.2e-6), 6),
+            "band": (z_edge_band_expansion(0.25), in_plane(1.2e-3, 18), (0.1e-6, 1.3e-6), 6),
+        }[name]
+    geom = f.geometry
+    A = np.array([geom.a1, geom.a2]).T
+
+    def stationary_points(newton):
+        monkeypatch.setattr(traps, "_newton", newton)
+        minima = find_trap_minima(f, bias, z_range, grid_seed_n=n)
+        # the saddle graph's index-1 descent, as _barriers runs it
+        z_top = max((r[2] for r in minima), default=z_range[1]) + 3.0 / f.k_min
+        seeds = traps._cell_seeds(geom, 6, geom.period / 50, z_top)
+        x, val, fate, *_ = newton(f, bias, seeds, 1, 0.1 * geom.period, z_top=z_top)
+        keep = (fate == traps._CONVERGED) & (x[:, 2] <= z_top) & (val < np.linalg.norm(bias))
+        return minima, lattice._distinct(geom, x[keep])[0]
+
+    new = stationary_points(traps._newton)
+    old = stationary_points(lambda *args, **kw: _newton_loop(*args, growth=1, **kw))
+    for found, expected in zip(new, old):
+        assert len(found) == len(expected)
+        for r in found:
+            assert min(_cell_distance_loop(A, r, q) for q in expected) <= 1e-9 * geom.period
+
+
+def test_demo01_search_kernel_calls(monkeypatch):
+    # demos/01's band at 18 degrees from 6^3 seeds: rows whose trust radius
+    # grows past its start converge in at most 25 lockstep kernel calls (35
+    # while it could only shrink)
+    calls = count_kernel_calls(monkeypatch)
+    minima = find_trap_minima(z_edge_band_expansion(0.25), in_plane(1.2e-3, 18), (0.1e-6, 1.3e-6), grid_seed_n=6)
+    assert len(minima) == 1
+    assert calls[0].points == 216 and all(c.in_newton for c in calls)
+    assert len(calls) <= 25
 
 
 @PROPERTY_SETTINGS
