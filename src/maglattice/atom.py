@@ -5,6 +5,7 @@ the package calls them. All are linear and invertible; round trips are
 identity to machine precision.
 """
 
+import sys
 from dataclasses import dataclass
 
 from . import constants as const
@@ -24,7 +25,9 @@ class AtomState:
         gamma_nat: natural linewidth of that transition, angular (rad/s).
 
     Only low-field-seeking states (gF*mF > 0) can be held in a static
-    magnetic trap, so the constructor rejects gF*mF <= 0.
+    magnetic trap, so the constructor rejects gF*mF <= 0. It also rejects a
+    moment gF*mF*muB below the smallest normal double, where mu B / hbar
+    underflows to 0 and a trap's Larmor ratio reads infinite.
     """
 
     mass: float
@@ -48,6 +51,8 @@ class AtomState:
                 "gF*mF must be > 0 for a magnetically trappable "
                 "(low-field-seeking) state"
             )
+        if self.mu < sys.float_info.min:
+            raise InputError(f"gF*mF*muB must be at least {sys.float_info.min:g} J/T (got {self.mu:g})")
 
     @property
     def mu(self) -> float:

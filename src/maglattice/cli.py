@@ -4,13 +4,14 @@ One subcommand per pipeline: field-map, traps, tune-bias, hubbard, surface,
 fano, transport. A single strict JSON config document supplies the pattern,
 geometry, film, bias, atom and material parameters; a run writes
 report.json (plus CSV files where applicable) into --out, and so do the
-physics failures of traps and tune-bias. Exit codes: 0 success, 1 input
-error, 2 physics-level failure.
+physics failures of traps and tune-bias. report.json is strict JSON: a
+report that would hold a NaN or an infinity is not written, and the run
+exits 2. Exit codes: 0 success, 1 input error, 2 physics-level failure.
 
 The library checks every value it is given and raises InputError on one it
 cannot use; this module checks only what the library never sees (config
-types and keys, --d, --eta, --trap-index, the schedule file, the largest
---n, --seeds and --steps). main() maps
+types and keys, the parsing of --d and --eta, --trap-index, the schedule
+file, the largest --n, --seeds and --steps). main() maps
 InputError and OSError to exit 1 and every other ValueError to exit 2. A run
 that exits 1 removes the directories it created for --out, with whatever
 it wrote there.
@@ -274,7 +275,7 @@ def _emit(args, config_echo, payload, warnings):
     }
     if not args.no_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     (Path(args.out) / "report.json").write_text(text + "\n")
     if args.json:
         print(text)
@@ -357,13 +358,11 @@ def _cmd_tune_bias(args, cfg: RunConfig):
 
 def _cmd_hubbard(args, cfg: RunConfig):
     try:
-        ds = [float(v) for v in args.d.split(",") if v.strip()]
+        ds = [float(v) * 1e-9 for v in args.d.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"--d must be a comma list of periods in nm ({exc})") from exc
-    # checked in metres: a period that underflows there (1.5e-323 nm) is 0
-    ds = [d * 1e-9 for d in ds]
-    if not ds or not all(0 < d < np.inf for d in ds):
-        raise InputError(f"--d must list finite positive periods in nm (got {args.d!r})")
+    if not ds:
+        raise InputError(f"--d must list at least one period in nm (got {args.d!r})")
     rows = []
     for d in ds:
         s = mott_depth(d, cfg.atom, args.j_over_u)
@@ -524,16 +523,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    search = _Parser(add_help=False)  # the minima search of traps and surface
+    search.add_argument("--z-min-nm", type=float, default=None)
+    search.add_argument("--z-max-nm", type=float, default=None)
+    search.add_argument("--seeds", type=int, default=6)
 
     p = sub.add_parser("field-map", help="export |B| over one unit cell as CSV")
     p.add_argument("--z-nm", type=float, required=True)
     p.add_argument("--n", type=int, default=32)
     p.set_defaults(handler=_cmd_field_map)
 
-    p = sub.add_parser("traps", help="find and characterize trap minima")
-    p.add_argument("--z-min-nm", type=float, default=None)
-    p.add_argument("--z-max-nm", type=float, default=None)
-    p.add_argument("--seeds", type=int, default=6)
+    p = sub.add_parser("traps", parents=[search], help="find and characterize trap minima")
     p.add_argument("--no-barriers", action="store_true")
     p.set_defaults(handler=_cmd_traps)
 
@@ -550,11 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-over-u", type=float, default=0.06)
     p.set_defaults(handler=_cmd_hubbard)
 
-    p = sub.add_parser("surface", help="surface-loss budget for one trap")
+    p = sub.add_parser("surface", parents=[search], help="surface-loss budget for one trap")
     p.add_argument("--trap-index", type=int, default=0)
-    p.add_argument("--z-min-nm", type=float, default=None)
-    p.add_argument("--z-max-nm", type=float, default=None)
-    p.add_argument("--seeds", type=int, default=6)
     p.set_defaults(handler=_cmd_surface)
 
     p = sub.add_parser("fano", help="three-body loss Fano-curve simulation")

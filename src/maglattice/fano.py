@@ -19,17 +19,17 @@ SeedSequence((seed, block index)), so results do not depend on execution
 order. The mean-field law brackets each checkpoint time with a window, and
 one pass over the blocks keeps every trajectory's count of events below the
 window and the event times inside it; the checkpoint time is selected among
-those. The pass draws the blocks on up to 3 threads, one per core, each
-holding one block at a time and dropping it once read, and joins what they
-keep in block order, so every output is the same on any number of cores. A
-block's waits are drawn event-major, and drawing stops once every
-trajectory is past the last window. A window that missed, which the counts
-show exactly, is widened and the blocks are drawn again from the same
-streams. The bootstrap resamples counts over the distinct values.
+those. The pass draws the blocks on up to 3 threads, one per core (the
+caller's and a ThreadPoolExecutor's), each holding one block at a time and
+dropping it once read, and joins what they keep in block order, so every
+output is the same on any number of cores. A block's waits are drawn
+event-major, and drawing stops once every trajectory is past the last
+window. A window that missed, which the counts show exactly, is widened
+and the blocks are drawn again from the same streams. The bootstrap
+resamples counts over the distinct values.
 """
 
 import copy
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,11 +182,12 @@ def _block_pass(streams, N0s, mean_wait, windows):
     """One pass over the blocks on W = _workers(len(streams)) threads, each
     holding one block of event times at a time.
 
-    Thread w draws blocks w, w + W, ... into its own buffer; W = 1 draws
-    them all inline and starts no thread. A block draws its waits
-    event-major, (events, rows), in chunks of about _CHUNK_VALUES waits from
-    a copy of its stream, so every pass draws the same waits; row i's event
-    times are the running sum down column i of its first N0s[i] // 3 waits.
+    Worker w draws blocks w, w + W, ... into its own buffer. Worker 0 runs
+    inline and workers 1 ... W - 1 on a ThreadPoolExecutor, so W = 1 starts
+    no thread. A block draws its waits event-major, (events, rows), in
+    chunks of about _CHUNK_VALUES waits from a copy of its stream, so every
+    pass draws the same waits; row i's event times are the running sum down
+    column i of its first N0s[i] // 3 waits.
     The draws, the scaling and the running sum release the GIL. Drawing
     stops once every row is out of events or past the highest window edge
     t_stop. What is drawn is a prefix of the stream whatever the chunk size,
@@ -195,8 +196,8 @@ def _block_pass(streams, N0s, mean_wait, windows):
     the chunks after it are an eighth as long. For each window (t_lo, t_hi],
     returns every row's number of events at or below t_lo, and the event
     times inside the window with their row index, joined in block order
-    whatever W is. A worker's exception is raised once every thread has
-    joined.
+    whatever W is. Once every thread has joined, the exception of the
+    first worker by index that failed is raised.
     """
     t = np.asarray(windows, dtype=float)[:, :, None]
     t_stop = t.max()  # a row past it has drawn every event any window needs
@@ -238,24 +239,17 @@ def _block_pass(streams, N0s, mean_wait, windows):
                 pieces[b] = (flat[np.arange(first.size) * rows + first],
                              np.repeat(np.arange(lo, hi, dtype=np.int32), size))
 
-    errors = [None] * W
+    if W == 1:
+        draw(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    def run(w):
-        try:
-            draw(w)
-        except Exception as exc:  # raised by the caller once every thread has joined
-            errors[w] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, W)]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in filter(None, errors):
-        raise exc
+        # leaving the block joins every thread, also when worker 0 raises
+        with ThreadPoolExecutor(W - 1) as pool:
+            futures = [pool.submit(draw, w) for w in range(1, W)]
+            draw(0)
+        for future in futures:  # the first failure by worker index
+            future.result()
     # join each window's pieces in block order, freeing them as it goes
     return below, [tuple(map(np.concatenate, zip(*kept.pop(0)))) for _ in range(len(kept))]
 

@@ -50,10 +50,17 @@ class BandResult:
     weak_lattice: bool  # True for s < 2, where tight binding is meaningless
 
 
+def _check_period(d):
+    """Raise InputError unless d and d*d are finite and > 0 (so a_s / 2d is
+    too): a period that passes 0 < d < inf alone (1e-309 m, 1e291 m) is an
+    input error, not an unreachable Mott depth."""
+    if not (0 < d < np.inf and 0 < d * d < np.inf):
+        raise InputError(f"lattice period must be finite and > 0, and so must its square (got {d:g} m)")
+
+
 def recoil_energy(d: float, atom: AtomState) -> float:
     """Lattice recoil E_R = (pi hbar)^2 / (2 m d^2)."""
-    if d <= 0:
-        raise ValueError("lattice period must be positive")
+    _check_period(d)
     return (np.pi * const.hbar) ** 2 / (2 * atom.mass * d * d)
 
 
@@ -93,6 +100,7 @@ def mott_depth(d: float, atom: AtomState, j_over_u: float = 0.06) -> float:
     unique; solved by bisection to 1e-4 in s (the midpoint of the last
     bracket, within 5e-5 of the root).
     """
+    _check_period(d)
     if not 0.001 < j_over_u < 1:
         raise InputError(f"j_over_u must be in (0.001, 1) (got {j_over_u!r})")
     lo, hi = _FIT_S_RANGE
@@ -100,7 +108,7 @@ def mott_depth(d: float, atom: AtomState, j_over_u: float = 0.06) -> float:
     def g(s):
         return _j_over_er(s) / _u_over_er(s, d, atom) - j_over_u
 
-    if g(lo) * g(hi) > 0:
+    if np.sign(g(lo)) * np.sign(g(hi)) > 0:  # a product of the values can overflow
         raise ValueError("target ratio unreachable within the fit range")
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)

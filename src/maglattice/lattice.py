@@ -167,8 +167,15 @@ class FourierExpansion:
             raise ValueError("the (0, 0) mode contributes no field and is excluded")
         g = self.geometry
         k_vec = np.outer(self.n, g.K1) + np.outer(self.m, g.K2)
+        k_mag = np.linalg.norm(k_vec, axis=1)
+        # |k| underflows to 0 when a primitive vector is near the float limit
+        # (a1 = 3.1e291 m), and the search, the saddle graph and the tuner
+        # divide by it
+        ok = (0 < k_mag) & (k_mag < np.inf)
+        if not ok.all():
+            raise InputError(f"every retained wavenumber must be finite and > 0 (got {k_mag[~ok][0]:g} rad/m)")
         object.__setattr__(self, "k_vec", k_vec)
-        object.__setattr__(self, "k_mag", np.linalg.norm(k_vec, axis=1))
+        object.__setattr__(self, "k_mag", k_mag)
 
     @property
     def nmodes(self) -> int:
@@ -176,19 +183,13 @@ class FourierExpansion:
 
     @property
     def k_min(self) -> float:
-        """Smallest retained wavenumber; sets the field decay length 1/k_min.
-        Raises InputError unless it is finite and > 0: |k| underflows to 0
-        when a primitive vector is near the float limit (a1 = 3.1e291 m),
-        and tune_bias and the saddle graph divide by it."""
-        k = float(np.min(self.k_mag))
-        if not 0 < k < np.inf:
-            raise InputError(f"the smallest retained wavenumber must be finite and > 0 (got {k:g} rad/m)")
-        return k
+        """Smallest retained wavenumber; sets the field decay length 1/k_min."""
+        return float(np.min(self.k_mag))
 
     @cached_property
     def _kernel_tables(self):
         """(even, odd, scale): the (M, 19) derivative table P sign prod(k) in
-        _DERIVS order, split into the columns the cos and the sin sums feed,
+        _DERIVS order, split at _N_EVEN into its cos-fed and sin-fed columns,
         and the per-mode weights k |C + iS| of the local field scale.
 
         Built at the first evaluation and kept on the instance; a copy made
@@ -196,7 +197,7 @@ class FourierExpansion:
         """
         k = np.column_stack([self.k_vec, self.k_mag, np.ones(self.nmodes)])
         table = self.prefactor * _SIGN * k[:, _DERIVS[:, 0]] * k[:, _DERIVS[:, 1]] * k[:, _DERIVS[:, 2]]
-        return table[:, _EVEN], table[:, ~_EVEN], self.k_mag * np.hypot(self.C, self.S)
+        return table[:, :_N_EVEN], table[:, _N_EVEN:], self.k_mag * np.hypot(self.C, self.S)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,39 +321,34 @@ def eval_potential(f: FourierExpansion, r) -> float:
 
 
 # The 19 distinct derivatives of phi, first to third order, as sorted
-# multi-indices over (x, y, z) = (0, 1, 2), padded with 3 (a factor of one).
-_DERIVS = np.array(
+# multi-indices over (x, y, z) = (0, 1, 2), padded with 3 (a factor of one),
+# in the kernel table's order: the even (cos-fed) columns, then the odd ones.
+_DERIVS = np.array(sorted(
     [(i, 3, 3) for i in range(3)]
     + [(i, j, 3) for i in range(3) for j in range(i, 3)]
-    + [(i, j, l) for i in range(3) for j in range(i, 3) for l in range(j, 3)]
-)
+    + [(i, j, l) for i in range(3) for j in range(i, 3) for l in range(j, 3)],
+    key=lambda d: sum(a < 2 for a in d) % 2,
+))
 # Each in-plane derivative maps (Ac, As) to (k As, -k Ac) and each z
 # derivative multiplies by -k, so a derivative with p in-plane and r z
 # factors is (-1)^(p//2 + r) prod(k) times Ac for even p, As for odd p.
 _N_INPLANE = np.sum(_DERIVS < 2, axis=1)
 _SIGN = (-1.0) ** (_N_INPLANE // 2 + np.sum(_DERIVS == 2, axis=1))
 _EVEN = _N_INPLANE % 2 == 0
+_N_EVEN = int(_EVEN.sum())
 _COLUMN = {tuple(d): c for c, d in enumerate(_DERIVS.tolist())}
+_FIRST_IDX = np.array([_COLUMN[(i, 3, 3)] for i in range(3)])
 _HESS_IDX = np.array(
     [[_COLUMN[tuple(sorted((i, j))) + (3,)] for j in range(3)] for i in range(3)]
 )
 _THIRD_IDX = np.array(
     [[[_COLUMN[tuple(sorted((i, j, l)))] for l in range(3)] for j in range(3)] for i in range(3)]
 )
-# the kernel's table holds the even (cos-fed) columns first and the odd
-# (sin-fed) ones after them, each half in _DERIVS order: _DERIVS column c
-# sits at _SLOT[c], and these index arrays read B, J and the third
-# derivatives straight out of it
-_PACKED = [c for c in range(len(_DERIVS)) if _EVEN[c]] + [c for c in range(len(_DERIVS)) if not _EVEN[c]]
-_N_EVEN = int(sum(_EVEN))
-_SLOT = np.array([_PACKED.index(c) for c in range(len(_DERIVS))])
-_FIRST_SLOTS, _HESS_SLOTS, _THIRD_SLOTS = _SLOT[:3], _SLOT[_HESS_IDX], _SLOT[_THIRD_IDX]
 
 
 def _phi_derivatives(f: FourierExpansion, pts: np.ndarray):
-    """Derivatives of phi at pts (N, 3) as (N, 19) columns, _DERIVS column c
-    at column _SLOT[c], plus the lattice part of the local field scale,
-    P sum env k |C + iS|.
+    """Derivatives of phi at pts (N, 3) as (N, 19) columns in _DERIVS order,
+    plus the lattice part of the local field scale, P sum env k |C + iS|.
 
     The (N, M) mode arrays live only inside this call.
     """
@@ -388,7 +384,7 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int 
 
     D, lattice_scale = _phi_derivatives(f, pts)
     field_scale = np.linalg.norm(bias) + lattice_scale
-    B = bias - D[:, _FIRST_SLOTS]
+    B = bias - D[:, _FIRST_IDX]
     B_mag = _row_norms(B)
     # a zero of |B| (Majorana point) leaves rounding residue; flag anything
     # more than ten digits below the local field scale as an exact zero
@@ -396,8 +392,8 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int 
     if order == 0:
         return B, None, B_mag, None, None, valid
 
-    grad = -D[:, _HESS_SLOTS]  # dB_i/dr_j = -d^2 phi
-    third = -D[:, _THIRD_SLOTS]  # dB_i/dr_j dr_l = -d^3 phi
+    grad = -D[:, _HESS_IDX]  # dB_i/dr_j = -d^2 phi
+    third = -D[:, _THIRD_IDX]  # dB_i/dr_j dr_l = -d^3 phi
     with np.errstate(divide="ignore", invalid="ignore"):
         # grad|B|_j = B_i J_ij / |B|
         grad_mag = np.einsum("ni,nij->nj", B, grad) / B_mag[:, None]

@@ -668,7 +668,7 @@ def tune_bias(
         "channels_along_a1": {"along": a1_shift},
         "channels_along_a2": {"along": a2_shift},
     }[objective.mode]
-    saddles = {}  # per restart: label -> last saddle, or "line"
+    saddles = {}  # per restart: label -> last saddle, None for an escape-limited hop
 
     def tracked_barriers(bvec, r0, B_IP):
         """(heights, top points, scanned flags) of the barriers from the
@@ -677,12 +677,11 @@ def tune_bias(
         stay on the cheap straight-line scan, topped at its argmax."""
         hops, missed = {}, []
         for label, shift in shifts.items():
-            cached = saddles.get(label)
-            if cached is None:
+            if label not in saddles:
                 missed.append(label)
-            elif not isinstance(cached, str):
+            elif saddles[label] is not None:
                 reach = 0.6 * np.linalg.norm(shift)
-                x, val, fate, *_ = _newton(f, bvec, cached, 1, 0.25 * reach, guard=reach)
+                x, val, fate, *_ = _newton(f, bvec, saddles[label], 1, 0.25 * reach, guard=reach)
                 if fate[0] == _CONVERGED:
                     saddles[label] = x[0]
                     hops[label] = (max(float(val[0] - B_IP), 0.0), x[0], False)
@@ -693,7 +692,7 @@ def tune_bias(
             for label, res in zip(missed, _barriers(f, bvec, r0, goals)):
                 # an escape-limited direction costs the same 96-point scan
                 # on every evaluation, so the cost has no jump at a cache miss
-                saddles[label] = "line" if res.coarse else res.saddle
+                saddles[label] = res.saddle
                 if not res.coarse:
                     hops[label] = (res.height, res.saddle, False)
         for label in [label for label in shifts if label not in hops]:
@@ -805,10 +804,11 @@ def transport_trajectory(
     moved along the bias tangent dr/dB_ext (`_tangent`, from the kernel
     arrays the previous descent ended on) by the bias change, with z clipped
     into z_range, and the descent is guarded to a quarter lattice period
-    around that predicted start. A step whose descent fails for any trap, a
-    trap's step beyond the guard included, loses tracking and truncates the
-    trajectory (lost_at_step); the fates of that step's rows are logged at
-    debug level.
+    around that predicted start. Step 0 is the same descent started at the
+    minima found, with no predictor. A step whose descent fails for any
+    trap, a trap's step beyond the guard included, loses tracking and
+    truncates the trajectory (lost_at_step, 0 if the first step fails); the
+    fates of that step's rows are logged at debug level.
 
     Raises InputError unless the schedule has at least two steps, each a
     valid bias, and every step changes the bias by less than a tenth of its
@@ -828,7 +828,6 @@ def transport_trajectory(
     positions = find_trap_minima(f, vecs[0], z_range)
     if not positions:
         raise ValueError("no minima at the first schedule step")
-    positions = np.array(positions)
 
     def snapshot(step, bvec, pos, Bm, eig, valid):
         """The step's snapshot, its frequencies from the eigh (lam, V) of
@@ -841,22 +840,19 @@ def transport_trajectory(
             B_IP=np.where(valid, Bm, np.nan), freqs=fr,
         )
 
-    # one eigh of each step's Hessians serves its snapshot and the tangent
-    # that predicts the next step's starts
-    _, J, Bm, _, H, valid = eval_field_arrays(f, vecs[0], positions)
-    eig = np.linalg.eigh(H)
-    snaps = [snapshot(0, vecs[0], positions, Bm, eig, valid)]
-    lost_at = None
-    for step in range(1, len(vecs)):
-        start = positions + _tangent(J, Bm, H, eig) @ (vecs[step] - vecs[step - 1])
-        x, Bm, fate, J, H, valid = _newton(
-            f, vecs[step], start, 0, 0.05 * geom.period, z_bounds=z_range, guard=geom.period / 4
+    snaps, lost_at = [], None
+    for step, bvec in enumerate(vecs):
+        if step:
+            positions = positions + _tangent(J, Bm, H, eig) @ (bvec - vecs[step - 1])
+        positions, Bm, fate, J, H, valid = _newton(
+            f, bvec, positions, 0, 0.05 * geom.period, z_bounds=z_range, guard=geom.period / 4
         )
         if np.any(fate != _CONVERGED):
             lost_at = step
             _log_fates(f"transport step {step}", fate, _FATES)
             break
-        positions = x
+        # one eigh of each step's Hessians serves its snapshot and the
+        # tangent that predicts the next step's starts
         eig = np.linalg.eigh(H)
-        snaps.append(snapshot(step, vecs[step], positions, Bm, eig, valid))
+        snaps.append(snapshot(step, bvec, positions, Bm, eig, valid))
     return TransportResult(snapshots=snaps, lost_at_step=lost_at)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from maglattice.atom import (
     temperature_to_energy,
     temperature_to_field,
 )
+from maglattice.errors import InputError
 
 
 def test_default_rb87_constants():
@@ -38,6 +41,14 @@ def test_low_field_seeker_required():
             lambda_bar=rb.lambda_bar,
             gamma_nat=rb.gamma_nat,
         )
+
+
+def test_moment_below_the_smallest_normal_double_rejected():
+    # gF mF muB = 5.9e-323 J/T: mu B / hbar underflows to 0 at trap fields
+    rb = default_rb87()
+    with pytest.raises(InputError, match="muB"):
+        replace(rb, gF=3.1e-300)
+    assert replace(rb, gF=2.3e-308 / (2 * const.muB)).mu >= 2.3e-308
 
 
 @pytest.mark.parametrize("field", ["mass", "a_s", "lambda_bar", "gamma_nat"])

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import maglattice.cli
 import maglattice.io
 from maglattice.atom import default_rb87
 from maglattice.cli import main, parse_config
@@ -557,6 +558,97 @@ def test_tune_bias_cli(workdir):
     assert 0 <= x / 1000 < 1 and 0 <= y / 1000 < 1
 
 
+def test_tune_bias_unreachable_reports_its_best_attempt(workdir, capsys):
+    # from this start the tuner's best cost at 400 nm stays at 3.7, far above
+    # its threshold: the run still writes its best bias and trap, and exits 2
+    write_band_config(workdir, "config.json")
+    cfg = json.loads((workdir / "config.json").read_text())
+    a = np.radians(8.0)
+    cfg["bias_mT"] = [-1.2 * np.cos(a), -1.2 * np.sin(a), 0.0]
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    rc = run_cli(workdir, "tune-bias", "--target-z-nm", "400")
+    err = capsys.readouterr().err
+    assert rc == 2
+    report = json.loads((workdir / "report.json").read_text())
+    payload = report["payload"]
+    assert payload["reached"] is False
+    assert len(payload["best_bias_mT"]) == 3
+    assert len(payload["best_trap"]["position_nm"]) == 3
+    (warning,) = report["warnings"]
+    assert warning.startswith("objective unreachable") and err.strip() == warning
+
+
+def test_transport_reports_the_step_it_lost_track_at(workdir):
+    # the x bias shrinks 5 % a step, and the stripe's minima are lost at
+    # step 261 of 300
+    schedule = [[-2.0 * 0.95**s, 0.5, 0.0] for s in range(300)]
+    (workdir / "schedule.json").write_text(json.dumps(schedule))
+    rc = run_cli(workdir, "transport", "--schedule-json", str(workdir / "schedule.json"))
+    assert rc == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["warnings"] == ["tracking lost at step 261"]
+    assert report["payload"]["n_steps_completed"] == 261
+    assert [s["step"] for s in report["payload"]["snapshots"]] == list(range(261))
+
+
+def test_surface_trap_index_out_of_range_exits_1(workdir, capsys):
+    rc = run_cli(workdir, "surface", "--trap-index", "99")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("input error: --trap-index 99 out of range") and err.count("\n") == 1
+    assert not (workdir / "report.json").exists()
+
+
+def test_underflowing_wavenumber_exits_1_before_any_kernel_call(workdir, capsys, monkeypatch):
+    # the trap-search benchmark's input with a1 stretched to 3.1e291 m:
+    # |K1| = 2e-291 rad/m squares to 0, an input error, not "no minima"
+    from maglattice import traps
+    from maglattice.patterns import z_edge_band
+
+    save_pbm(workdir / "band.pbm", z_edge_band(1e-6, band_frac=0.5, notch_frac=0.25, n=32).occupancy)
+    a = np.radians(18.0)
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg.update(pattern="band.pbm", bias_mT=[-1.2 * np.cos(a), -1.2 * np.sin(a), 0.0],
+               geometry={"a1_nm": [3.1e300, 0.0], "a2_nm": [0.0, 1000.0]},
+               truncation={"max_order": 5, "threshold": 1e-4})
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    calls, real = [], traps.eval_field_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(traps, "eval_field_arrays", counted)
+    rc = run_cli(workdir, "traps", "--z-min-nm", "100", "--z-max-nm", "1300", "--seeds", "6")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("input error: every retained wavenumber") and err.count("\n") == 1
+    assert calls == []
+    assert not (workdir / "report.json").exists()
+
+
+def test_gF_whose_moment_underflows_is_a_config_error(workdir, capsys):
+    # gF mF muB = 5.9e-323 J/T: mu B_IP / hbar underflowed to 0, and traps
+    # wrote "omega_over_larmor": Infinity into its report
+    doc = json.loads((workdir / "config.json").read_text())
+    (workdir / "config.json").write_text(json.dumps({**doc, "atom": {"gF": 3.1e-300}}))
+    rc = run_cli(workdir, "traps")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: gF*mF*muB") and err.count("\n") == 1
+    assert not (workdir / "report.json").exists()
+
+
+def test_non_finite_report_value_exits_2_without_a_report(workdir, capsys, monkeypatch):
+    # report.json is strict JSON: a number it cannot hold ends the run
+    monkeypatch.setattr(maglattice.cli, "_cmd_hubbard", lambda args, cfg: ({"x": float("inf")}, [], None))
+    rc = run_cli(workdir, "hubbard", "--d", "425")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (workdir / "report.json").exists()
+
+
 IMPORT_GUARD = """
 import sys
 
@@ -700,6 +792,9 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
         pytest.param(("traps", "--seeds", "33"), None, id="traps-seeds-33"),
         pytest.param(("surface", "--seeds", "33"), None, id="surface-seeds-33"),
         pytest.param(("transport", "--steps", "100001"), None, id="transport-steps-100001"),
+        # periods whose square underflows and overflows (1e-309 m and 1e291 m)
+        pytest.param(("hubbard", "--d", "1e-300"), None, id="hubbard-d-1e-300"),
+        pytest.param(("hubbard", "--d", "1e300"), None, id="hubbard-d-1e300"),
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):

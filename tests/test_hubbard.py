@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from maglattice import constants as const
+from maglattice.errors import InputError
 from maglattice.hubbard import (
     band_J_1d,
     hubbard_sinusoidal,
@@ -102,6 +105,23 @@ def test_mott_depth_unreachable(rb87):
         mott_depth(10e-9, rb87, 0.9)
     with pytest.raises(ValueError):
         mott_depth(425e-9, rb87, 0.0005)
+
+
+@pytest.mark.parametrize("d", [1e-309, 1e291, 0.0, -425e-9, np.inf, np.nan])
+def test_period_whose_square_is_not_finite_and_positive_rejected(rb87, d):
+    for call in (lambda: recoil_energy(d, rb87), lambda: mott_depth(d, rb87)):
+        with pytest.raises(InputError, match="lattice period"):
+            call()
+
+
+def test_mott_depth_unreachable_at_a_huge_period_without_overflow(rb87):
+    # d = 1e152 m is valid, but J/U there is 1e157 at s = 1 and 1e151 at
+    # s = 50: their product overflowed to inf, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unreachable") as exc:
+            mott_depth(1e152, rb87)
+    assert not isinstance(exc.value, InputError)
 
 
 # ----------------------------------------------------------------------

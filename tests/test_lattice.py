@@ -42,6 +42,16 @@ def test_geometry_degenerate_rejected():
         LatticeGeometry.from_primitives([1e-6, 0.0], [2e-6, 0.0])
 
 
+def test_underflowing_wavenumber_rejected_at_construction():
+    # |K1| = 2e-291 rad/m is a double, but np.linalg.norm squares it to 0
+    geom = LatticeGeometry.from_primitives([3.1e291, 0.0], [0.0, 1e-6])
+    with pytest.raises(InputError, match="wavenumber"):
+        FourierExpansion(geom, n=np.array([0, 1]), m=np.array([1, 0]), C=np.ones(2),
+                         S=np.zeros(2), prefactor=2.105e-8)
+    assert FourierExpansion(geom, n=np.array([0]), m=np.array([1]), C=np.ones(1),
+                            S=np.zeros(1), prefactor=2.105e-8).k_min == pytest.approx(2 * np.pi / 1e-6)
+
+
 def test_value_types_compare_by_identity():
     g, h = square_geometry(1e-6), square_geometry(1e-6)
     assert g == g and g != h

@@ -769,7 +769,7 @@ def _eval_field_arrays_scatter(f, bias, points, order=2):
     D[:, even] = (env * (f.C * cos + f.S * sin)) @ table[:, even]
     D[:, ~even] = (env * (f.S * cos - f.C * sin)) @ table[:, ~even]
     lattice_scale = f.prefactor * (env @ (f.k_mag * np.hypot(f.C, f.S)))
-    B = bias - D[:, :3]
+    B = bias - D[:, lattice._FIRST_IDX]
     B_mag = np.linalg.norm(B, axis=1)
     valid = B_mag > 1e-10 * (np.linalg.norm(bias) + lattice_scale)
     if order == 0:
