@@ -33,7 +33,7 @@ from .atom import AtomState, default_rb87
 from .errors import InputError
 from .fano import LossModel, TrajectoryEnsemble, simulate_three_body
 from .hubbard import hubbard_sinusoidal, mott_depth
-from .io import load_pbm, write_fano_csv, write_field_map_csv
+from .io import _CSV_CHUNK_ROWS, load_pbm, write_fano_csv, write_field_map_csv
 from .lattice import (
     LatticeGeometry,
     MagnetizationPattern,
@@ -146,9 +146,10 @@ def _in_unit(si, factor):
 
 _RB87, _MATERIAL = default_rb87(), MaterialParams()
 _MHZ = 2 * np.pi * 1e6  # rad/s per MHz
-# field-map's largest --n. Its 2**24 rows hold about 2.3 GB of arrays (137 B a
-# row, measured at n = 1024) and make a 1.2 GB CSV: about what a workstation
-# holds, and far more points per period than any retained harmonic needs.
+# field-map's largest --n. Its 2**24 rows hold 0.8 GB of points and B (48 B a
+# row; a run peaked at 233 MB at n = 2048) and make a 1.2 GB CSV: about what a
+# workstation holds, and far more points per period than any retained
+# harmonic needs.
 # Unbounded, --n 200000 ended in a numpy MemoryError traceback (596 GiB).
 _MAX_GRID_N = 4096
 # traps' and surface's largest --seeds. Its 32**3 seeds took 0.42 GB in the
@@ -295,14 +296,18 @@ def _cmd_field_map(args, cfg: RunConfig):
     pts, B = field_on_cell_grid(f, cfg.bias, args.z_nm * 1e-9, args.n)
     csv_path = Path(args.out) / "field_map.csv"
     write_field_map_csv(csv_path, pts, B)
-    mag = np.linalg.norm(B, axis=1)
+    # |B| a chunk at a time: a norm of every row would be a third n^2-row array
+    mag_min, mag_max = np.inf, -np.inf
+    for s in range(0, len(B), _CSV_CHUNK_ROWS):
+        mag = np.linalg.norm(B[s:s + _CSV_CHUNK_ROWS], axis=1)
+        mag_min, mag_max = np.minimum(mag_min, mag.min()), np.maximum(mag_max, mag.max())
     payload = {
         "z_nm": args.z_nm,
         "grid_n": args.n,
         "csv": csv_path.name,
         "modes_retained": int(f.nmodes),
-        "Bmag_min_mT": float(mag.min() * 1e3),
-        "Bmag_max_mT": float(mag.max() * 1e3),
+        "Bmag_min_mT": float(mag_min * 1e3),
+        "Bmag_max_mT": float(mag_max * 1e3),
     }
     return payload, [], None
 

@@ -59,9 +59,18 @@ def _check_period(d):
 
 
 def recoil_energy(d: float, atom: AtomState) -> float:
-    """Lattice recoil E_R = (pi hbar)^2 / (2 m d^2)."""
+    """Lattice recoil E_R = (pi hbar)^2 / (2 m d^2).
+
+    Raises InputError unless d passes _check_period and E_R is finite and
+    > 0: for Rb-87, 2 m d^2 underflows to 0 below about d = 1.5e-150 m, and
+    E_R underflows to 0 above about d = 1e154 m.
+    """
     _check_period(d)
-    return (np.pi * const.hbar) ** 2 / (2 * atom.mass * d * d)
+    two_m_d2 = 2 * atom.mass * d * d
+    er = (np.pi * const.hbar) ** 2 / two_m_d2 if two_m_d2 > 0 else np.inf
+    if not 0 < er < np.inf:
+        raise InputError(f"lattice period {d:g} m gives a recoil energy of {er:g} J; it must be finite and > 0")
+    return er
 
 
 def _j_over_er(s: float) -> float:

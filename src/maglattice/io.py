@@ -1,12 +1,15 @@
 """File formats: ASCII PBM (P1) occupancy grids and CSV field maps.
 
 Numbers in CSV output carry 9 significant digits with '.' as the decimal
-separator, independent of locale. The field-map writer formats each chunk
-of rows with one '%' call, and on a cell grid, where the coordinate columns
-repeat, it formats each distinct coordinate only once. The '%' call holds
-the interpreter lock, so the writer formats on one process per usable core:
-it forks a child for each contiguous range of chunks after the first and
-appends the children's bytes in row order.
+separator, independent of locale. The field-map writer takes its rows in
+chunks of 2**13: it takes each chunk's |B| and formats the chunk with one
+'%' call, and on a cell grid, where the coordinate columns repeat, it
+formats each distinct coordinate only once. A chunk's temporaries come to
+about 2.8 MB, and no array with a row per point is made beyond the points
+and B it is given. The '%' call holds the interpreter lock, so the writer
+formats on one process per usable core: it forks a child for each
+contiguous range of chunks after the first and appends the children's
+bytes in row order.
 """
 
 import contextlib
@@ -66,7 +69,7 @@ def save_pbm(path, occupancy: np.ndarray):
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
-_CSV_CHUNK_ROWS = 2**15
+_CSV_CHUNK_ROWS = 2**13
 _CSV_ROW = "%s,%s,%s,%.9g,%.9g,%.9g,%.9g\n"
 
 
@@ -86,11 +89,11 @@ def _fmt9_strings(col: np.ndarray) -> np.ndarray:
     return strings[inverse]
 
 
-def _write_rows(out, pts, B, mag, lo, hi):
-    """Write rows lo <= i < hi to the binary file out, one 2**15-row chunk at
-    a time: each chunk's distinct coordinates go through fmt9 once, then its
-    seven columns go through one '%s,%s,%s,%.9g,...' format call; '%.9g' is
-    fmt9's conversion."""
+def _write_rows(out, pts, B, lo, hi):
+    """Write rows lo <= i < hi to the binary file out, one 2**13-row chunk at
+    a time: each chunk's |B| is taken, its distinct coordinates go through
+    fmt9 once, then its seven columns go through one '%s,%s,%s,%.9g,...'
+    format call; '%.9g' is fmt9's conversion."""
     for s in range(lo, hi, _CSV_CHUNK_ROWS):
         c = slice(s, min(s + _CSV_CHUNK_ROWS, hi))
         xyz = pts[c] * 1e9
@@ -98,7 +101,7 @@ def _write_rows(out, pts, B, mag, lo, hi):
         for j in range(3):
             cells[:, j] = _fmt9_strings(xyz[:, j])
         cells[:, 3:6] = B[c] * 1e3
-        cells[:, 6] = mag[c] * 1e3
+        cells[:, 6] = np.linalg.norm(B[c], axis=1) * 1e3
         out.write(((_CSV_ROW * len(xyz)) % tuple(cells.ravel().tolist())).encode("ascii"))
 
 
@@ -123,8 +126,9 @@ def _write_rows_and_exit(part, *rows):
 def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
     """CSV columns x_nm, y_nm, z_nm, Bx_mT, By_mT, Bz_mT, Bmag_mT.
 
-    Rows are formatted in chunks of 2**15, so memory stays bounded, and each
-    number reads exactly as fmt9 gives it (see _write_rows). Formatting
+    Rows are formatted in chunks of 2**13, each with its own |B|, so the
+    memory beyond points_m and B_T stays bounded (about 2.8 MB a process),
+    and each number reads exactly as fmt9 gives it (see _write_rows). Formatting
     holds the interpreter lock, so the chunks are split into W = min(usable
     cores, chunks) contiguous ranges, one per process: W - 1 forked children
     each write their range to an unlinked temporary file in the CSV's
@@ -137,11 +141,11 @@ def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
     still running is killed, and each child is reaped before this returns.
     Python 3.12 and later warn (DeprecationWarning) on fork in a process
     that runs threads, and a threaded BLAS starts some; the children call no
-    BLAS routine, they only format and write.
+    BLAS routine (a row norm is a product and a sum), they only format and
+    write.
     """
     pts = np.asarray(points_m, dtype=float)
     B = np.asarray(B_T, dtype=float)
-    mag = np.linalg.norm(B, axis=1)
     chunks = -(-len(pts) // _CSV_CHUNK_ROWS)
     W = min(usable_cores() if hasattr(os, "fork") else 1, max(chunks, 1))
     bounds = [min(len(pts), chunks * w // W * _CSV_CHUNK_ROWS) for w in range(W + 1)]
@@ -154,9 +158,9 @@ def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
             for w, part in enumerate(parts, 1):
                 pid = os.fork()
                 if pid == 0:
-                    _write_rows_and_exit(part, pts, B, mag, bounds[w], bounds[w + 1])
+                    _write_rows_and_exit(part, pts, B, bounds[w], bounds[w + 1])
                 children.append((pid, part))
-            _write_rows(out, pts, B, mag, bounds[0], bounds[1])
+            _write_rows(out, pts, B, bounds[0], bounds[1])
             while children:
                 pid, part = children[0]
                 status = os.waitpid(pid, 0)[1]

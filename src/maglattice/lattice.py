@@ -409,6 +409,9 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int 
     return B, grad, B_mag, grad_mag, hess, valid
 
 
+_GRID_BLOCK_POINTS = 2**13  # about this many points per block of field_on_cell_grid
+
+
 def field_on_cell_grid(f: FourierExpansion, bias, z: float, n: int):
     """Field B on the n x n cell-centre grid of one unit cell at height z.
 
@@ -416,8 +419,11 @@ def field_on_cell_grid(f: FourierExpansion, bias, z: float, n: int):
     order i * n + j for (fx_i, fy_j). Returns (points (n*n, 3), B (n*n, 3)).
 
     On this grid exp(i k.rho) = exp(i fx k.a1) exp(i fy k.a2), so each
-    component of grad(phi) is one complex (n x M) by (M x n) product instead
-    of an (n^2 x M) table. eval_field_arrays is its reference.
+    component of grad(phi) is a complex (rows x M) by (M x n) product instead
+    of an (n^2 x M) table. The grid is taken in blocks of whole fx rows, 2**13
+    to 2**14 points each, and each block is written straight into the returned
+    arrays: points and B are the only n^2-row arrays made, 48 bytes a point
+    (0.8 GB at n = 4096). eval_field_arrays is its reference.
     """
     if not 0 < z < np.inf:
         raise BelowFilmError(f"z must be a finite height above the film (got {z})")
@@ -426,18 +432,30 @@ def field_on_cell_grid(f: FourierExpansion, bias, z: float, n: int):
     bias = np.asarray(bias, dtype=float)
     a1, a2 = f.geometry.a1, f.geometry.a2
     fr = (np.arange(n) + 0.5) / n
-    xy = (fr[:, None, None] * a1 + fr[None, :, None] * a2).reshape(-1, 2)
-    points = np.column_stack([xy, np.full(n * n, z)])
-
+    ka1 = f.k_vec @ a1
+    Y = np.exp(1j * np.outer(fr, f.k_vec @ a2))  # (n, M)
     # phi = P Re sum A exp(-k z) exp(i k.rho), A = C - iS, so that
     # d/dx_i phi = -Im(sum P k_i env A e^{ik.rho}) and d/dz phi = Re(... -P k env)
-    X = np.exp(1j * np.outer(fr, f.k_vec @ a1))  # (n, M)
-    Y = np.exp(1j * np.outer(fr, f.k_vec @ a2))
     weights = f.prefactor * np.exp(-f.k_mag * z) * (f.C - 1j * f.S)
-    k3 = np.column_stack([f.k_vec, -f.k_mag]).T  # (3, M)
-    D = (X[None] * (k3 * weights)[:, None, :]) @ Y.T  # (3, n, n)
-    grad_phi = np.stack([-D[0].imag, -D[1].imag, D[2].real], axis=-1).reshape(-1, 3)
-    return points, bias - grad_phi
+    kw = np.column_stack([f.k_vec, -f.k_mag]).T * weights  # (3, M)
+    points, B = np.empty((n * n, 3)), np.empty((n * n, 3))
+    P, G = points.reshape(n, n, 3), B.reshape(n, n, 3)
+    P[:, :, 2] = z
+    # blocks of two rows or more: numpy hands a one-row product to gemv,
+    # whose last bits differ from the gemm of a whole-grid product
+    blocks = max(1, n // max(2, _GRID_BLOCK_POINTS // n))
+    for b in range(blocks):
+        i = slice(n * b // blocks, n * (b + 1) // blocks)
+        np.multiply(fr[i, None, None], a1, out=P[i, :, :2])
+        P[i, :, :2] += fr[None, :, None] * a2
+        # stacked, as in a whole-grid product: at n = 1 a contiguous row takes
+        # another of numpy's matmul loops, and B moves in its last bit
+        XK = np.exp(1j * np.outer(fr[i], ka1))[None] * kw[:, None, :]  # (3, rows, M)
+        for c in range(3):
+            D = XK[c] @ Y.T  # (rows, n)
+            G[i, :, c] = -D.imag if c < 2 else D.real
+        np.subtract(bias, G[i], out=G[i])
+    return points, B
 
 
 def eval_field(f: FourierExpansion, bias, r) -> FieldSample:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -252,12 +253,13 @@ def _assert_csv_matches_fmt9(tmp_path, monkeypatch, pts, B):
         cols = [*(p * 1e9), *(b * 1e3), np.linalg.norm(b) * 1e3]
         lines.append(",".join(fmt9(c) for c in cols))
     expected = ("\n".join(lines) + "\n").encode()
-    assert -(-len(pts) // 2**15) == 2  # two chunks: 5 cores are more than there is work for
+    chunks = -(-len(pts) // maglattice.io._CSV_CHUNK_ROWS)
+    assert chunks > 2  # two cores share them, and chunks + 1 are more than there is work for
 
     def no_fork():
         raise AssertionError("forked with one process to run")
 
-    for cores, fork in [(1, no_fork), (2, os.fork), (5, os.fork), (5, None)]:
+    for cores, fork in [(1, no_fork), (2, os.fork), (chunks + 1, os.fork), (chunks + 1, None)]:
         with monkeypatch.context() as m:
             m.setattr(maglattice.io, "usable_cores", lambda: cores)
             if fork is None:
@@ -283,14 +285,30 @@ def test_field_map_csv_matches_fmt9(tmp_path, monkeypatch):
 
 
 def test_field_map_csv_matches_fmt9_on_oblique_grid(tmp_path, monkeypatch):
-    # a hexagonal cell grid of 200^2 rows: one full write chunk and a partial
-    # one; in the full chunk x takes 1172 distinct bit patterns (rounding
-    # splits equal sums of fx a1 + fy a2), y 200 and z one
+    # a hexagonal cell grid of 200^2 rows: four full write chunks and a
+    # partial one; in the first chunk x takes 573 distinct bit patterns
+    # (rounding splits equal sums of fx a1 + fy a2), y 200 and z one
     geom = LatticeGeometry.from_primitives([1e-6, 0.0], [0.5e-6, 0.5e-6 * np.sqrt(3.0)])
     occ = (np.random.default_rng(3).random((8, 8)) < 0.5).astype(int)
     f = fourier_from_pattern(MagnetizationPattern(geom, occ, M0=670e3, film_h=50e-9), max_order=3)
     pts, B = field_on_cell_grid(f, [-1e-3, 0.2e-3, 0.0], 4e-7, 200)
     _assert_csv_matches_fmt9(tmp_path, monkeypatch, pts, B)
+
+
+def test_field_map_csv_memory_is_one_chunk(tmp_path, monkeypatch):
+    # |B| is taken with each 2**13-row chunk's formatting: a norm of every
+    # row and 2**15-row chunks took this 128^2 map's traced peak to 5.6 MB
+    f = fourier_from_pattern(stripes(1e-6, nx=32, ny=4), max_order=8)
+    pts, B = field_on_cell_grid(f, [-1e-3, 0.2e-3, 0.0], 4e-7, 128)
+    monkeypatch.setattr(maglattice.io, "usable_cores", lambda: 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_field_map_csv(tmp_path / "map.csv", pts, B)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 def test_field_map_csv_of_no_rows_is_its_header(tmp_path):

@@ -114,6 +114,14 @@ def test_period_whose_square_is_not_finite_and_positive_rejected(rb87, d):
             call()
 
 
+@pytest.mark.parametrize("d", [1e-150, 1e154])
+def test_period_whose_recoil_energy_is_not_finite_and_positive_rejected(rb87, d):
+    # d * d is finite and > 0 at both, but 2 m d^2 underflows to 0 at the
+    # first (a ZeroDivisionError) and E_R itself to 0.0 at the second
+    with pytest.raises(InputError, match="recoil energy"):
+        recoil_energy(d, rb87)
+
+
 def test_mott_depth_unreachable_at_a_huge_period_without_overflow(rb87):
     # d = 1e152 m is valid, but J/U there is 1e157 at s = 1 and 1e151 at
     # s = 50: their product overflowed to inf, with a RuntimeWarning

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,26 +256,46 @@ def _skewed_band():
     return MagnetizationPattern(geom, occ, M0=670e3, film_h=300e-9)
 
 
-@pytest.mark.parametrize("make_pattern", [
-    lambda: stripes(1e-6, nx=64, ny=8),
-    lambda: checkerboard(1e-6, n=32),
-    lambda: windmill(1e-6),
-    lambda: z_edge_band(1e-6, n=32),
-    _skewed_band,
-], ids=["stripes", "checkerboard", "windmill", "z_edge", "skewed"])
+@pytest.mark.parametrize("make_pattern, n", [
+    (lambda: stripes(1e-6, nx=64, ny=8), 24),
+    (lambda: checkerboard(1e-6, n=32), 24),
+    (lambda: windmill(1e-6), 24),
+    (lambda: z_edge_band(1e-6, n=32), 24),
+    (_skewed_band, 24),
+    # one row; and two blocks, of 64 and 65 rows, on a square and an oblique cell
+    (lambda: z_edge_band(1e-6, n=32), 1),
+    (_skewed_band, 1),
+    (lambda: z_edge_band(1e-6, n=32), 129),
+    (_skewed_band, 129),
+], ids=["stripes", "checkerboard", "windmill", "z_edge", "skewed",
+        "z_edge-n1", "skewed-n1", "z_edge-n129", "skewed-n129"])
 @pytest.mark.parametrize("z", [0.2e-6, 0.6e-6])
-def test_cell_grid_matches_batched_kernel(make_pattern, z):
+def test_cell_grid_matches_batched_kernel(make_pattern, n, z):
     f = fourier_from_pattern(make_pattern(), max_order=8)
     a1, a2 = f.geometry.a1, f.geometry.a2
-    n = 24
     pts, B = field_on_cell_grid(f, BIAS, z, n)
     # the points of the former meshgrid construction, bit for bit
     fr = (np.arange(n) + 0.5) / n
     FX, FY = np.meshgrid(fr, fr, indexing="ij")
     xy = FX.ravel()[:, None] * a1[None, :] + FY.ravel()[:, None] * a2[None, :]
     assert np.array_equal(pts, np.column_stack([xy, np.full(n * n, z)]))
-    B_ref, *_ = eval_field_arrays(f, BIAS, pts)
+    B_ref, *_ = eval_field_arrays(f, BIAS, pts, order=0)
     assert np.abs(B - B_ref).max() <= 1e-13 * np.linalg.norm(B_ref, axis=1).max()
+
+
+def test_cell_grid_peak_memory_is_its_result():
+    # the points and B are the only n^2-row arrays: a whole-grid product,
+    # its stacked gradient and a column_stack copy took the traced peak to
+    # 2.9 times the result's bytes
+    f = fourier_from_pattern(z_edge_band(1e-6, n=32), max_order=5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pts, B = field_on_cell_grid(f, BIAS, 0.6e-6, 256)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (pts.nbytes + B.nbytes)
 
 
 def test_cell_grid_rejects_points_below_film(stripe_expansion):
