@@ -38,13 +38,12 @@ from .hubbard import (
     recoil_energy,
 )
 from .lattice import (
-    FieldSample,
+    FieldArrays,
     FourierExpansion,
     LatticeGeometry,
     MagnetizationPattern,
     NoStructureError,
     dipole_sum_oracle,
-    eval_field,
     eval_field_arrays,
     eval_potential,
     field_on_cell_grid,

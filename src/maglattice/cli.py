@@ -33,7 +33,7 @@ from .atom import AtomState, default_rb87
 from .errors import InputError
 from .fano import LossModel, TrajectoryEnsemble, simulate_three_body
 from .hubbard import hubbard_sinusoidal, mott_depth
-from .io import _CSV_CHUNK_ROWS, load_pbm, write_fano_csv, write_field_map_csv
+from .io import load_pbm, write_fano_csv, write_field_map_csv
 from .lattice import (
     LatticeGeometry,
     MagnetizationPattern,
@@ -295,12 +295,7 @@ def _cmd_field_map(args, cfg: RunConfig):
     f, _ = cfg.expansion()
     pts, B = field_on_cell_grid(f, cfg.bias, args.z_nm * 1e-9, args.n)
     csv_path = Path(args.out) / "field_map.csv"
-    write_field_map_csv(csv_path, pts, B)
-    # |B| a chunk at a time: a norm of every row would be a third n^2-row array
-    mag_min, mag_max = np.inf, -np.inf
-    for s in range(0, len(B), _CSV_CHUNK_ROWS):
-        mag = np.linalg.norm(B[s:s + _CSV_CHUNK_ROWS], axis=1)
-        mag_min, mag_max = np.minimum(mag_min, mag.min()), np.maximum(mag_max, mag.max())
+    mag_min, mag_max = write_field_map_csv(csv_path, pts, B)
     payload = {
         "z_nm": args.z_nm,
         "grid_n": args.n,

@@ -50,22 +50,14 @@ class BandResult:
     weak_lattice: bool  # True for s < 2, where tight binding is meaningless
 
 
-def _check_period(d):
-    """Raise InputError unless d and d*d are finite and > 0 (so a_s / 2d is
-    too): a period that passes 0 < d < inf alone (1e-309 m, 1e291 m) is an
-    input error, not an unreachable Mott depth."""
-    if not (0 < d < np.inf and 0 < d * d < np.inf):
-        raise InputError(f"lattice period must be finite and > 0, and so must its square (got {d:g} m)")
-
-
 def recoil_energy(d: float, atom: AtomState) -> float:
-    """Lattice recoil E_R = (pi hbar)^2 / (2 m d^2).
-
-    Raises InputError unless d passes _check_period and E_R is finite and
-    > 0: for Rb-87, 2 m d^2 underflows to 0 below about d = 1.5e-150 m, and
-    E_R underflows to 0 above about d = 1e154 m.
-    """
-    _check_period(d)
+    """Lattice recoil E_R = (pi hbar)^2 / (2 m d^2), the one period check of
+    this module: InputError unless d and E_R are finite and > 0. For Rb-87,
+    2 m d^2 underflows to 0 below about d = 2.9e-150 m and E_R to 0 above
+    about d = 3.9e140 m: such a period is an input error, not an unreachable
+    Mott depth."""
+    if not 0 < d < np.inf:
+        raise InputError(f"lattice period must be finite and > 0 (got {d:g} m)")
     two_m_d2 = 2 * atom.mass * d * d
     er = (np.pi * const.hbar) ** 2 / two_m_d2 if two_m_d2 > 0 else np.inf
     if not 0 < er < np.inf:
@@ -109,7 +101,7 @@ def mott_depth(d: float, atom: AtomState, j_over_u: float = 0.06) -> float:
     unique; solved by bisection to 1e-4 in s (the midpoint of the last
     bracket, within 5e-5 of the root).
     """
-    _check_period(d)
+    recoil_energy(d, atom)  # the period check
     if not 0.001 < j_over_u < 1:
         raise InputError(f"j_over_u must be in (0.001, 1) (got {j_over_u!r})")
     lo, hi = _FIT_S_RANGE

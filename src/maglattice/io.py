@@ -2,14 +2,14 @@
 
 Numbers in CSV output carry 9 significant digits with '.' as the decimal
 separator, independent of locale. The field-map writer takes its rows in
-chunks of 2**13: it takes each chunk's |B| and formats the chunk with one
-'%' call, and on a cell grid, where the coordinate columns repeat, it
-formats each distinct coordinate only once. A chunk's temporaries come to
-about 2.8 MB, and no array with a row per point is made beyond the points
-and B it is given. The '%' call holds the interpreter lock, so the writer
-formats on one process per usable core: it forks a child for each
-contiguous range of chunks after the first and appends the children's
-bytes in row order.
+chunks of 2**13: it takes each chunk's |B|, keeps the least and greatest,
+and formats the chunk with one '%' call, and on a cell grid, where the
+coordinate columns repeat, it formats each distinct coordinate only once.
+A chunk's temporaries come to about 2.8 MB, and no array with a row per
+point is made beyond the points and B it is given. The '%' call holds the
+interpreter lock, so the writer formats on one process per usable core: it
+forks a child for each contiguous range of chunks after the first and
+appends the children's bytes in row order.
 """
 
 import contextlib
@@ -89,19 +89,26 @@ def _fmt9_strings(col: np.ndarray) -> np.ndarray:
     return strings[inverse]
 
 
-def _write_rows(out, pts, B, lo, hi):
+def _write_rows(out, pts, B, lo, hi, ext):
     """Write rows lo <= i < hi to the binary file out, one 2**13-row chunk at
-    a time: each chunk's |B| is taken, its distinct coordinates go through
-    fmt9 once, then its seven columns go through one '%s,%s,%s,%.9g,...'
-    format call; '%.9g' is fmt9's conversion."""
+    a time: each chunk's |B| is taken and folded into ext, [least |B|,
+    greatest |B|], by np.minimum and np.maximum (so a NaN propagates), its
+    distinct coordinates go through fmt9 once, then its seven columns go
+    through one '%s,%s,%s,%.9g,...' format call; '%.9g' is fmt9's
+    conversion. With out None the rows' |B| is folded into ext and nothing
+    is formatted."""
     for s in range(lo, hi, _CSV_CHUNK_ROWS):
         c = slice(s, min(s + _CSV_CHUNK_ROWS, hi))
+        mag = np.linalg.norm(B[c], axis=1)
+        ext[:] = np.minimum(ext[0], mag.min()), np.maximum(ext[1], mag.max())
+        if out is None:
+            continue
         xyz = pts[c] * 1e9
         cells = np.empty((len(xyz), 7), dtype=object)
         for j in range(3):
             cells[:, j] = _fmt9_strings(xyz[:, j])
         cells[:, 3:6] = B[c] * 1e3
-        cells[:, 6] = np.linalg.norm(B[c], axis=1) * 1e3
+        cells[:, 6] = mag * 1e3
         out.write(((_CSV_ROW * len(xyz)) % tuple(cells.ravel().tolist())).encode("ascii"))
 
 
@@ -124,7 +131,9 @@ def _write_rows_and_exit(part, *rows):
 
 
 def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
-    """CSV columns x_nm, y_nm, z_nm, Bx_mT, By_mT, Bz_mT, Bmag_mT.
+    """CSV columns x_nm, y_nm, z_nm, Bx_mT, By_mT, Bz_mT, Bmag_mT. Returns
+    the least and greatest |B| (T) of the rows, NaN if any |B| is NaN, and
+    (inf, -inf) with no rows.
 
     Rows are formatted in chunks of 2**13, each with its own |B|, so the
     memory beyond points_m and B_T stays bounded (about 2.8 MB a process),
@@ -135,7 +144,9 @@ def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
     directory, while the caller writes the first range to the CSV, then
     appends each child's file in row order, a bounded piece at a time. The
     bytes do not depend on W. W is 1, and nothing is forked, where os.fork
-    does not exist; with no rows the CSV holds the header alone.
+    does not exist; with no rows the CSV holds the header alone. While the
+    children format, the caller takes the |B| of their rows for the
+    extremes, chunk by chunk, as _write_rows does.
 
     A child that fails makes this raise OSError. On any error every child
     still running is killed, and each child is reaped before this returns.
@@ -149,6 +160,7 @@ def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
     chunks = -(-len(pts) // _CSV_CHUNK_ROWS)
     W = min(usable_cores() if hasattr(os, "fork") else 1, max(chunks, 1))
     bounds = [min(len(pts), chunks * w // W * _CSV_CHUNK_ROWS) for w in range(W + 1)]
+    ext = [np.inf, -np.inf]
     with open(path, "wb") as out, contextlib.ExitStack() as stack:
         out.write(b"x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT\n")
         parts = [stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
@@ -158,9 +170,10 @@ def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
             for w, part in enumerate(parts, 1):
                 pid = os.fork()
                 if pid == 0:
-                    _write_rows_and_exit(part, pts, B, bounds[w], bounds[w + 1])
+                    _write_rows_and_exit(part, pts, B, bounds[w], bounds[w + 1], ext)
                 children.append((pid, part))
-            _write_rows(out, pts, B, bounds[0], bounds[1])
+            _write_rows(out, pts, B, bounds[0], bounds[1], ext)
+            _write_rows(None, pts, B, bounds[1], len(pts), ext)
             while children:
                 pid, part = children[0]
                 status = os.waitpid(pid, 0)[1]
@@ -177,6 +190,7 @@ def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
                 for pid, _ in children:
                     os.kill(pid, SIGKILL)
                     os.waitpid(pid, 0)
+    return tuple(ext)
 
 
 def write_fano_csv(path, curve):

@@ -16,6 +16,7 @@ independent cross-check of the expansion.
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,21 +201,18 @@ class FourierExpansion:
         return table[:, :_N_EVEN], table[:, _N_EVEN:], self.k_mag * np.hypot(self.C, self.S)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """Field, Jacobian and |B| Hessian at one point.
+class FieldArrays(NamedTuple):
+    """eval_field_arrays' result at N points. grad is the Jacobian dB_i/dr_j
+    and hess_mag the Hessian of |B|; grad_mag and hess_mag are NaN where
+    |B| = 0 (a Majorana point, valid False). An order-0 call leaves grad,
+    grad_mag and hess_mag None."""
 
-    hessian_valid is False at a field zero (Majorana point), where the
-    Hessian of |B| is undefined; the array is then all-NaN by convention.
-    """
-
-    r: np.ndarray
-    B: np.ndarray
-    grad: np.ndarray  # dB_i/dr_j
-    B_mag: float
-    grad_mag: np.ndarray  # grad of |B|
-    hessian_mag: np.ndarray
-    hessian_valid: bool
+    B: np.ndarray  # (N, 3) T
+    grad: np.ndarray | None  # (N, 3, 3)
+    B_mag: np.ndarray  # (N,)
+    grad_mag: np.ndarray | None  # (N, 3)
+    hess_mag: np.ndarray | None  # (N, 3, 3)
+    valid: np.ndarray  # (N,) bool
 
 
 def _representative_indices(order_x: int, order_y: int):
@@ -362,13 +360,9 @@ def _phi_derivatives(f: FourierExpansion, pts: np.ndarray):
     return D, f.prefactor * (env @ scale)
 
 
-def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int = 2):
-    """Vectorized field evaluation at points (N, 3), up to derivative order
-    `order` of |B|.
-
-    Returns (B (N,3), grad (N,3,3), B_mag (N,), grad_mag (N,3),
-    hess_mag (N,3,3), valid (N,) bool). grad is the Jacobian dB_i/dr_j;
-    hess_mag is the Hessian of |B|, NaN where |B| = 0 (valid False).
+def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int = 2) -> FieldArrays:
+    """Field B = B_ext - grad(phi) at points (N, 3), or at one point (3,) as
+    N = 1, up to derivative order `order` of |B|, as FieldArrays.
 
     order=2 (the default) fills every slot. order=0 returns B, B_mag and
     valid only, with None for grad, grad_mag and hess_mag; it skips the
@@ -390,7 +384,7 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int 
     # more than ten digits below the local field scale as an exact zero
     valid = B_mag > 1e-10 * field_scale
     if order == 0:
-        return B, None, B_mag, None, None, valid
+        return FieldArrays(B, None, B_mag, None, None, valid)
 
     grad = -D[:, _HESS_IDX]  # dB_i/dr_j = -d^2 phi
     third = -D[:, _THIRD_IDX]  # dB_i/dr_j dr_l = -d^3 phi
@@ -406,7 +400,7 @@ def eval_field_arrays(f: FourierExpansion, bias, points: np.ndarray, order: int 
     if not valid.all():
         grad_mag[~valid] = np.nan
         hess[~valid] = np.nan
-    return B, grad, B_mag, grad_mag, hess, valid
+    return FieldArrays(B, grad, B_mag, grad_mag, hess, valid)
 
 
 _GRID_BLOCK_POINTS = 2**13  # about this many points per block of field_on_cell_grid
@@ -456,21 +450,6 @@ def field_on_cell_grid(f: FourierExpansion, bias, z: float, n: int):
             G[i, :, c] = -D.imag if c < 2 else D.real
         np.subtract(bias, G[i], out=G[i])
     return points, B
-
-
-def eval_field(f: FourierExpansion, bias, r) -> FieldSample:
-    """Field sample B = B_ext - grad(phi) at a single point r (z > 0)."""
-    r = np.asarray(r, dtype=float)
-    B, grad, B_mag, grad_mag, hess, valid = eval_field_arrays(f, bias, r[None, :])
-    return FieldSample(
-        r=r,
-        B=B[0],
-        grad=grad[0],
-        B_mag=float(B_mag[0]),
-        grad_mag=grad_mag[0],
-        hessian_mag=hess[0],
-        hessian_valid=bool(valid[0]),
-    )
 
 
 def dipole_sum_oracle(

@@ -335,8 +335,7 @@ def vertical_profile(
     x0, y0, z0 = trap.r0
     z = np.linspace(_PROFILE_Z_FLOOR, max(4 * z0, z0 + 2e-7), _PROFILE_SAMPLES)
     pts = np.column_stack([np.full_like(z, x0), np.full_like(z, y0), z])
-    _, _, B_mag, _, _, _ = eval_field_arrays(f, trap.bias, pts, order=0)
-    V = atom.mu * B_mag - C3 / z**3
+    V = atom.mu * eval_field_arrays(f, trap.bias, pts, order=0).B_mag - C3 / z**3
     # frequency along the surface normal: project principal axes on z
     iz = int(np.argmax(np.abs(trap.axes[2, :])))
     omega_z = 2 * np.pi * trap.freqs[iz]

@@ -21,7 +21,7 @@ import numpy as np
 from . import constants as const
 from .atom import AtomState, default_rb87
 from .errors import InputError
-from .lattice import FourierExpansion, _distinct, _row_norms, eval_field, eval_field_arrays
+from .lattice import FourierExpansion, _distinct, _row_norms, eval_field_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -135,15 +135,13 @@ class TransportResult:
 # minimization of |B|
 
 
-# fates of a Newton row, named in _FATES for the debug log; the negative
-# codes are transient states inside _newton
+# fates of a Newton row, named in _FATES for the debug log
 _CONVERGED, _SADDLE, _STALLED, _BOUND, _INVALID = range(5)
 _FATES = ("converged", "saddle", "non-converged", "range or guard bound", "invalid")
 # the same fates of an index-1 row of the saddle graph, whose _BOUND rows are
 # those retired above z_top, whatever their |B| (a step to z <= 0 would count
 # there too)
 _SADDLE_FATES = ("converged", "wrong index", "stalled", "retired", "invalid")
-_ACTIVE, _STATIONARY, _ENDED = -1, -2, -3
 # |grad|B|| (T/m) at which a Newton row is stationary, and the most a
 # verified minimum passed to characterize_trap may have
 _GTOL = 1e-8
@@ -151,6 +149,17 @@ _GRAD_TOL = 1e-6
 # an accepted Newton step doubles a row's trust radius up to this multiple
 # of the radius it started at
 _RADIUS_GROWTH = 4
+# eigenvalues with |lambda| at or below this fraction of a Hessian's largest
+# are flat: a Newton step and a pseudo-inverse project them out
+_FLAT = 1e-9
+
+
+def _negative_modes(lam):
+    """Count, per Hessian, of the eigenvalues lam (..., 3) below -1e-7 of its
+    largest |lambda|: the curvature rule of the Newton index test and of the
+    saddle flag on frequencies."""
+    scale = np.maximum(np.max(np.abs(lam), axis=-1, keepdims=True), 1e-300)
+    return np.sum(lam < -1e-7 * scale, axis=-1)
 
 
 def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.inf):
@@ -161,9 +170,8 @@ def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.in
     still active and one batched eigh of their Hessians, which the kernel
     returns bit-symmetric. Only the active rows' state is kept, in compact
     arrays in input order, so the kernel and eigh see the same stacks, and
-    each row the same operations, as in a loop over full-size arrays; a row
-    is written to the returned arrays once, when it leaves with its fate.
-    Eigendirections with |lambda| <= 1e-9 max|lambda| are projected out of
+    each row the same operations, as in a loop over full-size arrays.
+    Eigendirections with |lambda| <= _FLAT max|lambda| are projected out of
     every step, so flat (channel) directions stay put.
 
     Every row takes the saddle-free step -V |Lambda|^-1 V^T grad|B| with the
@@ -184,17 +192,23 @@ def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.in
     hopping to a lattice copy. A minimum runs at most 100 steps, a saddle 30.
 
     A row converges at |grad|B|| <= _GTOL with exactly `index` eigenvalues
-    below -1e-7 max|lambda|. Returns (x, |B|(x), fate, J, H, valid): fate
-    per row one of _CONVERGED; _SADDLE (stationary, other curvature);
-    _STALLED (iteration cap, trust radius below 1e-12 period, or no usable
-    direction); _BOUND (ended on a z bound, left z > 0, moved farther than
-    `guard` from its start, or retired: above z_top, where no saddle is
-    kept, as soon as it gets there, whatever its |B|); _INVALID (field zero:
-    |B| below 1e-6 period |grad|B||, i.e. within about 1e-6 period of a
-    point zero). J = dB/dr, H = Hess|B| and the kernel's valid flag are
-    those of each row's last accepted evaluation, at x, so a caller needs no
-    kernel call of its own there (transport's snapshots and its next
+    below -1e-7 max|lambda| (_negative_modes). Returns (x, |B|(x), fate, J,
+    H, valid): fate per row one of _CONVERGED; _SADDLE (stationary, other
+    curvature); _STALLED (iteration cap, trust radius below 1e-12 period, or
+    no usable direction); _BOUND (ended on a z bound, left z > 0, moved
+    farther than `guard` from its start, or retired: above z_top, where no
+    saddle is kept, as soon as it gets there, whatever its |B|); _INVALID
+    (field zero: |B| below 1e-6 period |grad|B||, i.e. within about 1e-6
+    period of a point zero). J = dB/dr, H = Hess|B| and the kernel's valid
+    flag are those of each row's last accepted evaluation, at x, so a caller
+    needs no kernel call of its own there (transport's snapshots and its next
     predictor read them).
+
+    A row's results and its final fate are written once, by leave(), in the
+    iteration it leaves the active set. The stationary rows that leave in an
+    iteration are classified there, by one eigvalsh of their Hessians, and a
+    row that reaches the iteration cap or gets stuck is _BOUND on a z bound,
+    else _STALLED.
     """
     z_lo, z_hi = (-np.inf, np.inf) if z_bounds is None else z_bounds
     x0 = np.array(x0, dtype=float, ndmin=2)
@@ -217,8 +231,8 @@ def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.in
     r_max = _RADIUS_GROWTH * float(radius)
 
     def leave(out, code):
-        """Write back the active rows flagged in `out` with fate `code` and
-        drop them from the active set."""
+        """Write back the active rows flagged in `out` with their final fate
+        `code` and drop them from the active set."""
         nonlocal rows, start, xa, Ja, va, ga, Ha, oka, gna, ra
         k = rows[out]
         x[k], val[k], J[k], H[k], valid[k], fate[k] = xa[out], va[out], Ja[out], Ha[out], oka[out], code
@@ -228,21 +242,31 @@ def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.in
         )
         return keep
 
+    def on_bound():
+        """Whether each active row sits on a z bound."""
+        return (xa[:, 2] <= z_lo * (1 + 1e-9)) | (xa[:, 2] >= z_hi * (1 - 1e-9))
+
     for it in range(maxiter + 1):
         # near a point zero |B| ~ |grad|B|| times the distance to it, and
         # a row descending into the cone never meets _GTOL
         zero = ~oka | (va < zero_tol * gna)
-        flat = gna <= _GTOL
-        out = zero | flat | (xa[:, 2] > z_top)
+        stationary = ~zero & (gna <= _GTOL)
+        out = zero | stationary | (xa[:, 2] > z_top)
         if out.any():
-            leave(out, np.where(zero, _INVALID, np.where(flat, _STATIONARY, _BOUND))[out])
+            code = np.where(zero, _INVALID, _BOUND)
+            if stationary.any():
+                wrong = _negative_modes(np.linalg.eigvalsh(Ha[stationary])) != index
+                code[stationary] = np.where(
+                    wrong, _SADDLE, np.where(on_bound()[stationary], _BOUND, _CONVERGED)
+                )
+            leave(out, code[out])
         if it == maxiter:
-            leave(np.ones(len(rows), dtype=bool), _ACTIVE)
+            leave(np.ones(len(rows), dtype=bool), np.where(on_bound(), _BOUND, _STALLED))
         if not len(rows):
             break
         lam, V = np.linalg.eigh(Ha)
         alam = np.abs(lam)
-        use = alam > 1e-9 * alam.max(axis=1, keepdims=True)
+        use = alam > _FLAT * alam.max(axis=1, keepdims=True)
         curv = np.where(use, alam, 1.0)
         coef = np.where(use, np.einsum("nji,nj->ni", V, ga) / curv, 0.0)
         coef[:, :index] *= -1
@@ -255,15 +279,15 @@ def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.in
         if z_bounds is not None:
             trial[:, 2] = np.clip(trial[:, 2], z_lo, z_hi)
         # a step that leaves the row where it is (no usable direction, or
-        # pushing only against a bound) will never move it; a row that also
-        # left its guard ends _BOUND
+        # pushing only against a bound) will never move it: it ends _BOUND
+        # if it also left its guard or sits on a z bound, else _STALLED
         stuck = (trial == xa).all(axis=1)
         left = trial[:, 2] <= 0
         if guard < np.inf:
             left |= _row_norms(trial - start) > guard
         out = stuck | left
         if out.any():
-            trial = trial[leave(out, np.where(left, _BOUND, _ENDED)[out])]
+            trial = trial[leave(out, np.where(left | on_bound(), _BOUND, _STALLED)[out])]
             if not len(rows):
                 break
         _, J_t, v_t, g_t, H_t, ok_t = eval_field_arrays(f, bias, trial)
@@ -285,16 +309,6 @@ def _newton(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.in
         stalled = ~acc & (ra < min_radius)
         if stalled.any():
             leave(stalled, _STALLED)
-
-    on_bound = (x[:, 2] <= z_lo * (1 + 1e-9)) | (x[:, 2] >= z_hi * (1 - 1e-9))
-    ended = (fate == _ACTIVE) | (fate == _ENDED)
-    fate[ended] = np.where(on_bound[ended], _BOUND, _STALLED)
-    k = np.flatnonzero(fate == _STATIONARY)
-    if len(k):
-        lam = np.linalg.eigvalsh(H[k])
-        scale = np.maximum(np.max(np.abs(lam), axis=1, keepdims=True), 1e-300)
-        saddle = np.sum(lam < -1e-7 * scale, axis=1) != index
-        fate[k] = np.where(saddle, _SADDLE, np.where(on_bound[k], _BOUND, _CONVERGED))
     return x, val, fate, J, H, valid
 
 
@@ -373,8 +387,7 @@ def _frequencies(eig, atom):
     """frequencies_from_hessian's (freqs, axes) from the eigh (lam, V) of a
     symmetric Hessian or stack, and its saddle flag per Hessian."""
     lam, V = eig
-    scale = np.maximum(np.max(np.abs(lam), axis=-1), 1e-300)
-    saddle = lam[..., 0] < -1e-7 * scale
+    saddle = _negative_modes(lam) > 0
     # omega rises with lambda, and eigh returns lambda ascending
     omega = np.sqrt(atom.mu * np.clip(lam, 0.0, None) / atom.mass)
     freqs, axes = omega[..., ::-1] / (2 * np.pi), V[..., ::-1]
@@ -403,15 +416,15 @@ def characterize_trap(
     """
     b = _bias_vec(bias)
     r0 = np.asarray(r0, dtype=float)
-    s = eval_field(f, b, r0)
-    B_mag, g = s.B_mag, s.grad_mag
-    if not s.hessian_valid:
+    s = eval_field_arrays(f, b, r0[None])
+    B_mag, g = s.B_mag[0], s.grad_mag[0]
+    if not s.valid[0]:
         raise MajoranaError("field zero at trap position (Majorana point)")
     if np.linalg.norm(g) > _GRAD_TOL:
         raise ValueError(
             f"r0 is not a verified minimum: |grad|B|| = {np.linalg.norm(g):.3e} T/m"
         )
-    freqs, axes = frequencies_from_hessian(s.hessian_mag, atom)
+    freqs, axes = frequencies_from_hessian(s.hess_mag[0], atom)
 
     omega_max = 2 * np.pi * freqs[0]
     omega_larmor = atom.mu * B_mag / const.hbar
@@ -479,7 +492,7 @@ def _barriers(f, b, r_i, goals) -> list:
     index-1 and index-0 descents; each gets its own floor, its own first
     joining saddle and, failing one, its own coarse scan."""
     floors = [
-        float(np.min(eval_field_arrays(f, b, np.stack([r_i, r_j]), order=0)[2]))
+        float(np.min(eval_field_arrays(f, b, np.stack([r_i, r_j]), order=0).B_mag))
         for r_j in goals
     ]
     results = [None] * len(goals)
@@ -557,18 +570,17 @@ _GN_MIN_STEP = 1e-9
 def _line_scan(f, b, r0, shift, n=96):
     """(max |B|, its point) over n points evenly spaced from r0 to r0 + shift."""
     pts = r0[None, :] + np.linspace(0.0, 1.0, n)[:, None] * shift[None, :]
-    B_mag = eval_field_arrays(f, b, pts, order=0)[2]
+    B_mag = eval_field_arrays(f, b, pts, order=0).B_mag
     k = int(np.argmax(B_mag))
     return float(B_mag[k]), pts[k]
 
 
 def _sym_solve(A, rhs, eig=None):
-    """A^+ rhs for a symmetric A, or for a stack of them and of rhs, the
-    eigenvalues below 1e-9 of each A's largest dropped as in `_newton`. By
-    eigh, or A's eigh (lam, V) when the caller passes it as eig: a first
-    lstsq call adds 0.3 MB of RSS."""
+    """A^+ rhs for a symmetric A, or for a stack of them and of rhs, the flat
+    eigenvalues (_FLAT) of each A dropped. By eigh, or A's eigh (lam, V) when
+    the caller passes it as eig: a first lstsq call adds 0.3 MB of RSS."""
     lam, V = np.linalg.eigh(A) if eig is None else eig
-    lam = np.where(np.abs(lam) > 1e-9 * np.max(np.abs(lam), axis=-1, keepdims=True), lam, np.inf)
+    lam = np.where(np.abs(lam) > _FLAT * np.max(np.abs(lam), axis=-1, keepdims=True), lam, np.inf)
     return V @ ((np.swapaxes(V, -1, -2) @ rhs) / lam[..., None])
 
 

@@ -154,6 +154,14 @@ def test_nan_bias_is_a_config_error(tmp_path, capsys):
         ("truncation.max_order", '"8"'),
         ("pattern", "5"),
         ("pattern", '["pattern.pbm"]'),
+        # not a numeric vector, a vector of the wrong length, a bias the
+        # library rejects, a value that is not a number, a section that is
+        # not an object
+        pytest.param("geometry.a1_nm", '["a", 0]', id="vec-not-numeric"),
+        pytest.param("geometry.a2_nm", "[0, 1000, 0]", id="vec-wrong-length"),
+        pytest.param("bias_mT", "[200.0, 0.0, 0.0]", id="bias-too-strong"),
+        pytest.param("film.M0_kA_per_m", '"strong"', id="value-not-a-number"),
+        pytest.param("film", "5", id="section-not-an-object"),
     ],
 )
 def test_nonfinite_config_values_exit_1(workdir, capsys, path, value):
@@ -253,6 +261,7 @@ def _assert_csv_matches_fmt9(tmp_path, monkeypatch, pts, B):
         cols = [*(p * 1e9), *(b * 1e3), np.linalg.norm(b) * 1e3]
         lines.append(",".join(fmt9(c) for c in cols))
     expected = ("\n".join(lines) + "\n").encode()
+    mag = np.linalg.norm(B, axis=1)
     chunks = -(-len(pts) // maglattice.io._CSV_CHUNK_ROWS)
     assert chunks > 2  # two cores share them, and chunks + 1 are more than there is work for
 
@@ -266,8 +275,9 @@ def _assert_csv_matches_fmt9(tmp_path, monkeypatch, pts, B):
                 m.delattr(os, "fork")  # a platform without fork writes alone
             else:
                 m.setattr(os, "fork", fork)
-            write_field_map_csv(tmp_path / "map.csv", pts, B)
+            ext = write_field_map_csv(tmp_path / "map.csv", pts, B)
         assert (tmp_path / "map.csv").read_bytes() == expected, (cores, fork)
+        assert ext == (mag.min(), mag.max()), (cores, fork)
     assert sorted(os.listdir(tmp_path)) == ["map.csv"]
 
 
@@ -312,8 +322,19 @@ def test_field_map_csv_memory_is_one_chunk(tmp_path, monkeypatch):
 
 
 def test_field_map_csv_of_no_rows_is_its_header(tmp_path):
-    write_field_map_csv(tmp_path / "map.csv", np.empty((0, 3)), np.empty((0, 3)))
+    ext = write_field_map_csv(tmp_path / "map.csv", np.empty((0, 3)), np.empty((0, 3)))
     assert (tmp_path / "map.csv").read_bytes() == b"x_nm,y_nm,z_nm,Bx_mT,By_mT,Bz_mT,Bmag_mT\n"
+    assert ext == (np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_field_map_csv_extremes_carry_a_nan(tmp_path, monkeypatch, cores):
+    # a NaN |B| in a child's range reaches the extremes, as in the caller's
+    B = np.ones((2**15 + 1, 3))
+    B[-1, 0] = np.nan
+    monkeypatch.setattr(maglattice.io, "usable_cores", lambda: cores)
+    lo, hi = write_field_map_csv(tmp_path / "map.csv", np.zeros_like(B), B)
+    assert np.isnan(lo) and np.isnan(hi)
 
 
 def _fail_on(monkeypatch, caller_fails):
@@ -759,6 +780,17 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
     assert not (workdir / "report.json").exists()
 
 
+# PBM files that a config row below names as its pattern: a truncated
+# header, dimensions that are not integers, a pixel that is not an integer
+# and a pixel of 2
+BAD_PBMS = {
+    "truncated.pbm": "P1\n4\n",
+    "dims.pbm": "P1\n4 x\n1 1 1 1\n",
+    "pixel.pbm": "P1\n2 2\n0 1 x 0\n",
+    "two.pbm": "P1\n2 2\n0 1 2 0\n",
+}
+
+
 # explicit ids, each the positional id pytest gave the case, so that a row
 # added anywhere renames no other case; a new row gets an id of its own
 @pytest.mark.parametrize(
@@ -813,18 +845,37 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
         # periods whose square underflows and overflows (1e-309 m and 1e291 m)
         pytest.param(("hubbard", "--d", "1e-300"), None, id="hubbard-d-1e-300"),
         pytest.param(("hubbard", "--d", "1e300"), None, id="hubbard-d-1e300"),
+        # a subcommand that needs a pattern, run without one; an empty --d
+        pytest.param(("traps",), {"pattern": None}, id="traps-no-pattern"),
+        pytest.param(("hubbard", "--d", ","), None, id="hubbard-d-empty"),
+        # a config document that is not an object, and malformed PBM files
+        pytest.param(("traps",), [], id="config-not-an-object"),
+        pytest.param(("traps",), {"pattern": "truncated.pbm"}, id="pbm-truncated-header"),
+        pytest.param(("traps",), {"pattern": "dims.pbm"}, id="pbm-malformed-dimensions"),
+        pytest.param(("traps",), {"pattern": "pixel.pbm"}, id="pbm-non-integer-pixel"),
+        pytest.param(("traps",), {"pattern": "two.pbm"}, id="pbm-pixel-2"),
+        # periods (1e-150 m and 1e149 m) whose recoil energy is not finite
+        # and > 0: mott_depth rejects them as recoil_energy does
+        pytest.param(("hubbard", "--d", "1e-141"), None, id="hubbard-d-1e-141"),
+        pytest.param(("hubbard", "--d", "1e158"), None, id="hubbard-d-1e158"),
     ],
 )
 def test_search_input_errors_exit_1(workdir, capsys, argv, schedule):
-    # schedule: the schedule file's text, or a dict of config keys to replace
+    # schedule: the schedule file's text, a dict of config keys to replace,
+    # or a list, the whole config document
     path = workdir / "schedule.json"
     prefix = "input error: "
     if isinstance(schedule, dict):
         save_pbm(workdir / "row.pbm", np.ones((4, 1), dtype=int))  # 4 x 1 cells
+        for name, text in BAD_PBMS.items():
+            (workdir / name).write_text(text)
         doc = json.loads((workdir / "config.json").read_text())
         (workdir / "config.json").write_text(json.dumps({**doc, **schedule}))
-        if "seed" in schedule:
+        if "seed" in schedule or schedule.get("pattern") in BAD_PBMS:
             prefix = "config error: "
+    elif isinstance(schedule, list):
+        (workdir / "config.json").write_text(json.dumps(schedule))
+        prefix = "config error: "
     elif schedule is not None:
         path.write_text(schedule)
     rc = run_cli(workdir, *(a.replace("{schedule}", str(path)) for a in argv))

@@ -114,21 +114,26 @@ def test_period_whose_square_is_not_finite_and_positive_rejected(rb87, d):
             call()
 
 
-@pytest.mark.parametrize("d", [1e-150, 1e154])
+@pytest.mark.parametrize("d", [1e-150, 1e154, 1e-155, 1e149])
 def test_period_whose_recoil_energy_is_not_finite_and_positive_rejected(rb87, d):
-    # d * d is finite and > 0 at both, but 2 m d^2 underflows to 0 at the
-    # first (a ZeroDivisionError) and E_R itself to 0.0 at the second
-    with pytest.raises(InputError, match="recoil energy"):
-        recoil_energy(d, rb87)
+    # d * d is finite and > 0 at each, but 2 m d^2 underflows to 0 at the
+    # small periods (a ZeroDivisionError) and E_R itself to 0.0 at the large
+    # ones; mott_depth makes the same check, before its bisection
+    for call in (lambda: recoil_energy(d, rb87), lambda: mott_depth(d, rb87)):
+        with pytest.raises(InputError, match="recoil energy"):
+            call()
 
 
 def test_mott_depth_unreachable_at_a_huge_period_without_overflow(rb87):
-    # d = 1e152 m is valid, but J/U there is 1e157 at s = 1 and 1e151 at
-    # s = 50: their product overflowed to inf, with a RuntimeWarning
+    # d = 3e140 m is about the largest period whose E_R (5e-324 J) is > 0,
+    # so the largest that mott_depth accepts. J/U there is 3e147 at s = 1
+    # and 2e142 at s = 50: unreachable, a physics failure, and no
+    # RuntimeWarning. (At 1e152 m the product of the two overflowed; that
+    # period is now an input error, see above.)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="unreachable") as exc:
-            mott_depth(1e152, rb87)
+            mott_depth(3e140, rb87)
     assert not isinstance(exc.value, InputError)
 
 

@@ -15,7 +15,6 @@ from maglattice.lattice import (
     MagnetizationPattern,
     NoStructureError,
     dipole_sum_oracle,
-    eval_field,
     eval_field_arrays,
     eval_potential,
     field_on_cell_grid,
@@ -169,7 +168,7 @@ def test_below_film_rejected(stripe_expansion):
     with pytest.raises(BelowFilmError):
         eval_potential(stripe_expansion, [0.0, 0.0, 0.0])
     with pytest.raises(BelowFilmError):
-        eval_field(stripe_expansion, BIAS, [0.0, 0.0, -1e-9])
+        eval_field_arrays(stripe_expansion, BIAS, [0.0, 0.0, -1e-9])
 
 
 # ----------------------------------------------------------------------
@@ -203,13 +202,15 @@ def _fd_jacobian(f, bias, r, h=1e-10):
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        J[:, j] = (eval_field(f, bias, r + e).B - eval_field(f, bias, r - e).B) / (2 * h)
+        J[:, j] = (
+            eval_field_arrays(f, bias, r + e).B[0] - eval_field_arrays(f, bias, r - e).B[0]
+        ) / (2 * h)
     return J
 
 
 def _fd_hessian_mag(f, bias, r, h=1e-10):
     def bm(x):
-        return eval_field(f, bias, x).B_mag
+        return eval_field_arrays(f, bias, x).B_mag[0]
 
     H = np.zeros((3, 3))
     for i in range(3):
@@ -241,13 +242,13 @@ def test_analytic_derivatives_match_finite_differences(make_pattern):
                 rng.uniform(0.5 * period, 2 * period),
             ]
         )
-        s = eval_field(f, BIAS, r)
+        s = eval_field_arrays(f, BIAS, r)
         J_fd = _fd_jacobian(f, BIAS, r)
-        scale = np.abs(s.grad).max()
-        assert np.abs(s.grad - J_fd).max() < 1e-5 * scale
+        scale = np.abs(s.grad[0]).max()
+        assert np.abs(s.grad[0] - J_fd).max() < 1e-5 * scale
         H_fd = _fd_hessian_mag(f, BIAS, r)
-        hscale = np.abs(s.hessian_mag).max()
-        assert np.abs(s.hessian_mag - H_fd).max() < 1e-5 * hscale
+        hscale = np.abs(s.hess_mag[0]).max()
+        assert np.abs(s.hess_mag[0] - H_fd).max() < 1e-5 * hscale
 
 
 def _skewed_band():
@@ -332,9 +333,9 @@ def test_field_periodicity():
     f = fourier_from_pattern(checkerboard(1e-6, n=32), max_order=6)
     r = np.array([0.21e-6, 0.77e-6, 0.6e-6])
     shift = 3 * np.append(f.geometry.a1, 0.0) - 2 * np.append(f.geometry.a2, 0.0)
-    s1 = eval_field(f, BIAS, r)
-    s2 = eval_field(f, BIAS, r + shift)
-    assert np.allclose(s1.B, s2.B, rtol=1e-12, atol=1e-18)
+    B1 = eval_field_arrays(f, BIAS, r).B[0]
+    B2 = eval_field_arrays(f, BIAS, r + shift).B[0]
+    assert np.allclose(B1, B2, rtol=1e-12, atol=1e-18)
 
 
 def test_exponential_decay_log_slope(stripe_expansion):
@@ -371,10 +372,10 @@ def test_field_zero_flags_invalid_hessian(stripe_expansion):
     z = 0.6e-6
     b = f.prefactor * k * np.exp(-k * z)
     r = np.array([0.25e-6, 0.0, z])
-    s = eval_field(f, [-b, 0.0, 0.0], r)
-    assert s.B_mag < 1e-12
-    assert not s.hessian_valid
-    assert np.all(np.isnan(s.hessian_mag))
+    s = eval_field_arrays(f, [-b, 0.0, 0.0], r)
+    assert s.B_mag[0] < 1e-12
+    assert not s.valid[0]
+    assert np.all(np.isnan(s.hess_mag[0]))
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +431,7 @@ def test_fourier_field_matches_dipole_sum(make_pattern):
     bias = np.array([-1.0e-3, 0.3e-3, 0.0])
     for frac in ((0.13, 0.41, 0.5), (0.7, 0.2, 0.8)):
         r = np.array([frac[0] * 1e-6, frac[1] * 1e-6, frac[2] * 1e-6])
-        Bf = eval_field(f, bias, r).B
+        Bf = eval_field_arrays(f, bias, r).B[0]
         Bd = _extrapolated_dipole(pat, bias, r, 30)
         assert np.linalg.norm(Bf - Bd) < 0.01 * np.linalg.norm(Bd)
 
@@ -439,7 +440,7 @@ def test_dipole_sum_converges_with_window_size():
     pat = stripes(1e-6, nx=32, ny=4, film_h=50e-9)
     f = fourier_from_pattern(pat, threshold=1e-5, max_order=7)
     r = np.array([0.13e-6, 0.41e-6, 0.5e-6])
-    Bf = eval_field(f, np.zeros(3), r).B
+    Bf = eval_field_arrays(f, np.zeros(3), r).B[0]
     errs = [
         np.linalg.norm(dipole_sum_oracle(pat, np.zeros(3), r, n_cells=n) - Bf)
         for n in (10, 20, 40)
@@ -481,15 +482,15 @@ def test_batch_matches_single_point_calls(name, pts):
     f = PROPERTY_EXPANSIONS[name]
     B, grad, B_mag, grad_mag, hess, valid = eval_field_arrays(f, BIAS, pts)
     for i, r in enumerate(pts):
-        s = eval_field(f, BIAS, r)
-        assert s.hessian_valid == valid[i]
+        s = eval_field_arrays(f, BIAS, r)
+        assert s.valid[0] == valid[i]
         j_scale = np.abs(grad[i]).max()
         h_scale = np.abs(hess[i]).max() + j_scale**2 / B_mag[i]
-        np.testing.assert_allclose(s.B, B[i], rtol=0, atol=1e-12 * np.abs(B[i]).max())
-        np.testing.assert_allclose(s.B_mag, B_mag[i], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(s.grad, grad[i], rtol=0, atol=1e-12 * j_scale)
-        np.testing.assert_allclose(s.grad_mag, grad_mag[i], rtol=0, atol=1e-12 * j_scale)
-        np.testing.assert_allclose(s.hessian_mag, hess[i], rtol=0, atol=1e-12 * h_scale)
+        np.testing.assert_allclose(s.B[0], B[i], rtol=0, atol=1e-12 * np.abs(B[i]).max())
+        np.testing.assert_allclose(s.B_mag[0], B_mag[i], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s.grad[0], grad[i], rtol=0, atol=1e-12 * j_scale)
+        np.testing.assert_allclose(s.grad_mag[0], grad_mag[i], rtol=0, atol=1e-12 * j_scale)
+        np.testing.assert_allclose(s.hess_mag[0], hess[i], rtol=0, atol=1e-12 * h_scale)
 
 
 @PROPERTY_SETTINGS
@@ -546,7 +547,7 @@ def test_fourier_field_matches_dipole_sum_on_random_patterns(occ, frac):
     f = fourier_from_pattern(pat, threshold=1e-5, max_order=7)
     r = np.array(frac) * 1e-6  # z >= period / 2
     bias = np.array([-1.0e-3, 0.3e-3, 0.0])
-    Bf = eval_field(f, bias, r).B
+    Bf = eval_field_arrays(f, bias, r).B[0]
     Bd = 2.0 * dipole_sum_oracle(pat, bias, r, n_cells=60) - dipole_sum_oracle(
         pat, bias, r, n_cells=30
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from maglattice import constants as const
 from maglattice import lattice, traps
-from maglattice.lattice import LatticeGeometry, eval_field, eval_field_arrays, fourier_from_pattern
+from maglattice.lattice import LatticeGeometry, eval_field_arrays, fourier_from_pattern
 from maglattice.patterns import windmill, z_edge_band
 from maglattice.traps import (
     BiasField,
@@ -65,8 +65,7 @@ def test_stripe_minima_match_closed_form(stripe_expansion):
         # transverse position: lattice field anti-parallel to in-plane bias
         assert abs(r[0] - 0.25e-6) < 0.1e-9
     # converged gradient below the stated tolerance
-    s = eval_field(f, bias, minima[0])
-    assert np.linalg.norm(s.grad_mag) < 1e-8
+    assert np.linalg.norm(eval_field_arrays(f, bias, minima[0]).grad_mag[0]) < 1e-8
 
 
 KernelCall = namedtuple("KernelCall", "points order in_newton")
@@ -412,18 +411,42 @@ def test_barrier_symmetry_and_saddle(windmill_expansion):
     assert not fwd.coarse
     assert fwd.height == pytest.approx(rev.height, rel=1e-6)
     # the saddle is a genuine critical point with exactly one unstable axis
-    s = eval_field(f, bias, fwd.saddle)
-    assert np.linalg.norm(s.grad_mag) < 1e-7
-    lam = np.linalg.eigvalsh(s.hessian_mag)
+    s = eval_field_arrays(f, bias, fwd.saddle)
+    assert np.linalg.norm(s.grad_mag[0]) < 1e-7
+    lam = np.linalg.eigvalsh(s.hess_mag[0])
     assert lam[0] < 0 < lam[1]
     # barrier equals the saddle value above the trap floor
-    assert fwd.height == pytest.approx(s.B_mag - eval_field(f, bias, r0).B_mag, rel=1e-9)
+    floor = eval_field_arrays(f, bias, r0).B_mag[0]
+    assert fwd.height == pytest.approx(s.B_mag[0] - floor, rel=1e-9)
     # the other direction's saddle exceeds the escape value, so no saddle
     # below it joins the sites: coarse line-scan fallback
     over = barrier_heights(f, bias, r0, r0 + np.array([1e-6, 0.0, 0.0]))
     assert over.coarse
-    escape = np.linalg.norm(bias) - eval_field(f, bias, r0).B_mag
+    escape = np.linalg.norm(bias) - floor
     assert over.height > escape
+
+
+def test_barrier_skips_a_saddle_whose_end_reaches_no_node(windmill_expansion, monkeypatch):
+    # the a2 saddle of test_barrier_symmetry_and_saddle joins the sites; with
+    # one end descent of every saddle stalled, no saddle joins any node, and
+    # the hop falls back to the coarse line scan
+    f, bias = windmill_expansion, np.array([-1e-3, 0.0, 0.0])
+    r0 = find_trap_minima(f, bias, (0.15e-6, 1.4e-6), grid_seed_n=5)[0]
+    r1 = r0 + np.array([0.0, 1e-6, 0.0])
+    assert not barrier_heights(f, bias, r0, r1).coarse
+    real_newton = traps._newton
+
+    def newton(f, bias, x0, index, *args, **kwargs):
+        x, val, fate, *rest = real_newton(f, bias, x0, index, *args, **kwargs)
+        if index == 0:  # the end descents: saddles + step, then saddles - step
+            fate[len(fate) // 2:] = traps._STALLED
+        return (x, val, fate, *rest)
+
+    monkeypatch.setattr(traps, "_newton", newton)
+    res = barrier_heights(f, bias, r0, r1)
+    assert res.coarse and res.saddle is None
+    floor = np.min(eval_field_arrays(f, bias, np.stack([r0, r1])).B_mag)
+    assert res.height == traps._line_scan(f, bias, r0, r1 - r0, 256)[0] - floor
 
 
 def test_barrier_input_validation(stripe_expansion):
@@ -475,7 +498,7 @@ def test_square_islands_barrier_through_field_zero(rb87):
     # of |B|: the minimax hop passes a Majorana point
     r0 = find_trap_minima(f, bias, (0.1e-6, 1.5e-6), grid_seed_n=5)[0]
     res = barrier_heights(f, bias, r0, r0 + np.array([0.0, 1e-6, 0.0]))
-    v = np.linalg.eigh(eval_field(f, bias, res.saddle).hessian_mag)[1][:, 0]
+    v = np.linalg.eigh(eval_field_arrays(f, bias, res.saddle).hess_mag[0])[1][:, 0]
     _, val, fate, *_ = traps._newton(f, bias, [res.saddle + 1e-8 * v, res.saddle - 1e-8 * v], 0, 5e-8)
     assert sorted(fate) == [traps._CONVERGED, traps._INVALID]
     assert np.min(val) < 1e-8
@@ -647,6 +670,42 @@ def test_tuner_logs_each_restart(
     assert 0 < steps <= max_steps and (steps == maxiter) == (reason == "maxiter")
 
 
+@pytest.mark.parametrize("reason", ["bias-out-of-domain", "not-converged", "weak-field"])
+def test_tuner_rejects_a_trial_without_pricing_it(rb87, tuner_lattice, monkeypatch, caplog, reason):
+    # a trial bias at or above _BIAS_MAX, a trial whose descent does not
+    # converge and one whose minimum has |B| below 1e-7 T each get a sentinel
+    # cost: no barrier and no derivative is priced there, the trial is halved
+    # away, and the run stalls at its start (the first Gauss-Newton step of
+    # this objective raises |B_ext|)
+    start = in_plane(1.2e-3, 8)
+    if reason == "bias-out-of-domain":
+        monkeypatch.setattr(traps, "_BIAS_MAX", np.linalg.norm(start) * (1 + 1e-12))
+    descents, real_newton = [], traps._newton
+
+    def newton(f, bias, x0, index, *args, **kwargs):
+        x, val, fate, *rest = real_newton(f, bias, x0, index, *args, **kwargs)
+        if index == 0 and np.ndim(x0) == 1:  # a cost evaluation's descent
+            descents.append(np.array(bias))
+            if len(descents) > 1 and reason == "not-converged":
+                fate[0] = traps._STALLED
+            if len(descents) > 1 and reason == "weak-field":
+                val[0] = 5e-8
+        return (x, val, fate, *rest)
+
+    monkeypatch.setattr(traps, "_newton", newton)
+    evaluations = record_evaluations(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="maglattice.traps"):
+        with pytest.raises(TuneUnreachableError) as exc:
+            tune_bias(tuner_lattice, TuneObjective(target_z=1.215e-6), rb87, start, restarts=1,
+                      maxiter=3)
+    (m,) = [m for m in map(TUNE_LOG.match, (r.getMessage() for r in caplog.records)) if m]
+    steps, evals, halvings = (int(v) for v in m.group(5, 6, 7))
+    assert (steps, m[9]) == (0, "stalled") and evals == 1 + halvings > 1
+    assert len(evaluations) == 1
+    assert len(descents) == (1 if reason == "bias-out-of-domain" else evals)
+    assert np.array_equal(exc.value.best[0].B_ext, start)
+
+
 def test_tuner_builds_one_graph_per_bias_and_r0(rb87, tuner_lattice, monkeypatch):
     # at each restart's first cost evaluation both hops miss the empty
     # saddle cache; they are resolved on one saddle graph, not two
@@ -788,6 +847,10 @@ def _eval_field_arrays_scatter(f, bias, points, order=2):
     return B, grad, B_mag, grad_mag, hess, valid
 
 
+# the oracle's transient row states, beside traps' final fates
+_ACTIVE, _STATIONARY, _ENDED = -1, -2, -3
+
+
 def _newton_loop(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=np.inf,
                  kernel=_eval_field_arrays_scatter, growth=traps._RADIUS_GROWTH):
     """`traps._newton` before it kept the active rows in compact arrays:
@@ -799,7 +862,7 @@ def _newton_loop(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=
     x0 = np.array(x0, dtype=float, ndmin=2)
     x0[:, 2] = np.clip(x0[:, 2], z_lo, z_hi)
     x = x0.copy()
-    fate = np.full(len(x), traps._ACTIVE)
+    fate = np.full(len(x), _ACTIVE)
     r_max = growth * float(radius)
     radius = np.full(len(x), float(radius))
     period = f.geometry.period
@@ -809,12 +872,12 @@ def _newton_loop(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=
     _, J, val, g, H, valid = kernel(f, bias, x)
     gn = np.linalg.norm(g, axis=1)
     for it in range(maxiter + 1):
-        act = fate == traps._ACTIVE
+        act = fate == _ACTIVE
         zero = ~valid | (val < 1e-6 * period * gn)
         fate[act & zero] = traps._INVALID
-        fate[act & ~zero & (gn <= traps._GTOL)] = traps._STATIONARY
-        fate[(fate == traps._ACTIVE) & (x[:, 2] > z_top)] = traps._BOUND
-        i = np.flatnonzero(fate == traps._ACTIVE)
+        fate[act & ~zero & (gn <= traps._GTOL)] = _STATIONARY
+        fate[(fate == _ACTIVE) & (x[:, 2] > z_top)] = traps._BOUND
+        i = np.flatnonzero(fate == _ACTIVE)
         if it == maxiter or not len(i):
             break
         lam, V = np.linalg.eigh(H[i])
@@ -828,10 +891,10 @@ def _newton_loop(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=
         step[big] *= (radius[i][big] / sn[big])[:, None]
         trial = x[i] + step
         trial[:, 2] = np.clip(trial[:, 2], z_lo, z_hi)
-        fate[i[np.all(trial == x[i], axis=1)]] = traps._ENDED
+        fate[i[np.all(trial == x[i], axis=1)]] = _ENDED
         left = (trial[:, 2] <= 0) | (np.linalg.norm(trial - x0[i], axis=1) > guard)
         fate[i[left]] = traps._BOUND
-        go = fate[i] == traps._ACTIVE
+        go = fate[i] == _ACTIVE
         i, trial = i[go], trial[go]
         if not len(i):
             continue
@@ -851,9 +914,9 @@ def _newton_loop(f, bias, x0, index, radius, z_bounds=None, guard=np.inf, z_top=
         )
 
     on_bound = (x[:, 2] <= z_lo * (1 + 1e-9)) | (x[:, 2] >= z_hi * (1 - 1e-9))
-    ended = (fate == traps._ACTIVE) | (fate == traps._ENDED)
+    ended = (fate == _ACTIVE) | (fate == _ENDED)
     fate[ended] = np.where(on_bound[ended], traps._BOUND, traps._STALLED)
-    k = np.flatnonzero(fate == traps._STATIONARY)
+    k = np.flatnonzero(fate == _STATIONARY)
     if len(k):
         lam = np.linalg.eigvalsh(H[k])
         scale = np.maximum(np.max(np.abs(lam), axis=1, keepdims=True), 1e-300)
@@ -1202,7 +1265,7 @@ def test_tune_reports_the_tracked_minimum(stripe_expansion, rb87, monkeypatch):
     bias, report = exc.value.best
     assert isinstance(bias, BiasField) and isinstance(report, traps.TrapReport)
     assert np.array_equal(report.bias, bias.B_ext)
-    grad = eval_field(stripe_expansion, bias.B_ext, report.r0).grad_mag
+    grad = eval_field_arrays(stripe_expansion, bias.B_ext, report.r0).grad_mag[0]
     assert np.linalg.norm(grad) <= traps._GRAD_TOL
 
 

@@ -7,12 +7,17 @@ TREE is a checkout (the directory holding ``src/maglattice``). For seeds
 checkout's, imported read-only): passes 0-2 of every workload, pass 0 only
 for field-map. It runs ``maglattice.cli.main`` from ``TREE/src`` in this
 process, with ``--no-timestamp``, into a temporary directory, and prints
-``sha256  name`` for each output file, 78 lines in all. Two trees whose
-lines are equal wrote the same bytes; a run that exits non-zero is named
-on stderr. Nothing is written in either tree.
+``sha256  name`` for each output file, 78 lines. It then runs each of the
+six scripts in ``TREE/demos`` against ``TREE/src`` in a child process, in a
+temporary working directory (about 3 s in all), and prints
+``sha256  demos/<name>.stdout`` for its standard output: 84 lines in all.
+Two trees whose lines are equal wrote the same bytes; a run that exits
+non-zero is named on stderr. Nothing is written in either tree.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +56,15 @@ def main(argv):
                         for path in sorted(out.glob("*")):
                             digest = hashlib.sha256(path.read_bytes()).hexdigest()
                             print(f"{digest}  {tag}/{path.name}", flush=True)
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    for demo in sorted((tree / "demos").glob("*.py")):
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=env, capture_output=True)
+        if proc.returncode:
+            print(f"demos/{demo.name}: exit {proc.returncode}", file=sys.stderr)
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        print(f"{digest}  demos/{demo.stem}.stdout", flush=True)
 
 
 if __name__ == "__main__":
