@@ -10,21 +10,12 @@ simulator.
 __version__ = "0.1.0"
 
 from . import constants, patterns
-from .atom import (
-    AtomState,
-    default_rb87,
-    energy_to_angular_frequency,
-    energy_to_frequency,
-    energy_to_temperature,
-    field_to_temperature,
-    temperature_to_field,
-)
+from .atom import AtomState, default_rb87, field_to_temperature
 from .errors import InputError
 from .fano import (
     FanoCurve,
     LossModel,
     TrajectoryEnsemble,
-    fano_from_samples,
     fano_theory,
     simulate_three_body,
 )
@@ -54,7 +45,6 @@ from .surface import (
     PotentialProfile1D,
     SurfaceBudget,
     c3_coefficient,
-    johnson_lifetime_srh,
     johnson_rate_scaled,
     numeric_min_oracle,
     omega_crit,
@@ -62,7 +52,6 @@ from .surface import (
     skin_depth,
     surface_budget,
     thermal_rms_size,
-    tip_field_enhancement,
     tunneling_length,
     vdw_trap_shift,
     wkb_log_transmission,

@@ -1,8 +1,5 @@
-"""Atomic species data and a small set of unit conversions.
-
-The conversions are public helpers for scripts and analysis; no module of
-the package calls them. All are linear and invertible; round trips are
-identity to machine precision.
+"""Atomic species data: a trappable Zeeman state and the Rb-87 defaults,
+and the Zeeman energy of a field magnitude as a temperature.
 """
 
 import sys
@@ -83,36 +80,3 @@ def field_to_temperature(B: float, atom: AtomState) -> float:
         raise ValueError("field magnitude must be >= 0")
     return atom.mu * B / const.kB
 
-
-def temperature_to_field(T: float, atom: AtomState) -> float:
-    """Inverse of field_to_temperature."""
-    if T < 0:
-        raise ValueError("temperature must be >= 0")
-    return T * const.kB / atom.mu
-
-
-def energy_to_angular_frequency(E: float) -> float:
-    """E = hbar * omega."""
-    return E / const.hbar
-
-
-def angular_frequency_to_energy(omega: float) -> float:
-    return const.hbar * omega
-
-
-def energy_to_frequency(E: float) -> float:
-    """E = h * f."""
-    return E / const.h
-
-
-def frequency_to_energy(f: float) -> float:
-    return const.h * f
-
-
-def energy_to_temperature(E: float) -> float:
-    """E = kB * T."""
-    return E / const.kB
-
-
-def temperature_to_energy(T: float) -> float:
-    return const.kB * T

@@ -122,19 +122,6 @@ def fano_theory(eta: float, F0: float) -> float:
     return 3.0 / 5.0 + eta**5 * (F0 - 3.0 / 5.0)
 
 
-def fano_from_samples(samples, seed: int = 0, n_boot: int = 200):
-    """Fano factor Var/Mean of integer samples with a bootstrap standard error."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 100:
-        raise ValueError("need at least 100 samples")
-    mean = samples.mean()
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    if n_boot < 200:
-        raise ValueError("need at least 200 bootstrap resamples")
-    return _fano_bootstrap(samples, (seed, 0x0B0075), n_boot)
-
-
 def _fano_bootstrap(samples, key, n_boot):
     """Var/Mean of 1-D samples and its standard error over n_boot bootstrap
     resamples drawn from SeedSequence(key).

@@ -175,6 +175,11 @@ class FourierExpansion:
         ok = (0 < k_mag) & (k_mag < np.inf)
         if not ok.all():
             raise InputError(f"every retained wavenumber must be finite and > 0 (got {k_mag[~ok][0]:g} rad/m)")
+        # P k_max^3 bounds the derivative table (M0 = 3.1e300 kA/m overflows
+        # it); Python floats reach inf without numpy's overflow warning
+        P, k_max = abs(float(self.prefactor)), float(k_mag.max())
+        if not math.isfinite(P * k_max * k_max * k_max):
+            raise InputError(f"prefactor * k_max^3 must be finite (got {P:g} T m and {k_max:g} rad/m)")
         object.__setattr__(self, "k_vec", k_vec)
         object.__setattr__(self, "k_mag", k_mag)
 

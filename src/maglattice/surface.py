@@ -2,11 +2,10 @@
 
 Covers the non-retarded Van der Waals attraction (C3 coefficient, trap
 shift, critical frequency), WKB tunneling through the barrier to the
-surface, Johnson-noise spin-flip lifetimes of a conductive coating, the
-oscillator/thermal length scales, and the tip field-enhancement factor.
-Everything is a closed form, the WKB integral included (exact on the
-linear interpolant of a sampled profile); a root-finding oracle backs the
-linearized trap-shift formula.
+surface, the Johnson-noise spin-flip rate of a conductive coating and the
+oscillator/thermal length scales. Everything is a closed form, the WKB
+integral included (exact on the linear interpolant of a sampled profile);
+a root-finding oracle backs the linearized trap-shift formula.
 """
 
 from dataclasses import dataclass
@@ -250,51 +249,6 @@ def johnson_rate_scaled(d: float, t: float, C0: float = MaterialParams.johnson_C
     return float(rate), float(1.0 / rate)
 
 
-@dataclass(frozen=True)
-class JohnsonSrhResult:
-    tau: float  # s
-    unit_convention: str
-    factor_vs_16ms: float  # tau over the 16 ms reference figure
-    note: str = "unit convention of the printed constant is unclear"
-
-
-def johnson_lifetime_srh(
-    omega: float, skin: float, d: float, h: float, unit_convention: str = "si"
-) -> JohnsonSrhResult:
-    """Alternative theory-side lifetime estimate,
-
-        tau = (8/3)^2 (3e22 / 1.7e6) (omega/c)^3 skin^2 d^2 / h^2,
-
-    evaluated exactly as printed. The units of the 3e22/1.7e6 constant are
-    not stated; 'si' keeps all lengths in meters, 'micrometers' converts
-    lengths (skin, d, h and 1/(omega/c)) to micrometers first. Neither
-    convention reproduces the quoted 16 ms for the reference insertions, so
-    the result carries the discrepancy factor instead of being trusted.
-    """
-    if min(omega, skin, d, h) <= 0:
-        raise ValueError("all inputs must be positive")
-    if unit_convention == "si":
-        scale = 1.0
-    elif unit_convention == "micrometers":
-        scale = 1e6
-    else:
-        raise ValueError("unit_convention must be 'si' or 'micrometers'")
-    inv_len = omega / const.c / scale  # 1/m or 1/um
-    tau = (
-        (8.0 / 3.0) ** 2
-        * (3e22 / 1.7e6)
-        * inv_len**3
-        * (skin * scale) ** 2
-        * (d * scale) ** 2
-        / (h * scale) ** 2
-    )
-    return JohnsonSrhResult(
-        tau=float(tau),
-        unit_convention=unit_convention,
-        factor_vs_16ms=float(tau / 16e-3),
-    )
-
-
 def oscillator_length(omega: float, atom: AtomState) -> float:
     """Harmonic oscillator length sqrt(hbar / (2 m omega)), the rms ground
     state position spread."""
@@ -310,13 +264,6 @@ def thermal_rms_size(T: float, omega: float, atom: AtomState) -> float:
     if omega <= 0:
         raise ValueError("omega must be positive")
     return np.sqrt(const.kB * T / atom.mass) / omega
-
-
-def tip_field_enhancement(h: float, r: float) -> float:
-    """Electric field enhancement ~ h/r at distance r from a post of height h."""
-    if not h > r > 0:
-        raise ValueError("need h > r > 0")
-    return h / r
 
 
 _PROFILE_Z_FLOOR = 1e-9  # m, lowest height of the vertical profile

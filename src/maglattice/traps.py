@@ -14,6 +14,7 @@ to the bias in closed form from the kernel's order-2 output.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,9 @@ class BiasField:
             raise InputError("bias must be a 3-vector")
         if not np.all(np.isfinite(b)):
             raise InputError("bias components must be finite")
-        if np.linalg.norm(b) >= _BIAS_MAX:
+        # math.hypot scales as it sums: a component of 3.1e300 T does not
+        # overflow to inf with a warning, as np.linalg.norm does
+        if math.hypot(*b) >= _BIAS_MAX:
             raise InputError(f"bias magnitude must be < {_BIAS_MAX:g} T")
         object.__setattr__(self, "B_ext", b)
 

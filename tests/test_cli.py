@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,6 +175,30 @@ def test_nonfinite_config_values_exit_1(workdir, capsys, path, value):
     assert rc == 1
     assert err.startswith("config error: ") and f"'{path}'" in err
     assert not (workdir / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        pytest.param(("traps",), "bias_mT", [3.1e300, 0.0, 0.0], id="traps-bias"),
+        pytest.param(("traps",), "film", {"M0_kA_per_m": 3.1e300, "thickness_nm": 300.0}, id="traps-M0"),
+        pytest.param(("field-map", "--z-nm", "500", "--n", "16"), "film",
+                     {"M0_kA_per_m": 3.1e300, "thickness_nm": 300.0}, id="field-map-M0"),
+    ],
+)
+def test_overflowing_inputs_exit_1_without_a_warning(workdir, capsys, argv, key, value):
+    # a bias whose squared norm overflows, and an M0 whose P k_max^3 does:
+    # input errors, rejected before numpy warns or a file is written
+    doc = json.loads((workdir / "config.json").read_text())
+    (workdir / "config.json").write_text(json.dumps({**doc, key: value}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(workdir, *argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(("config error: ", "input error: ")) and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+    assert sorted(os.listdir(workdir)) == ["config.json", "pattern.pbm"]
 
 
 def test_config_echo_repeats_the_numbers_as_written(workdir):

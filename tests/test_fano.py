@@ -12,7 +12,6 @@ from maglattice.fano import (
     LossModel,
     TrajectoryEnsemble,
     _fano_bootstrap,
-    fano_from_samples,
     fano_theory,
     simulate_three_body,
 )
@@ -61,21 +60,14 @@ def test_ensemble_validation():
 def test_fano_from_samples_poisson():
     rng = np.random.default_rng(5)
     samples = rng.poisson(500, size=100000)
-    F, err = fano_from_samples(samples)
+    F, err = _fano_bootstrap(samples, (0, 0x0B0075), 200)
     assert F == pytest.approx(1.0, abs=0.02)
     assert 0 < err < 0.02
 
 
 def test_fano_from_samples_constant():
-    F, err = fano_from_samples(np.full(500, 123))
+    F, err = _fano_bootstrap(np.full(500, 123.0), (0, 0x0B0075), 200)
     assert F == 0.0
-
-
-def test_fano_from_samples_validation():
-    with pytest.raises(ValueError):
-        fano_from_samples(np.ones(10))
-    with pytest.raises(ValueError):
-        fano_from_samples(np.zeros(200))
 
 
 def _run(n_traj=2000, N0=300, dist="poisson", seed=3, etas=(0.9, 0.5, 0.2), gamma=1.0):

@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,20 @@ def test_underflowing_wavenumber_rejected_at_construction():
                          S=np.zeros(2), prefactor=2.105e-8)
     assert FourierExpansion(geom, n=np.array([0]), m=np.array([1]), C=np.ones(1),
                             S=np.zeros(1), prefactor=2.105e-8).k_min == pytest.approx(2 * np.pi / 1e-6)
+
+
+def test_overflowing_derivative_table_rejected_at_construction():
+    # M0 = 3.1e300 kA/m on a 300 nm film: P = 5.8e290 T m, and P k_max^3
+    # (k_max = 2 pi 8 / 1 um) overflows the kernel's derivative table
+    geom = square_geometry(1e-6)
+    modes = dict(n=np.array([0, 8]), m=np.array([1, 0]), C=np.ones(2), S=np.zeros(2))
+    k_max = 2 * np.pi * 8 / 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for P in (np.float64(5.8e290), np.nan):
+            with pytest.raises(InputError, match="k_max"):
+                FourierExpansion(geom, prefactor=P, **modes)
+        assert FourierExpansion(geom, prefactor=0.5 * sys.float_info.max / k_max**3, **modes).nmodes == 2
 
 
 def test_value_types_compare_by_identity():

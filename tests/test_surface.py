@@ -9,14 +9,12 @@ from maglattice.surface import (
     PotentialProfile1D,
     TrapDestroyedError,
     c3_coefficient,
-    johnson_lifetime_srh,
     johnson_rate_scaled,
     numeric_min_oracle,
     omega_crit,
     oscillator_length,
     skin_depth,
     thermal_rms_size,
-    tip_field_enhancement,
     tunneling_length,
     vdw_trap_shift,
     wkb_log_transmission,
@@ -256,30 +254,8 @@ def test_johnson_scaled_distance_regimes():
     assert r1 / r2 == pytest.approx(2.0, rel=0.03)
 
 
-def test_johnson_srh_formula_structure():
-    base = johnson_lifetime_srh(2 * np.pi * 3.5e6, 40e-6, 100e-9, 50e-9)
-    d2 = johnson_lifetime_srh(2 * np.pi * 3.5e6, 40e-6, 200e-9, 50e-9)
-    assert d2.tau == pytest.approx(4 * base.tau, rel=1e-12)
-    h2 = johnson_lifetime_srh(2 * np.pi * 3.5e6, 40e-6, 100e-9, 100e-9)
-    assert h2.tau == pytest.approx(base.tau / 4, rel=1e-12)
-
-
-def test_johnson_srh_unit_convention_reported():
-    # neither unit convention reproduces the quoted 16 ms; the result says so
-    si = johnson_lifetime_srh(2 * np.pi * 3.5e6, 40e-6, 100e-9, 50e-9, "si")
-    um = johnson_lifetime_srh(
-        2 * np.pi * 3.5e6, 40e-6, 100e-9, 50e-9, "micrometers"
-    )
-    assert si.unit_convention == "si"
-    assert si.factor_vs_16ms == pytest.approx(si.tau / 16e-3, rel=1e-12)
-    assert not math.isclose(si.factor_vs_16ms, 1.0, rel_tol=0.5)
-    assert not math.isclose(um.factor_vs_16ms, 1.0, rel_tol=0.5)
-    with pytest.raises(ValueError):
-        johnson_lifetime_srh(1.0, 1.0, 1.0, 1.0, "furlongs")
-
-
 # ----------------------------------------------------------------------
-# length scales and tip enhancement
+# length scales
 
 
 def test_oscillator_length_500kHz(rb87):
@@ -298,17 +274,6 @@ def test_thermal_rms_size(rb87):
     assert math.isclose(s, 200e-9, rel_tol=0.10)
     assert s == pytest.approx(220.15e-9, rel=1e-3)
     assert thermal_rms_size(0.0, 2 * np.pi * 1e4, rb87) == 0.0
-
-
-def test_tip_field_enhancement():
-    assert tip_field_enhancement(5e-6, 5e-9) == pytest.approx(1000.0)
-    assert tip_field_enhancement(5e-6, 5e-9) > 1e3 - 1e-9
-    assert tip_field_enhancement(1e-6, 1e-6 - 1e-12) == pytest.approx(1.0, rel=1e-3)
-    assert tip_field_enhancement(10e-6, 1e-6) == pytest.approx(
-        10 * tip_field_enhancement(1e-6, 1e-6 / 10) / 10, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        tip_field_enhancement(1e-9, 5e-9)
 
 
 def test_material_params_validation():

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import re
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from maglattice import constants as const
 from maglattice import lattice, traps
+from maglattice.errors import InputError
 from maglattice.lattice import LatticeGeometry, eval_field_arrays, fourier_from_pattern
 from maglattice.patterns import windmill, z_edge_band
 from maglattice.traps import (
@@ -46,6 +48,11 @@ def test_bias_field_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             BiasField(np.array([bad, 0.0, 0.0]))
+    # a component whose square overflows fails before the norm is taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="magnitude"):
+            BiasField(np.array([3.1e300, 0.0, 0.0]))
     b = BiasField(np.array([1e-3, 0.0, 0.0]))
     assert np.allclose(b.B_ext, [1e-3, 0, 0])
 
