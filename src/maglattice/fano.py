@@ -248,7 +248,8 @@ def simulate_three_body(
 
     Checkpoints are surviving fractions in (0, 1], sorted descending; each is
     taken at the time where the ensemble mean crosses eta * N0. A checkpoint
-    the ensemble can no longer reach (everything below 3 atoms) is marked
+    the ensemble can no longer reach (everything below 3 atoms), or reaches
+    only when every atom is lost (mean 0, where F would be 0/0), is marked
     exhausted. Identical (model, ensemble, checkpoints) give bit-identical
     results, and the curve is invariant under rescaling rate_constant.
     """
@@ -289,13 +290,13 @@ def simulate_three_body(
     # N(t) = N(0)/sqrt(1 + 6 gamma3 N(0)^2 t) falls from S0/n to (S0 - 3m)/n.
     # Its window is that time times (1 - h[0], 1 + h[1]]; when the counts put
     # t* outside, h grows fourfold on that side, unbounded once h >= 1.
-    pending = {m: [_WINDOW, _WINDOW] for m in ms if 0 < m <= total_events}
+    exhausted = [m > total_events or 3 * m == S0 for m in ms]
+    pending = {m: [_WINDOW, _WINDOW] for m, out in zip(ms, exhausted) if 0 < m and not out}
     counts = {0: 0}
     while pending:
         windows = []
         for m, h in pending.items():
-            t = ((n / (S0 - 3 * m)) ** 2 - (n / S0) ** 2) / 6 if 3 * m < S0 else np.inf
-            t /= model.rate_constant
+            t = ((n / (S0 - 3 * m)) ** 2 - (n / S0) ** 2) / 6 / model.rate_constant
             windows.append((t * (1 - h[0]) if h[0] < 1 else -np.inf,
                             t * (1 + h[1]) if h[1] < 1 else np.inf))
         below, kept = _block_pass(streams, N0s, mean_wait, windows)
@@ -307,10 +308,11 @@ def simulate_three_body(
             t_star = np.partition(times, i)[i]
             counts[m] = row_below + np.bincount(owner[times <= t_star], minlength=n)
             del pending[m]
+        del below, kept, row_below, times, owner  # freed before the next pass or the bootstrap
 
     points = []
-    for j, (eta, m) in enumerate(zip(etas, ms)):
-        if m > total_events:  # exhausted: every trajectory is below 3 atoms
+    for j, (eta, m, out) in enumerate(zip(etas, ms, exhausted)):
+        if out:  # every trajectory is below 3 atoms
             samples, mean, F, stderr = None, (S0 - 3.0 * total_events) / n, np.nan, np.nan
         else:
             samples = N0s - 3 * counts[m]

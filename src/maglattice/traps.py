@@ -649,7 +649,10 @@ def tune_bias(
     stops at cost 1e-16, when an accepted step lowers the cost by less than
     10 % (near a fold, where the channel barrier vanishes, it only crawls),
     when the step falls below 1e-9 |B_ext|, or after maxiter steps. Later
-    restarts start from jittered points; deterministic for a given seed.
+    restarts start from jittered points drawn from default_rng(seed), a
+    generator made at the first restart; deterministic for a given seed.
+    Raises InputError before any search unless seed is a non-negative
+    integer.
 
     Minima are sought at z in (target_z/4, min(4 target_z, 19.9/k_min)). A
     restart anchors on the 4^3 `find_trap_minima` minimum closest to
@@ -664,6 +667,8 @@ def tune_bias(
     cost_threshold; its best attempt is that bias and report, the report
     None if that restart never located a trap.
     """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer (got {seed!r})")
     b0 = _bias_vec(initial)
     k1 = f.k_min
     if k1 * objective.target_z >= 20:
@@ -753,9 +758,10 @@ def tune_bias(
         reason = "converged" if c < _GN_COST_TOL else "stalled" if stalled else "maxiter"
         return x, c, r, steps, evals, halvings, reason
 
-    rng = np.random.default_rng(seed)
     best = None
     for attempt in range(restarts):
+        if attempt == 1:  # a tune that never restarts never imports numpy.random
+            rng = np.random.default_rng(seed)
         x0 = b0 if attempt == 0 else b0 * (1 + 0.15 * rng.standard_normal(3))
         if np.linalg.norm(x0) >= _BIAS_MAX:
             # the normals are drawn anyway, so later restarts keep their starts

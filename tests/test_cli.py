@@ -716,6 +716,11 @@ def test_non_finite_report_value_exits_2_without_a_report(workdir, capsys, monke
 IMPORT_GUARD = """
 import sys
 
+import numpy
+
+# numpy 1.x imports numpy.random with numpy itself; numpy 2 on first use
+lazy_random = "numpy.random" not in sys.modules
+
 import maglattice
 import maglattice.cli
 
@@ -731,6 +736,9 @@ for cfg, argv in [
     rc = maglattice.cli.main(["--config", cfg, "--out", out, "--no-timestamp", *argv])
     assert rc == 0, f"{argv[0]} exited {rc}"
     assert "scipy.optimize" not in sys.modules, f"{argv[0]} loaded scipy.optimize"
+    if argv[0] in ("traps", "tune-bias") and lazy_random:
+        # the tune made no restart, so it drew no jittered start
+        assert "numpy.random" not in sys.modules, f"{argv[0]} loaded numpy.random"
 """
 
 
@@ -803,6 +811,23 @@ def test_fano_input_errors_exit_1(workdir, capsys, bad):
     assert rc == 1
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert not (workdir / "report.json").exists()
+
+
+def test_fano_checkpoint_at_mean_zero_is_exhausted(workdir, capsys):
+    # 300 atoms lose every atom in 100 events, so eta = 1e-9 is reached
+    # only at mean 0, where F = 0/0: exhausted, not a non-finite report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(workdir, "fano", "--n0", "300", "--ntraj", "100", "--dist", "fixed",
+                     "--eta", "1e-9")
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    report = json.loads((workdir / "report.json").read_text())
+    [point] = report["payload"]["points"]
+    assert point["exhausted"] and point["F"] is None and point["stderr_F"] is None
+    assert point["mean_N"] == 0.0
+    assert report["warnings"] == ["checkpoint eta=1e-09 exhausted"]
 
 
 # PBM files that a config row below names as its pattern: a truncated

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_exhausted_checkpoint():
     assert last.exhausted
     assert np.isnan(last.F)
     assert not curve.points[0].exhausted
+
+
+def test_checkpoint_at_mean_zero_is_exhausted():
+    # 300 atoms fall to 0 in exactly 100 events, so eta = 1e-9 is reached
+    # only once every atom is lost: F would be 0/0, so it is exhausted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = _run(n_traj=100, N0=300, dist="fixed", etas=(0.5, 1e-9))
+    first, last = curve.points
+    assert not first.exhausted and np.isfinite(first.F)
+    assert last.exhausted and last.samples is None
+    assert last.mean_N == 0.0 and last.eta_actual == 0.0
+    assert np.isnan(last.F) and np.isnan(last.stderr_F)
 
 
 def test_multi_block_run_is_reproducible():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import re
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from maglattice import constants as const
 from maglattice import lattice, traps
+from maglattice.atom import default_rb87
 from maglattice.errors import InputError
 from maglattice.lattice import LatticeGeometry, eval_field_arrays, fourier_from_pattern
-from maglattice.patterns import windmill, z_edge_band
+from maglattice.patterns import stripes, windmill, z_edge_band
 from maglattice.traps import (
     BiasField,
     MajoranaError,
@@ -815,6 +817,64 @@ def test_search_ends_rows_at_field_zero(windmill_expansion, monkeypatch, caplog,
 
 
 # ----------------------------------------------------------------------
+# the length law: the field depends on lengths only through k z and k h, so
+# scaling the period, the film thickness and the z range by s scales trap
+# positions by s and frequencies by 1/s, and leaves |B| and the barriers as
+# they are. s = 0.1 and 5 give the 100 nm and 5 um cells of the paper's
+# Hubbard and ensemble-qubit lattices.
+
+# name -> (pattern with every length scaled by s, truncation, bias, z range
+# at s = 1)
+LENGTH_LAW_CASES = {
+    "band25": (lambda s: z_edge_band(1e-6 * s, band_frac=0.5, notch_frac=0.25, n=32,
+                                     film_h=300e-9 * s),
+               {"max_order": 5}, in_plane(1.2e-3, 18), (0.1e-6, 1.3e-6)),
+    "windmill": (lambda s: windmill(1e-6 * s, core=0.24, arm_len=0.34, arm_width=0.16, n=48,
+                                    film_h=100e-9 * s),
+                 {"threshold": 1e-3, "max_order": 6}, np.array([-1e-3, 0.0, 0.0]), (0.15e-6, 1.4e-6)),
+    # the bias runs along the stripes: no minimum, yet rows far above the
+    # film pass the absolute stop
+    "stripe": (lambda s: stripes(1e-6 * s, nx=32, ny=4, film_h=300e-9 * s),
+               {"max_order": 8}, np.array([0.0, 50e-3, 0.0]), (20e-9, 3e-6)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def length_law_minima(name, s):
+    """(expansion, bias, minima) of the case `name` with every length scaled by s."""
+    pattern, truncation, bias, (z_lo, z_hi) = LENGTH_LAW_CASES[name]
+    f = fourier_from_pattern(pattern(s), **truncation)
+    return f, bias, np.array(find_trap_minima(f, bias, (z_lo * s, z_hi * s), grid_seed_n=5))
+
+
+@functools.lru_cache(maxsize=None)
+def length_law_reports(name, s):
+    f, bias, minima = length_law_minima(name, s)
+    return [characterize_trap(f, bias, r, default_rb87()) for r in minima]
+
+
+@pytest.mark.parametrize("s", [0.1, 5.0])
+@pytest.mark.parametrize("name", [
+    "band25",
+    "windmill",
+    pytest.param("stripe", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the absolute stop |grad|B|| <= _GTOL keeps "
+        "false minima on a stripe, and they do not scale with the cell")),
+])
+def test_length_law(name, s):
+    ref_minima, minima = (length_law_minima(name, scale)[2] for scale in (1.0, s))
+    assert minima.shape == ref_minima.shape
+    assert np.all(np.abs(minima - s * ref_minima) <= 1e-9 * s * 1e-6)
+    for rep, ref in zip(length_law_reports(name, s), length_law_reports(name, 1.0)):
+        assert rep.B_IP == pytest.approx(ref.B_IP, rel=1e-8)
+        assert rep.depth == pytest.approx(ref.depth, rel=1e-8)
+        assert [label for label, _ in rep.barriers] == [label for label, _ in ref.barriers]
+        assert [h for _, h in rep.barriers] == pytest.approx([h for _, h in ref.barriers], rel=1e-8)
+        assert rep.barriers_coarse == ref.barriers_coarse
+        assert rep.freqs == pytest.approx(ref.freqs / s, rel=1e-8)
+
+
+# ----------------------------------------------------------------------
 # the lockstep descent and the kernel against the forms they replaced
 
 
@@ -1300,6 +1360,21 @@ def test_tune_skips_restart_outside_bias_bound(stripe_expansion, rb87, monkeypat
             stripe_expansion, objective, rb87, b0, restarts=5, seed=0, maxiter=5
         )
     assert np.array_equal(np.array(searched), np.array(valid))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_tune_rejects_bad_seed_before_searching(stripe_expansion, rb87, monkeypatch, seed):
+    # the restart generator is made only at the first restart, so the seed
+    # is checked on entry, before any search
+    from maglattice import traps
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_trap_minima called")
+
+    monkeypatch.setattr(traps, "find_trap_minima", no_search)
+    objective = TuneObjective(target_z=0.3e-6)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        traps.tune_bias(stripe_expansion, objective, rb87, stripe_bias(), seed=seed)
 
 
 def test_characterize_records_coarse_barriers(stripe_expansion, rb87, monkeypatch):
