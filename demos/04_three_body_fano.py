@@ -10,14 +10,12 @@ import maglattice as ml
 etas = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
 
 for dist, F0 in (("poisson", 1.0), ("fixed", 0.0)):
-    curve = ml.simulate_three_body(
-        ml.LossModel(rate_constant=1.0),
-        ml.TrajectoryEnsemble(n_traj=4000, N0=1000, distribution=dist, seed=42),
-        etas,
+    points = ml.simulate_three_body(
+        ml.TrajectoryEnsemble(n_traj=4000, N0=1000, distribution=dist, seed=42), etas
     )
     print(f"initial distribution: {dist} (F0 = {F0})")
     print(f"{'eta':>6} {'mean N':>9} {'F sim':>8} {'+-':>7} {'F theory':>9}")
-    for p in curve.points:
+    for p in points:
         th = ml.fano_theory(p.eta_actual, F0)
         print(f"{p.eta:6.2f} {p.mean_N:9.1f} {p.F:8.4f} {p.stderr_F:7.4f} {th:9.4f}")
     print()

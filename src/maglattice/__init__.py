@@ -12,13 +12,7 @@ __version__ = "0.1.0"
 from . import constants, patterns
 from .atom import AtomState, default_rb87, field_to_temperature
 from .errors import InputError
-from .fano import (
-    FanoCurve,
-    LossModel,
-    TrajectoryEnsemble,
-    fano_theory,
-    simulate_three_body,
-)
+from .fano import TrajectoryEnsemble, fano_theory, simulate_three_body
 from .hubbard import (
     BandResult,
     HubbardParams,

@@ -3,7 +3,9 @@
 Exact-event (Gillespie) simulation of the pure death process
 N -> N - 3 at rate gamma3 * N (N-1) (N-2), with the Fano factor
 F = Var(N)/Mean(N) recorded at checkpoints of the surviving fraction
-eta = mean(N)/N0. The closed-form prediction is
+eta = mean(N)/N0. Time runs in units of 1/gamma3: the rate constant scales
+every wait alike, so the jump chain, the checkpoints and every output do not
+depend on it, and the engine takes none. The closed-form prediction is
 
     F(eta) = 3/5 + eta^5 (F0 - 3/5),
 
@@ -41,20 +43,6 @@ _WINDOW = 0.02  # a checkpoint window's first half-width, relative to its time
 _BLOCK_EVENTS = 2**20  # about this many events per block of trajectories
 _CHUNK_VALUES = 2**17  # about this many waits per chunk drawn from a block
 _MAX_WORKERS = 3  # threads per block pass; each holds a block of up to 2**20 waits
-
-
-@dataclass(frozen=True)
-class LossModel:
-    """Per-triple loss rate gamma3 (1/s); each event removes 3 atoms.
-
-    The event rate at occupancy N is gamma3 * N (N-1) (N-2), zero below 3.
-    """
-
-    rate_constant: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rate_constant) and self.rate_constant > 0):
-            raise InputError("rate_constant must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -102,15 +90,6 @@ class FanoPoint:
     stderr_F: float
     exhausted: bool
     samples: np.ndarray | None  # per-trajectory occupancies at the checkpoint
-
-
-@dataclass(frozen=True)
-class FanoCurve:
-    points: tuple
-    N0: int
-    n_traj: int
-    seed: int
-    distribution: str
 
 
 def fano_theory(eta: float, F0: float) -> float:
@@ -241,17 +220,15 @@ def _block_pass(streams, N0s, mean_wait, windows):
     return below, [tuple(map(np.concatenate, zip(*kept.pop(0)))) for _ in range(len(kept))]
 
 
-def simulate_three_body(
-    model: LossModel, ensemble: TrajectoryEnsemble, eta_checkpoints
-) -> FanoCurve:
-    """Simulate the loss cascade and record Fano statistics at checkpoints.
+def simulate_three_body(ensemble: TrajectoryEnsemble, eta_checkpoints) -> tuple[FanoPoint, ...]:
+    """Simulate the loss cascade and record Fano statistics at checkpoints,
+    in time units of 1/gamma3; returns one FanoPoint per checkpoint, in order.
 
     Checkpoints are surviving fractions in (0, 1], sorted descending; each is
     taken at the time where the ensemble mean crosses eta * N0. A checkpoint
     the ensemble can no longer reach (everything below 3 atoms), or reaches
     only when every atom is lost (mean 0, where F would be 0/0), is marked
-    exhausted. Identical (model, ensemble, checkpoints) give bit-identical
-    results, and the curve is invariant under rescaling rate_constant.
+    exhausted. Identical (ensemble, checkpoints) give bit-identical results.
     """
     etas = [float(e) for e in eta_checkpoints]
     if not etas:
@@ -276,18 +253,18 @@ def simulate_three_body(
     kmax = N0s // 3  # events until N drops below 3
     S0, total_events = int(N0s.sum()), int(kmax.sum())
 
-    # mean wait 1/(gamma3 N (N-1) (N-2)) at occupancy N, infinite below 3;
+    # mean wait 1/(N (N-1) (N-2)) at occupancy N, infinite below 3;
     # mean_wait[N0, j] = inv_rate[N0 - 3 j] is a strided view of it
     top, K = int(N0s.max()), int(kmax.max())
     Ns = np.arange(3, top + 1, dtype=float)
     inv_rate = np.full(3 * K + top + 1, np.inf)
-    inv_rate[3 * K + 3 :] = 1.0 / (model.rate_constant * Ns * (Ns - 1.0) * (Ns - 2.0))
+    inv_rate[3 * K + 3 :] = 1.0 / (Ns * (Ns - 1.0) * (Ns - 2.0))
     mean_wait = np.lib.stride_tricks.sliding_window_view(inv_rate, 3 * K + 1)[:, :0:-3]
 
     # events needed so that mean N = (S0 - 3 m)/n first drops to eta*N0
     ms = [max(int(np.ceil((S0 - n * eta * N0) / 3.0 - 1e-12)), 0) for eta in etas]
     # The m-th event time t* lies near the time at which the mean-field law
-    # N(t) = N(0)/sqrt(1 + 6 gamma3 N(0)^2 t) falls from S0/n to (S0 - 3m)/n.
+    # N(t) = N(0)/sqrt(1 + 6 N(0)^2 t) falls from S0/n to (S0 - 3m)/n.
     # Its window is that time times (1 - h[0], 1 + h[1]]; when the counts put
     # t* outside, h grows fourfold on that side, unbounded once h >= 1.
     exhausted = [m > total_events or 3 * m == S0 for m in ms]
@@ -296,7 +273,7 @@ def simulate_three_body(
     while pending:
         windows = []
         for m, h in pending.items():
-            t = ((n / (S0 - 3 * m)) ** 2 - (n / S0) ** 2) / 6 / model.rate_constant
+            t = ((n / (S0 - 3 * m)) ** 2 - (n / S0) ** 2) / 6
             windows.append((t * (1 - h[0]) if h[0] < 1 else -np.inf,
                             t * (1 + h[1]) if h[1] < 1 else np.inf))
         below, kept = _block_pass(streams, N0s, mean_wait, windows)
@@ -320,10 +297,4 @@ def simulate_three_body(
             F, stderr = _fano_bootstrap(samples, (ensemble.seed, 0xB00C, j), 200)
         points.append(FanoPoint(eta=eta, eta_actual=float(mean / N0), mean_N=float(mean), F=F,
                                 stderr_F=stderr, exhausted=samples is None, samples=samples))
-    return FanoCurve(
-        points=tuple(points),
-        N0=N0,
-        n_traj=n,
-        seed=ensemble.seed,
-        distribution=ensemble.distribution,
-    )
+    return tuple(points)

@@ -193,10 +193,10 @@ def write_field_map_csv(path, points_m: np.ndarray, B_T: np.ndarray):
     return tuple(ext)
 
 
-def write_fano_csv(path, curve):
+def write_fano_csv(path, points):
     with open(path, "w", newline="") as fh:
         fh.write("eta,meanN,F,stderr\n")
-        for p in curve.points:
+        for p in points:
             fh.write(
                 ",".join(fmt9(v) for v in (p.eta, p.mean_N, p.F, p.stderr_F)) + "\n"
             )

@@ -355,13 +355,11 @@ def test_vdw_linear_vs_oracle_sweep(rb87):
 
 
 def test_fano_statistics():
-    model = ml.LossModel(rate_constant=1.0)
-    curve = ml.simulate_three_body(
-        model,
+    points = ml.simulate_three_body(
         ml.TrajectoryEnsemble(n_traj=10000, N0=1000, distribution="poisson", seed=7),
         [0.5, 0.1],
     )
-    f05, f01 = curve.points[0].F, curve.points[1].F
+    f05, f01 = points[0].F, points[1].F
     ok = abs(f05 - 0.6125) <= 0.05 and 0.57 <= f01 <= 0.63
     assert report("Fano F(0.5) = 0.6125 +- 0.05, asymptote in [0.57, 0.63]", ok,
                   f"F(0.5) = {f05:.4f}, F(0.1) = {f01:.4f}")
@@ -371,14 +369,13 @@ def test_fano_decay_exponent():
     from scipy.optimize import curve_fit
 
     etas = [round(0.9 - 0.05 * i, 2) for i in range(9)]
-    curve = ml.simulate_three_body(
-        ml.LossModel(rate_constant=1.0),
+    points = ml.simulate_three_body(
         ml.TrajectoryEnsemble(n_traj=60000, N0=1000, distribution="poisson", seed=2),
         etas,
     )
-    eta = np.array([p.eta_actual for p in curve.points])
-    excess = np.array([p.F - 0.6 for p in curve.points])
-    sig = np.array([p.stderr_F for p in curve.points])
+    eta = np.array([p.eta_actual for p in points])
+    excess = np.array([p.F - 0.6 for p in points])
+    sig = np.array([p.stderr_F for p in points])
     popt, _ = curve_fit(
         lambda e, A, p: A * e**p, eta, excess, p0=(0.4, 5.0), sigma=sig,
         absolute_sigma=True,
@@ -392,13 +389,12 @@ def test_fano_deterministic_bytes(tmp_path):
     from maglattice.io import write_fano_csv
 
     def run():
-        curve = ml.simulate_three_body(
-            ml.LossModel(rate_constant=2.5),
+        points = ml.simulate_three_body(
             ml.TrajectoryEnsemble(n_traj=500, N0=400, distribution="poisson", seed=11),
             [0.8, 0.4],
         )
         out = tmp_path / "fano.csv"
-        write_fano_csv(out, curve)
+        write_fano_csv(out, points)
         return out.read_bytes()
 
     ok = run() == run()

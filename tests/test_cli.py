@@ -549,13 +549,11 @@ def test_surface_cli(workdir):
 
 
 def test_fano_cli_deterministic(workdir):
-    rc = run_cli(workdir, "fano", "--n0", "300", "--ntraj", "400",
-                 "--eta", "0.9,0.5", "--gamma3", "1.0")
+    rc = run_cli(workdir, "fano", "--n0", "300", "--ntraj", "400", "--eta", "0.9,0.5")
     assert rc == 0
     first_report = (workdir / "report.json").read_bytes()
     first_csv = (workdir / "fano.csv").read_bytes()
-    rc = run_cli(workdir, "fano", "--n0", "300", "--ntraj", "400",
-                 "--eta", "0.9,0.5", "--gamma3", "1.0")
+    rc = run_cli(workdir, "fano", "--n0", "300", "--ntraj", "400", "--eta", "0.9,0.5")
     assert rc == 0
     assert (workdir / "report.json").read_bytes() == first_report
     assert (workdir / "fano.csv").read_bytes() == first_csv
@@ -574,6 +572,19 @@ def test_fano_cli_seed_changes_output(workdir):
     ])
     assert rc == 0
     assert (workdir / "fano.csv").read_bytes() != a
+
+
+def test_seed_override_is_echoed_in_the_config(workdir):
+    # the report's config block is the only record of a tune-bias seed
+    doc = json.loads((workdir / "config.json").read_text())
+    (workdir / "config.json").write_text(json.dumps({**doc, "seed": 3}))
+    rc = main([
+        "--config", str(workdir / "config.json"), "--out", str(workdir),
+        "--no-timestamp", "--seed", "9", "fano", "--n0", "30", "--ntraj", "200", "--eta", "0.5",
+    ])
+    assert rc == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["config"]["seed"] == report["payload"]["seed"] == 9
 
 
 def test_transport_cli(workdir):
@@ -797,9 +808,6 @@ def test_field_map_threads_agree(workdir):
         pytest.param(("--eta", "abc"), id="bad2"),
         pytest.param(("--eta", "0.5,0.9"), id="bad3"),
         pytest.param(("--eta", "1.5"), id="bad4"),
-        pytest.param(("--gamma3", "-1"), id="bad5"),
-        pytest.param(("--gamma3", "nan"), id="bad6"),
-        pytest.param(("--gamma3", "inf"), id="bad7"),
         pytest.param(("--n0", "100000000000000000000000"), id="bad8"),
         pytest.param(("--dist", "fixed", "--n0", str(3 * 2**20)), id="bad9"),
         pytest.param(("--ntraj", str(2**31)), id="bad10"),

@@ -9,13 +9,7 @@ import pytest
 
 from maglattice import fano
 from maglattice.errors import InputError
-from maglattice.fano import (
-    LossModel,
-    TrajectoryEnsemble,
-    _fano_bootstrap,
-    fano_theory,
-    simulate_three_body,
-)
+from maglattice.fano import TrajectoryEnsemble, _fano_bootstrap, fano_theory, simulate_three_body
 
 
 def test_fano_theory_endpoints():
@@ -31,14 +25,6 @@ def test_fano_theory_validation():
         fano_theory(1.2, 1.0)
     with pytest.raises(ValueError):
         fano_theory(0.5, -0.1)
-
-
-def test_loss_model_validation():
-    with pytest.raises(ValueError):
-        LossModel(rate_constant=0.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            LossModel(rate_constant=bad)
 
 
 def test_ensemble_validation():
@@ -71,30 +57,27 @@ def test_fano_from_samples_constant():
     assert F == 0.0
 
 
-def _run(n_traj=2000, N0=300, dist="poisson", seed=3, etas=(0.9, 0.5, 0.2), gamma=1.0):
+def _run(n_traj=2000, N0=300, dist="poisson", seed=3, etas=(0.9, 0.5, 0.2)):
     return simulate_three_body(
-        LossModel(rate_constant=gamma),
-        TrajectoryEnsemble(n_traj=n_traj, N0=N0, distribution=dist, seed=seed),
-        list(etas),
+        TrajectoryEnsemble(n_traj=n_traj, N0=N0, distribution=dist, seed=seed), list(etas)
     )
 
 
 def test_simulation_conserves_triples():
-    curve = _run()
-    for p in curve.points:
+    points = _run()
+    for p in points:
         assert p.samples is not None
         assert np.all(p.samples >= 0)
         # every sample differs from an initial count by a multiple of 3;
         # with Poisson initials the residues mod 3 stay distributed, so
         # check via the fixed-initial variant instead
     fixed = _run(dist="fixed", N0=300)
-    for p in fixed.points:
+    for p in fixed:
         assert np.all((300 - p.samples) % 3 == 0)
 
 
 def test_checkpoint_semantics():
-    curve = _run(etas=(1.0, 0.5))
-    p1, p2 = curve.points
+    p1, p2 = _run(etas=(1.0, 0.5))
     assert p1.eta == 1.0
     assert p1.mean_N == pytest.approx(300, rel=0.01)  # realized Poisson mean
     assert p2.eta_actual == pytest.approx(0.5, abs=0.01)
@@ -109,44 +92,35 @@ def test_checkpoints_must_descend():
 
 def test_fixed_initial_follows_theory_from_zero():
     # deterministic initial: F0 = 0, so F(eta) = 0.6 (1 - eta^5)
-    curve = _run(n_traj=5000, N0=900, dist="fixed", etas=(0.9, 0.7, 0.5, 0.3))
-    for p in curve.points:
+    points = _run(n_traj=5000, N0=900, dist="fixed", etas=(0.9, 0.7, 0.5, 0.3))
+    for p in points:
         assert p.F == pytest.approx(0.6 * (1 - p.eta_actual**5), abs=4 * p.stderr_F + 0.01)
 
 
 def test_poisson_initial_follows_theory():
-    curve = _run(n_traj=5000, N0=900, etas=(0.8, 0.5, 0.3))
-    for p in curve.points:
+    points = _run(n_traj=5000, N0=900, etas=(0.8, 0.5, 0.3))
+    for p in points:
         assert p.F == pytest.approx(fano_theory(p.eta_actual, 1.0), abs=4 * p.stderr_F + 0.01)
-
-
-def test_rate_constant_rescaling_invariance():
-    a = _run(gamma=1.0)
-    b = _run(gamma=10.0)
-    for pa, pb in zip(a.points, b.points):
-        assert pa.F == pb.F  # bitwise: the embedded jump chain is identical
-        assert pa.stderr_F == pb.stderr_F
-        assert np.array_equal(pa.samples, pb.samples)
 
 
 def test_deterministic_reruns_identical():
     a = _run(seed=11)
     b = _run(seed=11)
-    for pa, pb in zip(a.points, b.points):
+    for pa, pb in zip(a, b):
         assert pa.F == pb.F and pa.stderr_F == pb.stderr_F
         assert np.array_equal(pa.samples, pb.samples)
     c = _run(seed=12)
-    assert any(pa.F != pc.F for pa, pc in zip(a.points, c.points))
+    assert any(pa.F != pc.F for pa, pc in zip(a, c))
 
 
 def test_exhausted_checkpoint():
-    curve = _run(n_traj=200, N0=30, etas=(0.9, 0.5, 0.02))
-    last = curve.points[-1]
+    points = _run(n_traj=200, N0=30, etas=(0.9, 0.5, 0.02))
+    last = points[-1]
     # the mean cannot fall below the frozen terminal remainder (N mod 3,
     # about one atom per trajectory), so 0.02 * 30 = 0.6 is unreachable
     assert last.exhausted
     assert np.isnan(last.F)
-    assert not curve.points[0].exhausted
+    assert not points[0].exhausted
 
 
 def test_checkpoint_at_mean_zero_is_exhausted():
@@ -154,8 +128,7 @@ def test_checkpoint_at_mean_zero_is_exhausted():
     # only once every atom is lost: F would be 0/0, so it is exhausted
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        curve = _run(n_traj=100, N0=300, dist="fixed", etas=(0.5, 1e-9))
-    first, last = curve.points
+        first, last = _run(n_traj=100, N0=300, dist="fixed", etas=(0.5, 1e-9))
     assert not first.exhausted and np.isfinite(first.F)
     assert last.exhausted and last.samples is None
     assert last.mean_N == 0.0 and last.eta_actual == 0.0
@@ -167,11 +140,11 @@ def test_multi_block_run_is_reproducible():
     a = _run(n_traj=400, N0=30000, dist="fixed", seed=5)
     b = _run(n_traj=400, N0=30000, dist="fixed", seed=5)
     c = _run(n_traj=400, N0=30000, dist="fixed", seed=6)
-    for pa, pb in zip(a.points, b.points):
+    for pa, pb in zip(a, b):
         assert (pa.F, pa.stderr_F) == (pb.F, pb.stderr_F)
         assert pa.samples.tobytes() == pb.samples.tobytes()
         assert np.all((30000 - pa.samples) % 3 == 0)
-    assert any(pa.F != pc.F for pa, pc in zip(a.points, c.points))
+    assert any(pa.F != pc.F for pa, pc in zip(a, c))
 
 
 def test_block_stream_layout_and_empty_rows():
@@ -181,8 +154,8 @@ def test_block_stream_layout_and_empty_rows():
     block0 = np.random.default_rng(np.random.SeedSequence((8, 0)))
     N0s = block0.poisson(3, size=1000)
     assert np.any(N0s < 3)
-    curve = _run(n_traj=1000, N0=3, seed=8, etas=(0.8, 0.6))
-    for p in curve.points:
+    points = _run(n_traj=1000, N0=3, seed=8, etas=(0.8, 0.6))
+    for p in points:
         assert not p.exhausted
         assert np.all((N0s - p.samples) % 3 == 0)
         assert np.all((p.samples >= 0) & (p.samples <= N0s))
@@ -224,7 +197,7 @@ def test_event_time_memory_bound(monkeypatch):
     assert peak <= 5 * 8 * 2**20
 
 
-def _reference_curve(model, ensemble, etas):
+def _reference_curve(ensemble, etas):
     """The engine without windows: every event time in one array, each
     checkpoint time from one selection over all of them. Returns the
     (samples, F, stderr_F) of each checkpoint, None where exhausted."""
@@ -241,7 +214,7 @@ def _reference_curve(model, ensemble, etas):
     kmax = N0s // 3
     Ns = np.arange(3, N0s.max() + 1, dtype=float)
     inv_rate = np.full(Ns.size + 3, np.inf)
-    inv_rate[3:] = 1.0 / (model.rate_constant * Ns * (Ns - 1.0) * (Ns - 2.0))
+    inv_rate[3:] = 1.0 / (Ns * (Ns - 1.0) * (Ns - 2.0))
     times, owner = [], []
     for g, lo in blocks:
         N, k = N0s[lo : lo + rows], kmax[lo : lo + rows]
@@ -276,16 +249,15 @@ def _count_passes(monkeypatch):
     return passes
 
 
-def _assert_matches_reference(n_traj, N0, dist, seed, etas, gamma=1.0):
-    model = LossModel(rate_constant=gamma)
+def _assert_matches_reference(n_traj, N0, dist, seed, etas):
     ensemble = TrajectoryEnsemble(n_traj=n_traj, N0=N0, distribution=dist, seed=seed)
-    curve = simulate_three_body(model, ensemble, etas)
-    for p, ref in zip(curve.points, _reference_curve(model, ensemble, etas), strict=True):
+    points = simulate_three_body(ensemble, etas)
+    for p, ref in zip(points, _reference_curve(ensemble, etas), strict=True):
         assert p.exhausted == (ref is None)
         if ref is not None:
             assert p.samples.tobytes() == ref[0].tobytes()
             assert (p.F, p.stderr_F) == ref[1:]
-    return curve
+    return points
 
 
 BENCH_ETAS = [round(0.9 - 0.05 * i, 2) for i in range(9)]
@@ -312,8 +284,8 @@ def test_thread_count_does_not_change_the_output(monkeypatch, n_traj, N0, dist, 
     try:
         for W in (1, 2, 5):
             monkeypatch.setattr(fano, "_workers", lambda blocks, W=W: W)
-            curve = _assert_matches_reference(n_traj, N0, dist, 7, etas)
-            samples.append([p.samples.tobytes() for p in curve.points])
+            points = _assert_matches_reference(n_traj, N0, dist, 7, etas)
+            samples.append([p.samples.tobytes() for p in points])
     finally:
         sys.setswitchinterval(interval)
     assert samples[0] == samples[1] == samples[2]
@@ -357,7 +329,7 @@ def test_missed_windows_regenerate_the_same_draws(monkeypatch):
     for shape in [
         (200, 30, "poisson", 3, [0.9, 0.5, 0.02]),
         (1000, 3, "poisson", 8, [0.8, 0.6]),
-        (500, 400, "poisson", 11, [0.8, 0.4], 2.5),
+        (500, 400, "poisson", 11, [0.8, 0.4]),
     ]:
         passes.clear()
         _assert_matches_reference(*shape)
@@ -385,12 +357,12 @@ def test_early_stop_does_not_change_the_output(monkeypatch, n_traj, N0, dist, se
         return real(flat, stride, k, t)
 
     monkeypatch.setattr(fano, "_counts_at", counted)
-    curves = []
+    runs = []
     for chunk_values in (1, 2**24):
         monkeypatch.setattr(fano, "_CHUNK_VALUES", chunk_values)
         drawn.append([])
-        curves.append(_run(n_traj=n_traj, N0=N0, dist=dist, seed=seed, etas=etas))
-    for p, q in zip(*(c.points for c in curves), strict=True):
+        runs.append(_run(n_traj=n_traj, N0=N0, dist=dist, seed=seed, etas=etas))
+    for p, q in zip(*runs, strict=True):
         assert p.samples.tobytes() == q.samples.tobytes()
         assert (p.F, p.stderr_F) == (q.F, q.stderr_F)
     early, whole = (np.sum(d, axis=0) for d in drawn)
@@ -463,8 +435,8 @@ def test_master_equation_oracle_limits():
 
 
 def test_poisson_ensemble_matches_master_equation():
-    curve = _run(n_traj=20000, N0=60, seed=1, etas=(0.8, 0.5, 0.3))
-    for p in curve.points:
+    points = _run(n_traj=20000, N0=60, seed=1, etas=(0.8, 0.5, 0.3))
+    for p in points:
         exact = _master_equation_fano(_initial("poisson", 60), p.eta_actual)
         assert p.F == pytest.approx(exact, abs=4 * p.stderr_F)
 
@@ -474,7 +446,7 @@ def test_finite_N_bias_resolved_by_master_equation():
     # closed form 0.6000. A million trajectories give stderr 0.0008, so the
     # closed form lies outside the 3-stderr band this test accepts. The
     # engine holds one block of event times per thread, not the run's 3e7.
-    p = _run(n_traj=10**6, N0=90, dist="fixed", seed=1, etas=(0.1,)).points[0]
+    [p] = _run(n_traj=10**6, N0=90, dist="fixed", seed=1, etas=(0.1,))
     exact = _master_equation_fano(_initial("fixed", 90), p.eta_actual)
     assert p.F == pytest.approx(exact, abs=3 * p.stderr_F)
     assert abs(fano_theory(p.eta_actual, 0.0) - exact) > 3 * p.stderr_F

@@ -821,57 +821,65 @@ def test_search_ends_rows_at_field_zero(windmill_expansion, monkeypatch, caplog,
 # scaling the period, the film thickness and the z range by s scales trap
 # positions by s and frequencies by 1/s, and leaves |B| and the barriers as
 # they are. s = 0.1 and 5 give the 100 nm and 5 um cells of the paper's
-# Hubbard and ensemble-qubit lattices.
+# Hubbard and ensemble-qubit lattices. The M0-and-bias law: scaling M0 and
+# the bias by c scales |B| and the barriers by c and the frequencies by
+# sqrt(c), and leaves the positions as they are.
 
-# name -> (pattern with every length scaled by s, truncation, bias, z range
-# at s = 1)
+# name -> (pattern with every length scaled by s and M0 by c, truncation,
+# bias, z range at s = 1)
 LENGTH_LAW_CASES = {
-    "band25": (lambda s: z_edge_band(1e-6 * s, band_frac=0.5, notch_frac=0.25, n=32,
-                                     film_h=300e-9 * s),
+    "band25": (lambda s, c: z_edge_band(1e-6 * s, band_frac=0.5, notch_frac=0.25, n=32,
+                                        M0=670e3 * c, film_h=300e-9 * s),
                {"max_order": 5}, in_plane(1.2e-3, 18), (0.1e-6, 1.3e-6)),
-    "windmill": (lambda s: windmill(1e-6 * s, core=0.24, arm_len=0.34, arm_width=0.16, n=48,
-                                    film_h=100e-9 * s),
+    "windmill": (lambda s, c: windmill(1e-6 * s, core=0.24, arm_len=0.34, arm_width=0.16, n=48,
+                                       M0=670e3 * c, film_h=100e-9 * s),
                  {"threshold": 1e-3, "max_order": 6}, np.array([-1e-3, 0.0, 0.0]), (0.15e-6, 1.4e-6)),
     # the bias runs along the stripes: no minimum, yet rows far above the
     # film pass the absolute stop
-    "stripe": (lambda s: stripes(1e-6 * s, nx=32, ny=4, film_h=300e-9 * s),
+    "stripe": (lambda s, c: stripes(1e-6 * s, nx=32, ny=4, M0=670e3 * c, film_h=300e-9 * s),
                {"max_order": 8}, np.array([0.0, 50e-3, 0.0]), (20e-9, 3e-6)),
 }
+# id -> (s, c); the ids of the length law are its scale alone
+LAW_SCALES = {"0.1": (0.1, 1.0), "5.0": (5.0, 1.0), "c0.01": (1.0, 0.01), "c30": (1.0, 30.0)}
 
 
 @functools.lru_cache(maxsize=None)
-def length_law_minima(name, s):
-    """(expansion, bias, minima) of the case `name` with every length scaled by s."""
+def length_law_minima(name, s, c=1.0):
+    """(expansion, bias, minima) of the case `name` with every length scaled
+    by s, and M0 and the bias by c."""
     pattern, truncation, bias, (z_lo, z_hi) = LENGTH_LAW_CASES[name]
-    f = fourier_from_pattern(pattern(s), **truncation)
+    f = fourier_from_pattern(pattern(s, c), **truncation)
+    bias = c * bias
     return f, bias, np.array(find_trap_minima(f, bias, (z_lo * s, z_hi * s), grid_seed_n=5))
 
 
 @functools.lru_cache(maxsize=None)
-def length_law_reports(name, s):
-    f, bias, minima = length_law_minima(name, s)
+def length_law_reports(name, s, c=1.0):
+    f, bias, minima = length_law_minima(name, s, c)
     return [characterize_trap(f, bias, r, default_rb87()) for r in minima]
 
 
-@pytest.mark.parametrize("s", [0.1, 5.0])
-@pytest.mark.parametrize("name", [
-    "band25",
-    "windmill",
-    pytest.param("stripe", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: the absolute stop |grad|B|| <= _GTOL keeps "
-        "false minima on a stripe, and they do not scale with the cell")),
+@pytest.mark.parametrize("name, s, c", [
+    pytest.param(name, s, c, id=f"{name}-{tag}", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 1: the absolute stop "
+        "|grad|B|| <= _GTOL keeps false minima on a stripe, and they do not scale with "
+        "the cell, nor with M0 and the bias") if name == "stripe" else ())
+    for name in LENGTH_LAW_CASES for tag, (s, c) in LAW_SCALES.items()
+    # the stripe's 50 mT bias times 30 is above the 0.1 T bias bound
+    if (name, tag) != ("stripe", "c30")
 ])
-def test_length_law(name, s):
-    ref_minima, minima = (length_law_minima(name, scale)[2] for scale in (1.0, s))
+def test_length_law(name, s, c):
+    ref_minima, minima = length_law_minima(name, 1.0)[2], length_law_minima(name, s, c)[2]
     assert minima.shape == ref_minima.shape
     assert np.all(np.abs(minima - s * ref_minima) <= 1e-9 * s * 1e-6)
-    for rep, ref in zip(length_law_reports(name, s), length_law_reports(name, 1.0)):
-        assert rep.B_IP == pytest.approx(ref.B_IP, rel=1e-8)
-        assert rep.depth == pytest.approx(ref.depth, rel=1e-8)
+    for rep, ref in zip(length_law_reports(name, s, c), length_law_reports(name, 1.0)):
+        assert rep.B_IP == pytest.approx(c * ref.B_IP, rel=1e-8)
+        assert rep.depth == pytest.approx(c * ref.depth, rel=1e-8)
         assert [label for label, _ in rep.barriers] == [label for label, _ in ref.barriers]
-        assert [h for _, h in rep.barriers] == pytest.approx([h for _, h in ref.barriers], rel=1e-8)
+        assert [h for _, h in rep.barriers] == pytest.approx([c * h for _, h in ref.barriers],
+                                                             rel=1e-8)
         assert rep.barriers_coarse == ref.barriers_coarse
-        assert rep.freqs == pytest.approx(ref.freqs / s, rel=1e-8)
+        assert rep.freqs == pytest.approx(ref.freqs * np.sqrt(c) / s, rel=1e-8)
 
 
 # ----------------------------------------------------------------------
